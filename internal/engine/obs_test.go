@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -267,6 +268,50 @@ func TestExplainAnalyzeDMLAffectedRows(t *testing.T) {
 	}
 	if a.Nodes[0].ActualRows != int64(a.Result.Affected) {
 		t.Errorf("root actual rows %d != affected %d", a.Nodes[0].ActualRows, a.Result.Affected)
+	}
+}
+
+// TestExplainAnalyzeUpdateLocateSide: a primary-key UPDATE shows the
+// access path that located its row, and that path examines the row it
+// matched — not the table. Until estimate-vs-actual error is a metric
+// of its own this is the alarm for a select shell that is costed as a
+// seek and executed as a scan.
+func TestExplainAnalyzeUpdateLocateSide(t *testing.T) {
+	db := openRS(t, 10000)
+	db.MustExec("CREATE INDEX r_d ON R (d)")
+	for _, tc := range []struct{ q, source string }{
+		{"UPDATE R SET e = 0 WHERE id = 4242", "IndexSeek R_pk on R (eq=1, covering)"},
+		{"UPDATE R SET e = 1 WHERE d = 8484", "IndexSeek r_d on R (eq=1, fetch)"},
+		{"DELETE FROM R WHERE d = 8486", "IndexSeek r_d on R (eq=1, fetch)"},
+	} {
+		a, err := db.ExplainAnalyze(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Nodes) != 2 || a.Nodes[1].Depth != 1 || !strings.HasPrefix(a.Nodes[1].Label, tc.source) {
+			t.Fatalf("%q: nodes = %+v, want a DML root over %q", tc.q, a.Nodes, tc.source)
+		}
+		root, src := a.Nodes[0], a.Nodes[1]
+		if root.ActualRows != 1 || src.ActualRows != 1 {
+			t.Errorf("%q: actual rows root=%d source=%d, want 1 and 1", tc.q, root.ActualRows, src.ActualRows)
+		}
+		if src.Scanned > src.ActualRows+1 {
+			t.Errorf("%q: source examined %d entries to match %d rows (table holds %d)",
+				tc.q, src.Scanned, src.ActualRows, db.Mgr.Heap("R").Len())
+		}
+		if src.Pages < 1 || src.EstRows < 1 {
+			t.Errorf("%q: source pages=%d est rows=%.0f, want both recorded", tc.q, src.Pages, src.EstRows)
+		}
+	}
+	s, err := db.ExplainAnalyzeString("UPDATE R SET e = 2 WHERE d = 8488")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := splitLines(s)
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], "Update R (cost=") ||
+		!strings.HasPrefix(lines[2], "  IndexSeek r_d on R (eq=1, fetch) where (d = 8488) (cost=") ||
+		!contains(lines[2], "(actual rows=1 scanned=1 pages=") {
+		t.Errorf("rendered analysis:\n%s", s)
 	}
 }
 

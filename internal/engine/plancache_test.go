@@ -175,6 +175,48 @@ func TestPlanCacheRebind(t *testing.T) {
 	}
 }
 
+// TestPlanCacheRebindDMLSource: a rebound UPDATE must seek with the NEW
+// literal. The DML node's Source carries the seek bounds, so a rebind
+// that only rewrote the SET list would update the cached statement's row
+// three times over.
+func TestPlanCacheRebindDMLSource(t *testing.T) {
+	ids := []int{10, 500, 999}
+	run := func(mode CacheMode) (markers, rows []string) {
+		db := openRS(t, 1000)
+		db.SetPlanCacheMode(mode)
+		for _, id := range ids {
+			q := fmt.Sprintf("UPDATE R SET e = -1 WHERE id = %d", id)
+			a, err := db.ExplainAnalyze(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Result.Affected != 1 {
+				t.Fatalf("%v: %q affected %d rows, want 1", mode, q, a.Result.Affected)
+			}
+			if src := a.Nodes[len(a.Nodes)-1]; !strings.HasPrefix(src.Label, "IndexSeek R_pk on R (eq=1") {
+				t.Fatalf("%v: %q locates through %q, want a primary seek", mode, q, src.Label)
+			}
+			markers = append(markers, a.Provenance)
+		}
+		return markers, canonRows(db.MustExec("SELECT id FROM R WHERE e = -1"))
+	}
+
+	markers, rows := run(CacheRebind)
+	if want := []string{"fresh", "cached (rebound)", "cached (rebound)"}; fmt.Sprint(markers) != fmt.Sprint(want) {
+		t.Fatalf("rebind provenance = %v, want %v", markers, want)
+	}
+	if want := []string{"(10)", "(500)", "(999)"}; fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("rebound updates hit rows %v, want %v", rows, want)
+	}
+	exactMarkers, exactRows := run(CacheExact)
+	if want := []string{"fresh", "fresh", "fresh"}; fmt.Sprint(exactMarkers) != fmt.Sprint(want) {
+		t.Fatalf("exact provenance = %v, want %v", exactMarkers, want)
+	}
+	if fmt.Sprint(exactRows) != fmt.Sprint(rows) {
+		t.Fatalf("exact mode updated rows %v, rebind mode %v", exactRows, rows)
+	}
+}
+
 func TestPlanCacheRebindGenericFallback(t *testing.T) {
 	db := openRS(t, 1000)
 	db.SetPlanCacheMode(CacheRebind)

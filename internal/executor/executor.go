@@ -1,9 +1,11 @@
 package executor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -162,9 +164,9 @@ func (e *Executor) RunContext(ctx context.Context, p plan.Node, c *Collector) (*
 	case *plan.InsertNode:
 		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runInsert(n, c) })
 	case *plan.UpdateNode:
-		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runUpdate(n) })
+		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runUpdate(n, c) })
 	case *plan.DeleteNode:
-		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runDelete(n) })
+		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runDelete(n, c) })
 	}
 	rows, err := r.exec(p, c)
 	if err != nil {
@@ -214,11 +216,11 @@ func (e *run) exec(p plan.Node, c *Collector) ([]datum.Row, error) {
 func (e *run) execNode(p plan.Node, c *Collector) ([]datum.Row, error) {
 	switch n := p.(type) {
 	case *plan.SeqScan:
-		return e.seqScan(n, c)
+		return e.seqScan(n, c, nil)
 	case *plan.IndexScan:
-		return e.indexScan(n, c)
+		return e.indexScan(n, c, nil)
 	case *plan.IndexSeek:
-		return e.indexSeek(n, c)
+		return e.indexSeek(n, c, nil)
 	case *plan.IndexEndpoint:
 		return e.indexEndpoint(n, c)
 	case *plan.Filter:
@@ -249,7 +251,21 @@ func (e *run) execNode(p plan.Node, c *Collector) ([]datum.Row, error) {
 	return nil, fmt.Errorf("executor: unsupported node %T", p)
 }
 
-func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
+// ridSink receives the RID of every row a leaf operator outputs, in
+// output order. SELECT plans pass nil; a DML node's Source passes a sink
+// (see locate). A leaf feeding a sink evaluates row-at-a-time (the
+// columnar emission drops RIDs) and runs its morsels in order on the
+// calling goroutine, like a stopped scan, so RIDs append directly.
+type ridSink = *[]storage.RID
+
+// take appends rid when a sink is attached.
+func take(sink ridSink, rid storage.RID) {
+	if sink != nil {
+		*sink = append(*sink, rid)
+	}
+}
+
+func (e *run) seqScan(n *plan.SeqScan, c *Collector, rids ridSink) ([]datum.Row, error) {
 	h := e.mgr.Heap(n.Table)
 	if h == nil {
 		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
@@ -264,7 +280,7 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 	}
 	slots := h.Slots()
 	vf, vok := compileVecFilter(n.Preds, n.Schema())
-	useVec := vok && e.vecOn(slots)
+	useVec := vok && rids == nil && e.vecOn(slots)
 	markEngine(c, n, useVec)
 	var pred func(datum.Row) (bool, error)
 	if !useVec {
@@ -297,7 +313,7 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 		var sc int64
 		var werr error
 		h.ScanRange(storage.RID(i*morselRows), storage.RID((i+1)*morselRows),
-			func(_ storage.RID, r datum.Row) bool {
+			func(rid storage.RID, r datum.Row) bool {
 				sc++
 				ok, perr := pred(r)
 				if perr != nil {
@@ -306,6 +322,7 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 				}
 				if ok {
 					b.Append(r)
+					take(rids, rid)
 				}
 				return true
 			})
@@ -315,7 +332,7 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector) ([]datum.Row, error) {
 	chunks := chunkBounds(slots)
 	visited := chunks
 	var out []datum.Row
-	if n.Stop > 0 {
+	if n.Stop > 0 || rids != nil {
 		out, visited, err = e.runStopped(chunks, n.Stop, work)
 	} else {
 		err = runMorsels(e, "seqscan "+n.Table, chunks, work,
@@ -347,7 +364,7 @@ func markEngine(c *Collector, n plan.Node, vectorized bool) {
 	}
 }
 
-func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
+func (e *run) indexScan(n *plan.IndexScan, c *Collector, rids ridSink) ([]datum.Row, error) {
 	pi := e.mgr.Index(n.Index.ID())
 	if pi == nil || pi.State() != storage.StateActive {
 		return nil, fmt.Errorf("executor: index %s: %w", n.Index.Name, ErrStaleIndex)
@@ -365,7 +382,7 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 		entries += s.N
 	}
 	vf, vok := compileVecFilter(n.Preds, n.Schema())
-	useVec := vok && e.vecOn(entries)
+	useVec := vok && rids == nil && e.vecOn(entries)
 	markEngine(c, n, useVec)
 	var pred func(datum.Row) (bool, error)
 	if !useVec {
@@ -396,14 +413,15 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 			return b, nil
 		}
 		for k := 0; k < shards[i].N; k++ {
-			row := it.Entry().Key
+			ent := it.Entry()
 			it.Next()
-			ok, perr := pred(row)
+			ok, perr := pred(ent.Key)
 			if perr != nil {
 				return nil, perr
 			}
 			if ok {
-				b.Append(row)
+				b.Append(ent.Key)
+				take(rids, ent.RID)
 			}
 		}
 		scanned.Add(int64(shards[i].N))
@@ -411,7 +429,7 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 	}
 	visited := len(shards)
 	var out []datum.Row
-	if n.Stop > 0 {
+	if n.Stop > 0 || rids != nil {
 		out, visited, err = e.runStopped(len(shards), n.Stop, work)
 	} else {
 		err = runMorsels(e, "indexscan "+n.Index.Name, len(shards), work,
@@ -435,7 +453,7 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector) ([]datum.Row, error) {
 	return out, nil
 }
 
-func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
+func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.Row, error) {
 	pi := e.mgr.Index(n.Index.ID())
 	if pi == nil || pi.State() != storage.StateActive {
 		return nil, fmt.Errorf("executor: index %s: %w", n.Index.Name, ErrStaleIndex)
@@ -504,6 +522,7 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector) ([]datum.Row, error) {
 		}
 		if ok {
 			out = append(out, row)
+			take(rids, ent.RID)
 			if n.Stop > 0 && int64(len(out)) >= n.Stop {
 				break
 			}
@@ -1373,20 +1392,111 @@ func (e *run) runInsert(n *plan.InsertNode, c *Collector) (*ResultSet, error) {
 	return &ResultSet{Affected: len(rows)}, nil
 }
 
-func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
+// located is one row a DML statement is about to mutate.
+type located struct {
+	rid storage.RID
+	row datum.Row
+}
+
+// locate runs a DML node's Source — the select shell, executed with the
+// access path it was costed with — and returns the full heap rows it
+// selects with their RIDs. Collecting every match before the first
+// mutation is what makes a SET on the seek column safe, and everything
+// that can fail on the read side (a stale index, an injected page-read
+// fault, a predicate error, cancellation) fails here, before the
+// statement has begun: nothing to roll back, nothing logged.
+func (e *run) locate(table string, src plan.Node, c *Collector) ([]located, error) {
+	h := e.mgr.Heap(table)
+	if h == nil {
+		return nil, fmt.Errorf("executor: table %s not materialized", table)
+	}
+	var (
+		rows     []datum.Row
+		rids     []storage.RID
+		err      error
+		fullRows = true
+	)
+	start := time.Now()
+	switch n := src.(type) {
+	case *plan.SeqScan:
+		rows, err = e.seqScan(n, c, &rids)
+	case *plan.IndexSeek:
+		fullRows = n.Fetch || n.Index.Primary
+		rows, err = e.indexSeek(n, c, &rids)
+	case *plan.IndexScan:
+		fullRows = false
+		rows, err = e.indexScan(n, c, &rids)
+	default:
+		return nil, fmt.Errorf("executor: %T cannot locate rows of %s", src, table)
+	}
+	if c != nil {
+		st := c.at(src)
+		st.addDuration(time.Since(start))
+		st.addRows(int64(len(rows)))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) != len(rids) {
+		// A Stop-limited leaf truncates its rows but not the sink.
+		return nil, fmt.Errorf("executor: %s yielded %d rows for %d rids", src.Label(), len(rows), len(rids))
+	}
+	out := make([]located, len(rids))
+	for i, rid := range rids {
+		row := rows[i]
+		if !fullRows {
+			// A covering access yields index keys; the update shell reads
+			// the heap row it is about to rewrite.
+			if row = h.Get(rid); row == nil {
+				return nil, fmt.Errorf("executor: dangling rid %d under %s", rid, src.Label())
+			}
+		}
+		out[i] = located{rid: rid, row: row}
+	}
+	// Mutations apply in RID order whatever order the Source produced, so
+	// the WAL records and the free-slot reuse of a statement — and with
+	// them the heap every later statement sees — do not depend on the
+	// physical design.
+	slices.SortFunc(out, func(a, b located) int { return cmp.Compare(a.rid, b.rid) })
+	return out, nil
+}
+
+// mutate applies one mutation per located row as one statement: a
+// failure on any row (injected write fault, evaluation error,
+// cancellation) undoes, newest first, every row already applied, and
+// the WAL statement batch commits only after every row applied — a
+// failed statement changes nothing, an acknowledged one is durable.
+func (e *run) mutate(table string, rows []located, apply func(located) error, undo func(located)) error {
+	applied := 0 // rows[:applied] have been mutated
+	e.mgr.BeginStmt(table)
+	rollback := func(err error) error {
+		for i := applied - 1; i >= 0; i-- {
+			undo(rows[i])
+		}
+		e.mgr.AbortStmt(table)
+		return err
+	}
+	for _, r := range rows {
+		if err := apply(r); err != nil {
+			return rollback(err)
+		}
+		applied++
+		if err := e.tick(); err != nil {
+			return rollback(err)
+		}
+	}
+	if err := e.mgr.CommitStmt(table); err != nil {
+		return rollback(err)
+	}
+	return nil
+}
+
+func (e *run) runUpdate(n *plan.UpdateNode, c *Collector) (*ResultSet, error) {
 	t := e.cat.Table(n.Table)
 	if t == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	h := e.mgr.Heap(n.Table)
-	if h == nil {
-		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
-	}
 	schema := plan.TableSchema(t, "")
-	pred, err := compilePreds(n.Where, schema)
-	if err != nil {
-		return nil, err
-	}
 	setFns := make([]evalFunc, len(n.Set))
 	setOrds := make([]int, len(n.Set))
 	for i, a := range n.Set {
@@ -1395,127 +1505,51 @@ func (e *run) runUpdate(n *plan.UpdateNode) (*ResultSet, error) {
 			return nil, fmt.Errorf("executor: unknown column %s", a.Column)
 		}
 		setOrds[i] = ord
+		var err error
 		if setFns[i], err = compile(a.Value, schema); err != nil {
 			return nil, err
 		}
 	}
-	// Collect matches first: mutating while scanning would be unsound.
-	type match struct {
-		rid storage.RID
-		row datum.Row
+	matches, err := e.locate(n.Table, n.Source, c)
+	if err != nil {
+		return nil, err
 	}
-	var matches []match
-	var scanErr error
-	h.Scan(func(rid storage.RID, r datum.Row) bool {
-		ok, err := pred(r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			matches = append(matches, match{rid: rid, row: r})
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	type appliedUpdate struct {
-		rid storage.RID
-		old datum.Row
-	}
-	var applied []appliedUpdate
-	e.mgr.BeginStmt(n.Table)
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			e.mgr.UndoUpdate(n.Table, applied[i].rid, applied[i].old)
-		}
-		e.mgr.AbortStmt(n.Table)
-	}
-	for _, mt := range matches {
-		newRow := mt.row.Clone()
-		for i, f := range setFns {
-			v, err := f(mt.row)
-			if err != nil {
-				rollback()
-				return nil, err
+	err = e.mutate(n.Table, matches,
+		func(mt located) error {
+			newRow := mt.row.Clone()
+			for i, f := range setFns {
+				v, err := f(mt.row)
+				if err != nil {
+					return err
+				}
+				newRow[setOrds[i]] = v
 			}
-			newRow[setOrds[i]] = v
-		}
-		if _, err := e.mgr.Update(n.Table, mt.rid, newRow); err != nil {
-			rollback()
-			return nil, err
-		}
-		applied = append(applied, appliedUpdate{rid: mt.rid, old: mt.row})
-		if err := e.tick(); err != nil {
-			rollback()
-			return nil, err
-		}
-	}
-	if err := e.mgr.CommitStmt(n.Table); err != nil {
-		rollback()
+			_, err := e.mgr.Update(n.Table, mt.rid, newRow)
+			return err
+		},
+		func(mt located) { e.mgr.UndoUpdate(n.Table, mt.rid, mt.row) })
+	if err != nil {
 		return nil, err
 	}
 	return &ResultSet{Affected: len(matches)}, nil
 }
 
-func (e *run) runDelete(n *plan.DeleteNode) (*ResultSet, error) {
-	t := e.cat.Table(n.Table)
-	if t == nil {
+func (e *run) runDelete(n *plan.DeleteNode, c *Collector) (*ResultSet, error) {
+	if e.cat.Table(n.Table) == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	h := e.mgr.Heap(n.Table)
-	if h == nil {
-		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
-	}
-	pred, err := compilePreds(n.Where, plan.TableSchema(t, ""))
+	targets, err := e.locate(n.Table, n.Source, c)
 	if err != nil {
 		return nil, err
 	}
-	type doomed struct {
-		rid storage.RID
-		row datum.Row
-	}
-	var targets []doomed
-	var scanErr error
-	h.Scan(func(rid storage.RID, r datum.Row) bool {
-		ok, err := pred(r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			targets = append(targets, doomed{rid: rid, row: r})
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	var applied []doomed
-	e.mgr.BeginStmt(n.Table)
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			e.mgr.UndoDelete(n.Table, applied[i].rid, applied[i].row)
-		}
-		e.mgr.AbortStmt(n.Table)
-	}
-	for _, d := range targets {
-		if _, err := e.mgr.Delete(n.Table, d.rid); err != nil {
-			rollback()
-			return nil, err
-		}
-		applied = append(applied, d)
-		if err := e.tick(); err != nil {
-			rollback()
-			return nil, err
-		}
-	}
-	if err := e.mgr.CommitStmt(n.Table); err != nil {
-		rollback()
+	err = e.mutate(n.Table, targets,
+		func(d located) error {
+			_, err := e.mgr.Delete(n.Table, d.rid)
+			return err
+		},
+		func(d located) { e.mgr.UndoDelete(n.Table, d.rid, d.row) })
+	if err != nil {
 		return nil, err
 	}
 	return &ResultSet{Affected: len(targets)}, nil
 }
-
-var _ = sql.Statement(nil)

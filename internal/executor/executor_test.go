@@ -315,11 +315,14 @@ func TestComparisonWithNullIsFalse(t *testing.T) {
 }
 
 func TestRunDispatchesDML(t *testing.T) {
-	cat, mgr, ex, _ := fixture(t, 10, true)
-	_ = cat
+	cat, mgr, ex, ix := fixture(t, 10, true)
+	// UPDATE locates through a fetching seek on the secondary, DELETE
+	// through a heap scan: the two Source shapes the optimizer emits.
+	seek := &plan.IndexSeek{Index: ix, Alias: "R", EqVals: []datum.Datum{datum.NewInt(3)}, Fetch: true}
+	seek.Out = rSchema(cat)
 	upd := &plan.UpdateNode{Table: "R",
-		Set:   []sql.Assignment{{Column: "b", Value: &sql.Literal{Value: datum.NewInt(99)}}},
-		Where: []sql.Expr{expr(t, "a = 3")}}
+		Set:    []sql.Assignment{{Column: "b", Value: &sql.Literal{Value: datum.NewInt(99)}}},
+		Source: seek}
 	rs, err := ex.Run(upd)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +330,9 @@ func TestRunDispatchesDML(t *testing.T) {
 	if rs.Affected != 1 {
 		t.Fatalf("affected = %d", rs.Affected)
 	}
-	del := &plan.DeleteNode{Table: "R", Where: []sql.Expr{expr(t, "b = 99")}}
+	scan := &plan.SeqScan{Table: "R", Alias: "R", Preds: []sql.Expr{expr(t, "b = 99")}}
+	scan.Out = rSchema(cat)
+	del := &plan.DeleteNode{Table: "R", Source: scan}
 	rs, err = ex.Run(del)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +357,71 @@ func TestRunDispatchesDML(t *testing.T) {
 	bad := &plan.InsertNode{Table: "R", Literals: []datum.Row{{datum.NewInt(1)}}}
 	if _, err := ex.Run(bad); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+}
+
+// TestDMLCoveringSources: a Source that answers from index keys (a
+// covering seek, or a scan of a covering index) still hands the DML node
+// full heap rows, applied in RID order.
+func TestDMLCoveringSources(t *testing.T) {
+	cat, mgr, ex, ix := fixture(t, 40, true)
+	// Covering seek a = 7: rows 7, 17, 27, 37.
+	seek := &plan.IndexSeek{Index: ix, Alias: "R", EqVals: []datum.Datum{datum.NewInt(7)}}
+	seek.Out = plan.IndexSchema(ix, "R")
+	upd := &plan.UpdateNode{Table: "R", Source: seek,
+		Set: []sql.Assignment{{Column: "b", Value: expr(t, "b + 100 = 0").(*sql.BinaryExpr).Left}}}
+	rs, err := ex.Run(upd)
+	if err != nil || rs.Affected != 4 {
+		t.Fatalf("covering-seek update: affected %v, err %v", rs, err)
+	}
+	// Index scan with a predicate over index columns: id >= 30 AND a < 5.
+	scan := &plan.IndexScan{Index: ix, Alias: "R", Preds: []sql.Expr{expr(t, "id >= 30"), expr(t, "a < 5")}}
+	scan.Out = plan.IndexSchema(ix, "R")
+	rs, err = ex.Run(&plan.DeleteNode{Table: "R", Source: scan})
+	if err != nil || rs.Affected != 5 {
+		t.Fatalf("index-scan delete: affected %v, err %v", rs, err)
+	}
+	if err := mgr.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	all := &plan.SeqScan{Table: "R", Alias: "R"}
+	all.Out = rSchema(cat)
+	rows, err := ex.exec(all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 35 {
+		t.Fatalf("%d rows left, want 35", len(rows))
+	}
+	for _, r := range rows {
+		id, b := r[0].Int(), r[2].Int()
+		if want := id % 3; id%10 == 7 {
+			want += 100
+			if b != want {
+				t.Errorf("row %d: b = %d, want %d", id, b, want)
+			}
+		} else if b != want {
+			t.Errorf("row %d: b = %d, want it untouched at %d", id, b, want)
+		}
+	}
+}
+
+// TestDMLRejectsUnusableSource: a Source must be an access-path leaf
+// that yields one RID per row it outputs.
+func TestDMLRejectsUnusableSource(t *testing.T) {
+	cat, mgr, ex, _ := fixture(t, 10, false)
+	scan := &plan.SeqScan{Table: "R", Alias: "R"}
+	scan.Out = rSchema(cat)
+	if _, err := ex.Run(&plan.DeleteNode{Table: "R", Source: &plan.Limit{Child: scan, N: 1}}); err == nil {
+		t.Error("DELETE accepted a Source that yields no RIDs")
+	}
+	stopped := &plan.SeqScan{Table: "R", Alias: "R", Stop: 3}
+	stopped.Out = rSchema(cat)
+	if _, err := ex.Run(&plan.DeleteNode{Table: "R", Source: stopped}); err == nil {
+		t.Error("DELETE accepted a Stop-limited Source")
+	}
+	if n := mgr.Heap("R").Len(); n != 10 {
+		t.Errorf("rejected plans deleted rows: %d left", n)
 	}
 }
 

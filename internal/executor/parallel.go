@@ -53,18 +53,19 @@ func chunkOf(rows []datum.Row, i int) []datum.Row {
 	return rows[lo:hi]
 }
 
-// runStopped is runMorsels' sequential sibling for Stop-limited scans:
-// morsels run strictly in order on the calling goroutine and the loop
-// halts once stop rows have accumulated, truncating the final morsel's
-// surplus. A stopped scan stays sequential on purpose — the pushdown
-// exists to read almost nothing, and worker run-ahead would make the
-// scanned-row actuals depend on the worker count. It returns the number
-// of morsels actually produced so collectors can report page traffic
-// proportionally.
+// runStopped is runMorsels' sequential sibling for Stop-limited scans
+// and scans feeding a RID sink: morsels run strictly in order on the
+// calling goroutine and, when stop > 0, the loop halts once stop rows
+// have accumulated, truncating the final morsel's surplus (stop <= 0
+// runs every morsel). A stopped scan stays sequential on purpose — the
+// pushdown exists to read almost nothing, and worker run-ahead would
+// make the scanned-row actuals depend on the worker count. It returns
+// the number of morsels actually produced so collectors can report page
+// traffic proportionally.
 func (e *run) runStopped(n int, stop int64, work func(i int) (*datum.Batch, error)) ([]datum.Row, int, error) {
 	var out []datum.Row
 	visited := 0
-	for i := 0; i < n && int64(len(out)) < stop; i++ {
+	for i := 0; i < n && (stop <= 0 || int64(len(out)) < stop); i++ {
 		if err := e.ctx.Err(); err != nil {
 			return nil, visited, err
 		}
@@ -75,7 +76,7 @@ func (e *run) runStopped(n int, stop int64, work func(i int) (*datum.Batch, erro
 		visited++
 		out = append(out, b.Rows()...)
 	}
-	if int64(len(out)) > stop {
+	if stop > 0 && int64(len(out)) > stop {
 		out = out[:stop]
 	}
 	return out, visited, nil

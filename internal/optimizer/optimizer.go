@@ -903,14 +903,14 @@ func (o *Optimizer) dmlCost(t *catalog.Table, rows float64, touched int) float64
 	return m.DMLBase(rows, o.env.TablePages(t.Name)) + float64(touched)*m.IndexMaintenance(rows)
 }
 
-// planUpdate plans an UPDATE: the WHERE side is costed (and captured as
-// requests) like a select; execution locates rows by scan.
+// planUpdate plans an UPDATE: the WHERE side is planned (and captured as
+// requests) like a select, and its access path becomes the node's Source.
 func (o *Optimizer) planUpdate(up *sql.Update) (*Result, error) {
 	t := o.env.Cat.Table(up.Table)
 	if t == nil {
 		return nil, fmt.Errorf("optimizer: unknown table %s", up.Table)
 	}
-	locCost, locRows, orNode, generic, err := o.locate(t, up.Where)
+	src, res, err := o.locate(t, up.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -919,16 +919,8 @@ func (o *Optimizer) planUpdate(up *sql.Update) (*Result, error) {
 			return nil, fmt.Errorf("optimizer: unknown column %s in UPDATE %s", a.Column, t.Name)
 		}
 	}
-	node := &plan.UpdateNode{Table: t.Name, Set: up.Set, Where: splitConjuncts(up.Where)}
-	upReq := o.updateRequest(t, locRows)
-	cost := locCost + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
-	node.Cost = cost
-	node.Rows = locRows
-	children := []*whatif.Node{whatif.NewLeaf(upReq)}
-	if orNode != nil {
-		children = append(children, orNode)
-	}
-	return &Result{Plan: node, Tree: whatif.NewAnd(children...), Cost: cost, Rows: locRows, Generic: generic}, nil
+	res.Plan = &plan.UpdateNode{Base: plan.Base{Cost: res.Cost, Rows: res.Rows}, Table: t.Name, Set: up.Set, Source: src}
+	return res, nil
 }
 
 // planDelete plans a DELETE.
@@ -937,25 +929,21 @@ func (o *Optimizer) planDelete(del *sql.Delete) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("optimizer: unknown table %s", del.Table)
 	}
-	locCost, locRows, orNode, generic, err := o.locate(t, del.Where)
+	src, res, err := o.locate(t, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	node := &plan.DeleteNode{Table: t.Name, Where: splitConjuncts(del.Where)}
-	upReq := o.updateRequest(t, locRows)
-	cost := locCost + o.dmlCost(t, locRows, upReq.UpdateTouchedIndexes)
-	node.Cost = cost
-	node.Rows = locRows
-	children := []*whatif.Node{whatif.NewLeaf(upReq)}
-	if orNode != nil {
-		children = append(children, orNode)
-	}
-	return &Result{Plan: node, Tree: whatif.NewAnd(children...), Cost: cost, Rows: locRows, Generic: generic}, nil
+	res.Plan = &plan.DeleteNode{Base: plan.Base{Cost: res.Cost, Rows: res.Rows}, Table: t.Name, Source: src}
+	return res, nil
 }
 
-// locate costs the row-location side of an UPDATE/DELETE and captures its
-// requests.
-func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (float64, float64, *whatif.Node, bool, error) {
+// locate plans an UPDATE/DELETE around its select shell: the pseudo
+// SELECT * WHERE ... goes through chooseAccess like any single-table
+// select, the update shell is costed on the rows it locates, and both
+// shells' requests form the statement's tree. It returns the chosen
+// access path — the DML node's Source — and the statement's Result with
+// Plan left for the caller to fill.
+func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (plan.Node, *Result, error) {
 	pseudo := &sql.Select{
 		Items: []sql.SelectItem{{Star: true}},
 		From:  sql.TableRef{Table: t.Name},
@@ -964,14 +952,37 @@ func (o *Optimizer) locate(t *catalog.Table, where sql.Expr) (float64, float64, 
 	}
 	bq, err := bind(o.env.Cat, pseudo)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return nil, nil, err
 	}
 	path := o.chooseAccess(bq.tables[0], nil)
+	// The Source evaluates every WHERE conjunct on the rows it matches —
+	// also those the seek bounds stand for and those that name no column
+	// (WHERE 1 = 0 binds to no table). A seek is not exact: an upper-bound
+	// range starts at the NULL keys, `a = NULL` matches them, and of two
+	// equalities on one column only the first bounds the seek. The path's
+	// cost and rows are left as chooseAccess priced them.
+	setPreds(path.node, append(allPreds(bq.tables[0]), bq.resid...))
+
+	upReq := o.updateRequest(t, path.rows)
+	cost := path.cost + o.dmlCost(t, path.rows, upReq.UpdateTouchedIndexes)
 	var leaves []*whatif.Node
 	for _, r := range path.requests {
 		leaves = append(leaves, whatif.NewLeaf(r))
 	}
-	return path.cost, path.rows, whatif.NewOr(leaves...), genericPreds(bq), nil
+	tree := whatif.NewAnd(whatif.NewLeaf(upReq), whatif.NewOr(leaves...))
+	return path.node, &Result{Tree: tree, Cost: cost, Rows: path.rows, Generic: genericPreds(bq)}, nil
+}
+
+// setPreds replaces the predicates an access-path leaf evaluates.
+func setPreds(n plan.Node, preds []sql.Expr) {
+	switch x := n.(type) {
+	case *plan.SeqScan:
+		x.Preds = preds
+	case *plan.IndexScan:
+		x.Preds = preds
+	case *plan.IndexSeek:
+		x.Preds = preds
+	}
 }
 
 func indexOfFoldStr(ss []string, s string) int {

@@ -284,6 +284,78 @@ func TestDMLPlans(t *testing.T) {
 	}
 }
 
+// TestDMLSourceIsTheCostedPath: the access path locate costs is the one
+// the node carries. The Source's estimate is the select-shell share of
+// the statement's cost, the Source evaluates every WHERE conjunct — the
+// one its seek bound stands for (a seek over-approximates) and the
+// column-free one (which binds to no table and is not costed) — and the
+// request tree keeps its shape: AND(update shell, OR(scan, seek)).
+func TestDMLSourceIsTheCostedPath(t *testing.T) {
+	_, o := testEnv(t, 5000)
+	res, err := o.Optimize(parse(t, "UPDATE R SET c = c + 1 WHERE id = 42 AND 1 = 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := res.Plan.(*plan.UpdateNode)
+	seek, ok := up.Source.(*plan.IndexSeek)
+	if !ok || !seek.Index.Primary || len(seek.EqVals) != 1 || seek.EqVals[0].Int() != 42 {
+		t.Fatalf("source = %s, want a primary seek on id = 42", plan.Explain(up.Source))
+	}
+	if len(seek.Preds) != 2 || seek.Preds[0].String() != "(id = 42)" || seek.Preds[1].String() != "(1 = 0)" {
+		t.Errorf("source predicates = %v, want every WHERE conjunct", seek.Preds)
+	}
+	if up.EstCost() != res.Cost || up.EstRows() != res.Rows || seek.EstCost() >= res.Cost || seek.EstCost() <= 0 {
+		t.Errorf("estimates: node %.3f/%.0f, result %.3f/%.0f, source %.3f", up.EstCost(), up.EstRows(), res.Cost, res.Rows, seek.EstCost())
+	}
+	if res.Tree.Op != whatif.And || len(res.Tree.Children) != 2 ||
+		res.Tree.Children[0].Req.Kind != whatif.KindUpdate || res.Tree.Children[1].Op != whatif.Or {
+		t.Errorf("request tree = %+v", res.Tree)
+	}
+	// A plain scan when nothing is sargable.
+	res, err = o.Optimize(parse(t, "DELETE FROM R WHERE a + b = 7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan, ok := res.Plan.(*plan.DeleteNode).Source.(*plan.SeqScan); !ok || len(scan.Preds) != 1 {
+		t.Errorf("source = %s, want a heap scan with the predicate", plan.Explain(res.Plan))
+	}
+}
+
+// TestRebindDMLSource: rebinding a cached UPDATE substitutes the new
+// literal into the Source's seek bound, and declines — so the engine
+// optimizes afresh — when the Source cannot be rebound.
+func TestRebindDMLSource(t *testing.T) {
+	_, o := testEnv(t, 5000)
+	stmt := parse(t, "UPDATE R SET c = 7 WHERE id = 42")
+	res, err := o.Optimize(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := sql.FingerprintOf(stmt)
+	vals := make([]datum.Datum, len(fp.Lits))
+	for i, l := range fp.Lits {
+		vals[i] = l.Value
+		if l.Value.Int() == 42 {
+			vals[i] = datum.NewInt(99)
+		}
+	}
+	rb, ok := o.Rebind(res, fp.Lits, vals)
+	if !ok {
+		t.Fatal("generic primary-key UPDATE was not rebound")
+	}
+	if got := rb.Plan.(*plan.UpdateNode).Source.(*plan.IndexSeek).EqVals[0].Int(); got != 99 {
+		t.Errorf("rebound source seeks id = %d, want 99", got)
+	}
+	if got := res.Plan.(*plan.UpdateNode).Source.(*plan.IndexSeek).EqVals[0].Int(); got != 42 {
+		t.Errorf("rebinding mutated the cached plan: it now seeks id = %d", got)
+	}
+	// A seek without literal provenance cannot be re-substituted.
+	res.Plan.(*plan.UpdateNode).Source.(*plan.IndexSeek).EqLits = nil
+	if _, ok := o.Rebind(res, fp.Lits, vals); ok {
+		t.Error("rebound an UPDATE whose Source lost its literal provenance")
+	}
+}
+
 func TestINLJRequestBindings(t *testing.T) {
 	_, o := testEnv(t, 4000)
 	res, err := o.Optimize(parse(t, "SELECT S.y FROM R, S WHERE R.a = S.x AND R.b = 3"))

@@ -264,18 +264,26 @@ func (rb *rebinder) node(n plan.Node) (plan.Node, bool) {
 		c.Preds = rb.exprs(x.Preds)
 		return &c, true
 	case *plan.UpdateNode:
+		src, ok := rb.node(x.Source)
+		if !ok {
+			return nil, false
+		}
 		c := *x
+		c.Source = src
 		set := make([]sql.Assignment, len(x.Set))
 		for i, a := range x.Set {
 			set[i] = a
 			set[i].Value = rb.expr(a.Value)
 		}
 		c.Set = set
-		c.Where = rb.exprs(x.Where)
 		return &c, true
 	case *plan.DeleteNode:
+		src, ok := rb.node(x.Source)
+		if !ok {
+			return nil, false
+		}
 		c := *x
-		c.Where = rb.exprs(x.Where)
+		c.Source = src
 		return &c, true
 	}
 	// InsertNode (pre-evaluated literal rows) and anything unrecognized.

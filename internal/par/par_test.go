@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -25,11 +26,17 @@ func TestPoolSlots(t *testing.T) {
 }
 
 func TestPoolSequential(t *testing.T) {
-	for _, w := range []int{0, 1} {
-		p := NewPool(w)
-		if got := p.TryAcquire(8); got != 0 {
-			t.Fatalf("NewPool(%d).TryAcquire = %d, want 0", w, got)
-		}
+	if got := NewPool(1).TryAcquire(8); got != 0 {
+		t.Fatalf("NewPool(1).TryAcquire = %d, want 0", got)
+	}
+	// NewPool(0) sizes itself from the host, so only the relation between
+	// its size and its extra slots is host-independent.
+	auto := NewPool(0)
+	if auto.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NewPool(0).Workers() = %d, want GOMAXPROCS %d", auto.Workers(), runtime.GOMAXPROCS(0))
+	}
+	if got := auto.TryAcquire(1 << 20); got != auto.Workers()-1 {
+		t.Fatalf("NewPool(0).TryAcquire = %d, want Workers()-1 = %d", got, auto.Workers()-1)
 	}
 	var nilPool *Pool
 	if nilPool.Workers() != 1 {

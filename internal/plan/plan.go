@@ -429,27 +429,29 @@ func (n *InsertNode) Children() []Node {
 
 func (n *InsertNode) Label() string { return "Insert " + n.Table }
 
-// UpdateNode rewrites rows produced by Source (which must output the full
-// table row plus its RID through the executor's row-id channel).
+// UpdateNode rewrites the rows its Source selects. Source is the access
+// path the optimizer costed for the statement's select shell — a SeqScan,
+// IndexSeek or IndexScan over Table carrying every WHERE conjunct — and
+// the executor runs it to collect (RID, row) pairs before mutating any.
 type UpdateNode struct {
 	Base
-	Table string
-	Set   []sql.Assignment
-	Where []sql.Expr
+	Table  string
+	Set    []sql.Assignment
+	Source Node
 }
 
-func (n *UpdateNode) Children() []Node { return nil }
+func (n *UpdateNode) Children() []Node { return []Node{n.Source} }
 
 func (n *UpdateNode) Label() string { return "Update " + n.Table }
 
-// DeleteNode removes rows matching Where.
+// DeleteNode removes the rows its Source selects (see UpdateNode).
 type DeleteNode struct {
 	Base
-	Table string
-	Where []sql.Expr
+	Table  string
+	Source Node
 }
 
-func (n *DeleteNode) Children() []Node { return nil }
+func (n *DeleteNode) Children() []Node { return []Node{n.Source} }
 
 func (n *DeleteNode) Label() string { return "Delete " + n.Table }
 

@@ -88,6 +88,24 @@ func TestExplainTree(t *testing.T) {
 	}
 }
 
+// TestExplainDMLShowsSource: an UPDATE/DELETE renders the access path
+// that locates its rows as a child line, like any other operator input.
+func TestExplainDMLShowsSource(t *testing.T) {
+	ix := &catalog.Index{Name: "R_a", Table: "R", Columns: []string{"a"}}
+	seek := &IndexSeek{Index: ix, EqVals: []datum.Datum{datum.NewInt(5)}, Fetch: true}
+	seek.Cost, seek.Rows = 3, 1
+	upd := &UpdateNode{Table: "R", Source: seek}
+	upd.Cost, upd.Rows = 5, 1
+	del := &DeleteNode{Table: "R", Source: seek}
+	for root, want := range map[Node]string{upd: "Update R", del: "Delete R"} {
+		lines := strings.Split(strings.TrimSpace(Explain(root)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[0], want) ||
+			!strings.HasPrefix(lines[1], "  IndexSeek R_a on R (eq=1, fetch) (cost=3.00 rows=1)") {
+			t.Errorf("explain of %s:\n%s", want, Explain(root))
+		}
+	}
+}
+
 func TestLabels(t *testing.T) {
 	ix := &catalog.Index{Name: "I2", Table: "R", Columns: []string{"a", "b"}}
 	lo := datum.NewInt(1)
@@ -119,7 +137,8 @@ func TestLabels(t *testing.T) {
 		&IndexScan{Index: ix}, &Project{Exprs: []sql.Expr{&sql.ColumnRef{Column: "a"}}},
 		&Sort{Keys: []SortKey{{Expr: &sql.ColumnRef{Column: "a"}, Desc: true}}},
 		&Distinct{}, &CrossJoin{}, &InsertNode{Table: "R"},
-		&UpdateNode{Table: "R"}, &DeleteNode{Table: "R"},
+		&UpdateNode{Table: "R", Source: &SeqScan{Table: "R"}},
+		&DeleteNode{Table: "R", Source: &SeqScan{Table: "R"}},
 	} {
 		if n.Label() == "" {
 			t.Errorf("%T has empty label", n)
@@ -147,6 +166,11 @@ func TestChildren(t *testing.T) {
 	ins.Source = scan
 	if len(ins.Children()) != 1 {
 		t.Error("insert-select child missing")
+	}
+	for _, n := range []Node{&UpdateNode{Source: scan}, &DeleteNode{Source: scan}} {
+		if ch := n.Children(); len(ch) != 1 || ch[0] != Node(scan) {
+			t.Errorf("%T does not expose its Source", n)
+		}
 	}
 }
 

@@ -73,17 +73,23 @@ func TestServeChaosCrashDurability(t *testing.T) {
 		acks [clients]ackRecord
 		wg   sync.WaitGroup
 	)
-	for ci := 0; ci < clients; ci++ {
+	// Every client connects before any traffic starts: on a fast host the
+	// first clients reach minAcks, and the crash lands, while the last are
+	// still dialing — a refused connection is not what is under test.
+	var conns [clients]*Client
+	for ci := range conns {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Timeout = 30 * time.Second
+		conns[ci] = c
+	}
+	for ci, c := range conns {
 		wg.Add(1)
-		go func(ci int) {
+		go func(ci int, c *Client) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			defer c.conn.Close()
-			c.Timeout = 30 * time.Second
 			// Insert unique ids until the crash kills the run; only a
 			// successful response records an ack.
 			for seq := 0; ; seq++ {
@@ -94,7 +100,7 @@ func TestServeChaosCrashDurability(t *testing.T) {
 				}
 				acks[ci].add(id)
 			}
-		}(ci)
+		}(ci, c)
 	}
 
 	// Let traffic build, then kill mid-flight: engine first (in-flight

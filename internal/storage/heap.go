@@ -143,8 +143,7 @@ func (h *Heap) Update(rid RID, r datum.Row) (datum.Row, error) {
 
 // Scan calls fn for every live row in RID order; fn returning false stops
 // the scan. The read lock is held for the whole scan, so fn must not
-// mutate this heap (collect first, then mutate — as the executor's DML
-// operators do).
+// mutate this heap (collect first, then mutate).
 func (h *Heap) Scan(fn func(rid RID, r datum.Row) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
