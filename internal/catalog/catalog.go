@@ -372,6 +372,22 @@ func (c *Catalog) Tables() []*Table {
 func (c *Catalog) AddIndex(ix *Index) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.checkIndexLocked(ix); err != nil {
+		return err
+	}
+	c.indexes[strings.ToLower(ix.Name)] = ix
+	return nil
+}
+
+// CheckIndex reports the error AddIndex would return for ix, without
+// registering it: the validation a build runs before doing any work.
+func (c *Catalog) CheckIndex(ix *Index) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.checkIndexLocked(ix)
+}
+
+func (c *Catalog) checkIndexLocked(ix *Index) error {
 	t := c.tables[strings.ToLower(ix.Table)]
 	if t == nil {
 		return fmt.Errorf("catalog: index %s references unknown table %s", ix.Name, ix.Table)
@@ -381,8 +397,7 @@ func (c *Catalog) AddIndex(ix *Index) error {
 			return fmt.Errorf("catalog: index %s references unknown column %s.%s", ix.Name, ix.Table, col)
 		}
 	}
-	key := strings.ToLower(ix.Name)
-	if _, dup := c.indexes[key]; dup {
+	if _, dup := c.indexes[strings.ToLower(ix.Name)]; dup {
 		return fmt.Errorf("catalog: index %s already exists", ix.Name)
 	}
 	id := ix.ID()
@@ -391,7 +406,6 @@ func (c *Catalog) AddIndex(ix *Index) error {
 			return fmt.Errorf("catalog: an index with columns %s already exists (%s)", id, ex.Name)
 		}
 	}
-	c.indexes[key] = ix
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -55,6 +56,7 @@ func (r dmlRow) String() string {
 // dmlStmt is one generated statement with its model semantics.
 type dmlStmt struct {
 	sql   string
+	where string              // the WHERE clause match models; "" for INSERT
 	match func(dmlRow) bool   // nil for INSERT
 	set   func(dmlRow) dmlRow // nil for DELETE/INSERT
 	ins   *dmlRow             // non-nil for INSERT
@@ -66,11 +68,12 @@ type dmlStmt struct {
 // serve, conjuncts that are false for every row, and the predicates an
 // index seek over-approximates — an upper bound alone (the seek starts at
 // the NULL keys, which sort lowest), `a = NULL` (never true, but NULL
-// keys exist) and two different equalities on one column (only one of
-// them can bound the seek).
+// keys exist), two different equalities on one column (only one of them
+// can bound the seek) and two lower bounds on one column (only the
+// tighter one does).
 func dmlPredicate(rng *rand.Rand) (string, func(dmlRow) bool) {
 	never := func(dmlRow) bool { return false }
-	switch rng.Intn(14) {
+	switch rng.Intn(15) {
 	case 0, 1:
 		k1, k2 := int64(rng.Intn(40)), int64(rng.Intn(50))
 		return fmt.Sprintf("k1 = %d AND k2 = %d", k1, k2),
@@ -111,6 +114,10 @@ func dmlPredicate(rng *rand.Rand) (string, func(dmlRow) bool) {
 	case 12:
 		a := int64(rng.Intn(1000))
 		return fmt.Sprintf("a = %d AND a = %d", a, a+1), never
+	case 13:
+		lo, lo2 := int64(990+rng.Intn(8)), int64(990+rng.Intn(8))
+		return fmt.Sprintf("a >= %d AND a >= %d", lo, lo2),
+			func(r dmlRow) bool { return known(r[2]) && r[2] >= lo && r[2] >= lo2 }
 	default:
 		k1 := int64(rng.Intn(40))
 		return fmt.Sprintf("a IS NULL AND k1 < %d", k1),
@@ -150,10 +157,10 @@ func dmlWorkload(seed int64, n int) []dmlStmt {
 		case k < 5:
 			where, match := dmlPredicate(rng)
 			s := sets[rng.Intn(len(sets))]
-			out = append(out, dmlStmt{sql: "UPDATE T SET " + s.sql + " WHERE " + where, match: match, set: s.fn})
+			out = append(out, dmlStmt{sql: "UPDATE T SET " + s.sql + " WHERE " + where, where: where, match: match, set: s.fn})
 		case k < 8:
 			where, match := dmlPredicate(rng)
-			out = append(out, dmlStmt{sql: "DELETE FROM T WHERE " + where, match: match})
+			out = append(out, dmlStmt{sql: "DELETE FROM T WHERE " + where, where: where, match: match})
 		default:
 			r := dmlRow{nextKey, int64(rng.Intn(50)), int64(rng.Intn(1000)), int64(rng.Intn(7)), 0}
 			if rng.Intn(6) == 0 {
@@ -343,6 +350,24 @@ func TestDMLDifferentialAcrossDesigns(t *testing.T) {
 				}
 			}
 			for i, st := range stmts {
+				if st.match != nil {
+					// A SELECT sees the rows the statement is about to touch:
+					// the design must not change a query's answer either.
+					q := "SELECT k1, k2 FROM T WHERE " + st.where
+					rs, _, err := db.Exec(q)
+					if err != nil {
+						t.Fatalf("%s: stmt %d %q: %v", label, i, q, err)
+					}
+					want := 0
+					for _, r := range model {
+						if st.match(r) {
+							want++
+						}
+					}
+					if len(rs.Rows) != want {
+						t.Fatalf("%s: stmt %d %q returned %d rows, model %d", label, i, q, len(rs.Rows), want)
+					}
+				}
 				rs, _, err := db.Exec(st.sql)
 				if err != nil {
 					t.Fatalf("%s: stmt %d %q: %v", label, i, st.sql, err)
@@ -537,6 +562,128 @@ func TestDMLSourceReadFaultLeavesNoTrace(t *testing.T) {
 		// The fault is spent: the same statement now applies.
 		if rs := db.MustExec(q); rs.Affected == 0 {
 			t.Fatalf("%q: affected no rows once the fault was spent", q)
+		}
+	}
+}
+
+// TestDMLFailedHalfWayLeavesNoTrace fails an INSERT … SELECT and a
+// multi-row UPDATE after some of their rows were applied — by an
+// injected write fault, by a context cancelled mid-statement and by a
+// failed commit append — on a durable and an in-memory engine. The
+// statement frame lives in storage with or without a log, so in both
+// the heap (physically: slots, rows and free-list order, as a checkpoint
+// would capture them), every index and the log position must be what
+// they were, and the same statement must then apply.
+func TestDMLFailedHalfWayLeavesNoTrace(t *testing.T) {
+	const rows = 2500 // several cancellation polls' worth of row operations
+	stmts := []struct {
+		sql      string
+		table    string
+		affected int
+	}{
+		{"INSERT INTO U SELECT k1, k2, a, b, c FROM T WHERE k2 >= 3", "U", rows * 7 / 10},
+		{"UPDATE T SET a = a + 1, c = c + 1 WHERE k1 >= 0", "T", rows},
+	}
+	type failure struct {
+		name    string
+		durable bool // needs a log
+		// run executes q so that it fails half-way.
+		run func(t *testing.T, db *DB, q, table string)
+	}
+	withFault := func(site fault.Site, rule fault.Rule) func(*testing.T, *DB, string, string) {
+		return func(t *testing.T, db *DB, q, _ string) {
+			inj := fault.New(9).Plan(site, rule)
+			db.SetFaults(inj)
+			inj.Arm()
+			defer db.SetFaults(nil)
+			_, _, err := db.Exec(q)
+			if !fault.Is(err) || inj.FiredTotal() != 1 {
+				t.Fatalf("err = %v after %d fired faults, want the one injected %s fault", err, inj.FiredTotal(), site)
+			}
+		}
+	}
+	failures := []failure{
+		{name: "write fault", run: withFault(fault.PageWrite, fault.Rule{Prob: 1, After: 700, Count: 1})},
+		{name: "failed commit append", durable: true, run: withFault(fault.WALAppend, fault.Rule{Prob: 1, Count: 1})},
+		{name: "cancelled context", run: func(t *testing.T, db *DB, q, table string) {
+			// Cancel at the first context poll that sees the statement's
+			// rows arriving: the poll that follows is the statement's own.
+			h := db.Mgr.Heap(table)
+			slots, first := h.Slots(), h.Get(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, _, err := db.ExecContext(hookCtx{Context: ctx, hook: func() {
+				if h.Slots() != slots || h.Get(0).Compare(first) != 0 {
+					cancel()
+				}
+			}}, q)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		}},
+	}
+	for _, durable := range []bool{true, false} {
+		db := Open()
+		if durable {
+			var err error
+			if db, err = OpenDurable(Config{Dir: t.TempDir(), Sync: wal.SyncNone}); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+		}
+		for _, tbl := range []string{"T", "U"} {
+			db.MustExec("CREATE TABLE " + tbl + " (k1 INT, k2 INT, a INT, b INT, c INT, PRIMARY KEY (k1, k2))")
+		}
+		for i := 0; i < rows; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%d, %d, %d, %d, 0)", i/10, i%10, i%50, i%7))
+		}
+		// U starts with live rows and a free list, so the INSERT recycles
+		// slots before it grows the heap.
+		for i := 0; i < 40; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO U VALUES (%d, %d, 1, 1, 1)", 100000+i, i))
+		}
+		db.MustExec("DELETE FROM U WHERE k2 >= 10 AND k2 < 30")
+		db.MustExec("CREATE INDEX t_a ON T (a)")
+		db.MustExec("CREATE INDEX u_a ON U (a)")
+		indexes := map[string][]string{"T": {"t(k1,k2,a,b,c)", "t(a)"}, "U": {"u(k1,k2,a,b,c)", "u(a)"}}
+
+		for _, st := range stmts {
+			for _, f := range failures {
+				if f.durable && !durable {
+					continue
+				}
+				label := fmt.Sprintf("durable=%v, %s, %s", durable, f.name, st.sql)
+				before := db.Mgr.SnapshotState()
+				var trees [][]string
+				for _, id := range indexes[st.table] {
+					trees = append(trees, indexDump(t, db, id))
+				}
+				var seq uint64
+				var appends int64
+				if durable {
+					seq, appends = db.WAL().Seq(), db.WAL().Appends()
+				}
+
+				f.run(t, db, st.sql, st.table)
+
+				if after := db.Mgr.SnapshotState(); !reflect.DeepEqual(before, after) {
+					t.Fatalf("%s: storage state moved (heap rows, slots or free list)", label)
+				}
+				for i, id := range indexes[st.table] {
+					sameLines(t, label+": entries of "+id, indexDump(t, db, id), trees[i])
+				}
+				if durable {
+					if s, a := db.WAL().Seq(), db.WAL().Appends(); s != seq || a != appends {
+						t.Fatalf("%s: WAL moved: seq %d -> %d, appends %d -> %d", label, seq, s, appends, a)
+					}
+				}
+				if err := db.Mgr.CheckConsistency(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			if rs := db.MustExec(st.sql); rs.Affected != st.affected {
+				t.Fatalf("durable=%v: %q affected %d rows, want %d", durable, st.sql, rs.Affected, st.affected)
+			}
 		}
 	}
 }

@@ -121,6 +121,42 @@ func TestDurableCloseReopen(t *testing.T) {
 	}
 }
 
+// TestDurableReplaysSingleRecordIndexCreate recovers a log written before
+// CREATE INDEX ran the online build protocol: one IndexCreate record with
+// no BuildStart before it. (The BuildStart + IndexCreate{Published} pair
+// every build logs now is what TestDurableCloseReopen replays.)
+func TestDurableReplaysSingleRecordIndexCreate(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE R (id INT, a INT, PRIMARY KEY (id))")
+	for i := 0; i < 30; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO R VALUES (%d, %d)", i, i%5))
+	}
+	old := &wal.Record{Kind: wal.KindIndexCreate, Index: &wal.IndexDef{Name: "R_a", Table: "R", Columns: []string{"a"}}}
+	if _, err := db.WAL().Append([]*wal.Record{old}); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO R VALUES (30, 0)")
+	db.Crash()
+
+	db2, err := OpenDurable(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	checkConsistent(t, db2)
+	ix := db2.Cat.Index("R_a")
+	if ix == nil {
+		t.Fatal("replayed index is not in the catalog")
+	}
+	if pi := db2.Mgr.Index(ix.ID()); pi == nil || pi.State() != storage.StateActive || pi.Tree().Len() != 31 {
+		t.Fatalf("replayed index is not an active tree over all 31 rows: %+v", pi)
+	}
+}
+
 func TestDurableCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDurable(Config{Dir: dir})

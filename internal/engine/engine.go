@@ -587,19 +587,24 @@ func (db *DB) ExplainString(text string) (string, error) {
 	return head + "\n" + plan.Explain(res.Plan), nil
 }
 
-// CreateIndex registers and materializes a secondary index, returning an
+// CreateIndex materializes and registers a secondary index, returning an
 // error when the catalog rejects it or the storage budget is exceeded.
+// It is the online build protocol run to completion on the calling
+// goroutine: the catalog entry appears at publish, exactly as for the
+// tuner's background builds.
 func (db *DB) CreateIndex(ix *catalog.Index) error {
-	if err := db.Cat.AddIndex(ix); err != nil {
+	if err := db.Cat.CheckIndex(ix); err != nil {
 		return err
 	}
-	if _, err := db.Mgr.BuildIndex(ix); err != nil {
-		// Roll the catalog entry back so the failed index is not left
-		// dangling.
-		_ = db.Cat.DropIndex(ix.Name)
+	b, err := db.Mgr.StartBuild(ix)
+	if err != nil {
 		return err
 	}
-	return nil
+	if err := b.Run(context.Background()); err != nil {
+		db.Mgr.AbortBuild(b)
+		return err
+	}
+	return db.PublishIndex(ix, b)
 }
 
 // PublishIndex registers a background-built index: the catalog entry is

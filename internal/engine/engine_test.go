@@ -233,6 +233,57 @@ func TestIndexMaintainedThroughDML(t *testing.T) {
 	}
 }
 
+// TestCreateIndexKeepsSelectAnswers pins the one thing an online tuner
+// must never do: change a query's answer by building an index. The
+// predicates are the ones an index seek over-approximates — an upper
+// bound alone (NULL keys sort first), a NULL comparison, and a second
+// equality or a looser second bound on the seek column.
+func TestCreateIndexKeepsSelectAnswers(t *testing.T) {
+	db := Open()
+	db.MustExec("CREATE TABLE T (id INT, a INT, b INT, PRIMARY KEY (id))")
+	for i := 0; i < 5000; i++ {
+		a := fmt.Sprint(i - 4)
+		if i < 5 {
+			a = "NULL"
+		}
+		db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%d, %s, %d)", i, a, i%10))
+	}
+	if err := db.Analyze("T"); err != nil {
+		t.Fatal(err)
+	}
+	queries := []struct {
+		where string
+		rows  int
+		seek  string
+	}{
+		{"a < 5", 4, "IndexSeek ix_a on T (eq=0,range"},
+		{"a = 1 AND a = 7", 0, "IndexSeek ix_a on T (eq=1"},
+		{"a = NULL", 0, "IndexSeek ix_a on T (eq=1"},
+		{"a < NULL", 0, "IndexSeek ix_a on T (eq=0,range"},
+		{"a >= 4990 AND a >= 4993", 3, "IndexSeek ix_a on T (eq=0,range"},
+		{"b <= 4 AND b <= 0", 500, "IndexSeek ix_b on T (eq=0,range"},
+		{"b = 3 AND a <= 19 AND a < 40", 2, "IndexSeek ix_ba on T (eq=1,range"},
+	}
+	check := func(when string) {
+		for _, q := range queries {
+			if got := len(db.MustExec("SELECT id FROM T WHERE " + q.where).Rows); got != q.rows {
+				t.Errorf("%s the indexes: WHERE %s returned %d rows, want %d", when, q.where, got, q.rows)
+			}
+		}
+	}
+	check("before")
+	db.MustExec("CREATE INDEX ix_a ON T (a)")
+	db.MustExec("CREATE INDEX ix_b ON T (b)")
+	db.MustExec("CREATE INDEX ix_ba ON T (b, a)")
+	check("after")
+	for _, q := range queries {
+		s, err := db.ExplainString("SELECT id FROM T WHERE " + q.where)
+		if err != nil || !strings.Contains(s, q.seek) {
+			t.Errorf("WHERE %s does not run through %q: %v\n%s", q.where, q.seek, err, s)
+		}
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	db := openRS(t, 100)
 	rs := db.MustExec("SELECT DISTINCT b FROM R")

@@ -469,30 +469,29 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.
 	if err != nil {
 		return nil, err
 	}
+	// A comparison with NULL is never true, while the tree orders NULL
+	// keys like any other value (first): a NULL bound selects nothing, and
+	// a range with no lower bound starts at the prefix's NULL keys, which
+	// the loop below skips.
 	lo := append(datum.Row(nil), n.EqVals...)
 	hi := append(datum.Row(nil), n.EqVals...)
 	loInc, hiInc := true, true
+	nullPos := -1 // position of the range column when its NULL keys are in the seek range
 	if n.Lo != nil {
 		lo = append(lo, *n.Lo)
 		loInc = n.LoInc
+	} else if n.Hi != nil {
+		nullPos = len(lo)
+		lo = append(lo, datum.Null)
 	}
 	if n.Hi != nil {
 		hi = append(hi, *n.Hi)
 		hiInc = n.HiInc
 	}
-	var it *storage.Iterator
-	switch {
-	case len(lo) == 0 && len(hi) == 0:
-		it = pi.Tree().Scan()
-	case len(lo) == 0:
-		it = pi.Tree().Seek(datum.Row{datum.Null}, true, hi, hiInc)
-	default:
-		if len(hi) == 0 {
-			it = pi.Tree().Seek(lo, loInc, nil, false)
-		} else {
-			it = pi.Tree().Seek(lo, loInc, hi, hiInc)
-		}
+	if slices.ContainsFunc(hi, datum.Datum.IsNull) || (n.Lo != nil && n.Lo.IsNull()) {
+		return nil, nil
 	}
+	it := pi.Tree().Seek(lo, loInc, hi, hiInc)
 	var out []datum.Row
 	var scanned, keyBytes, fetches int64
 	for ; it.Valid(); it.Next() {
@@ -506,6 +505,9 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.
 			}
 		}
 		keyBytes += int64(ent.Key.Width())
+		if nullPos >= 0 && ent.Key[nullPos].IsNull() {
+			continue
+		}
 		var row datum.Row
 		if n.Fetch || n.Index.Primary {
 			row = h.Get(ent.RID)
@@ -1353,43 +1355,37 @@ func (e *run) runInsert(n *plan.InsertNode, c *Collector) (*ResultSet, error) {
 	if t == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	// Statement-level atomicity: a failure on any row (injected write
-	// fault, cancellation) retracts every row this statement already
-	// applied, so a failed INSERT inserts nothing. The WAL statement
-	// batch follows the same boundary: it commits only after every row
-	// applied, and a failed commit rolls the rows back — an
-	// acknowledged statement is durable, a failed one is invisible.
-	var applied []storage.RID
-	e.mgr.BeginStmt(n.Table)
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			e.mgr.UndoInsert(n.Table, applied[i])
+	err := e.statement(n.Table, len(rows), func(i int) error {
+		if len(rows[i]) != len(t.Columns) {
+			return fmt.Errorf("executor: INSERT arity %d != %d for %s", len(rows[i]), len(t.Columns), n.Table)
 		}
-		e.mgr.AbortStmt(n.Table)
-	}
-	for _, r := range rows {
-		if len(r) != len(t.Columns) {
-			rollback()
-			return nil, fmt.Errorf("executor: INSERT arity %d != %d for %s", len(r), len(t.Columns), n.Table)
-		}
-		rid, _, err := e.mgr.Insert(n.Table, r.Clone())
-		if err == nil {
-			err = e.tick()
-			if err != nil {
-				applied = append(applied, rid)
-			}
-		}
-		if err != nil {
-			rollback()
-			return nil, err
-		}
-		applied = append(applied, rid)
-	}
-	if err := e.mgr.CommitStmt(n.Table); err != nil {
-		rollback()
+		_, _, err := e.mgr.Insert(n.Table, rows[i].Clone())
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &ResultSet{Affected: len(rows)}, nil
+}
+
+// statement applies n row operations to table as one storage statement
+// frame: a failure on any row (injected write fault, evaluation error,
+// cancellation) aborts the frame, and the frame commits only after every
+// row applied — a failed statement changes nothing, an acknowledged one
+// is durable. How the applied rows are rolled back is storage's business.
+func (e *run) statement(table string, n int, apply func(i int) error) error {
+	e.mgr.BeginStmt(table)
+	for i := 0; i < n; i++ {
+		err := apply(i)
+		if err == nil {
+			err = e.tick()
+		}
+		if err != nil {
+			e.mgr.AbortStmt(table)
+			return err
+		}
+	}
+	return e.mgr.CommitStmt(table)
 }
 
 // located is one row a DML statement is about to mutate.
@@ -1461,36 +1457,6 @@ func (e *run) locate(table string, src plan.Node, c *Collector) ([]located, erro
 	return out, nil
 }
 
-// mutate applies one mutation per located row as one statement: a
-// failure on any row (injected write fault, evaluation error,
-// cancellation) undoes, newest first, every row already applied, and
-// the WAL statement batch commits only after every row applied — a
-// failed statement changes nothing, an acknowledged one is durable.
-func (e *run) mutate(table string, rows []located, apply func(located) error, undo func(located)) error {
-	applied := 0 // rows[:applied] have been mutated
-	e.mgr.BeginStmt(table)
-	rollback := func(err error) error {
-		for i := applied - 1; i >= 0; i-- {
-			undo(rows[i])
-		}
-		e.mgr.AbortStmt(table)
-		return err
-	}
-	for _, r := range rows {
-		if err := apply(r); err != nil {
-			return rollback(err)
-		}
-		applied++
-		if err := e.tick(); err != nil {
-			return rollback(err)
-		}
-	}
-	if err := e.mgr.CommitStmt(table); err != nil {
-		return rollback(err)
-	}
-	return nil
-}
-
 func (e *run) runUpdate(n *plan.UpdateNode, c *Collector) (*ResultSet, error) {
 	t := e.cat.Table(n.Table)
 	if t == nil {
@@ -1514,20 +1480,19 @@ func (e *run) runUpdate(n *plan.UpdateNode, c *Collector) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = e.mutate(n.Table, matches,
-		func(mt located) error {
-			newRow := mt.row.Clone()
-			for i, f := range setFns {
-				v, err := f(mt.row)
-				if err != nil {
-					return err
-				}
-				newRow[setOrds[i]] = v
+	err = e.statement(n.Table, len(matches), func(i int) error {
+		mt := matches[i]
+		newRow := mt.row.Clone()
+		for k, f := range setFns {
+			v, err := f(mt.row)
+			if err != nil {
+				return err
 			}
-			_, err := e.mgr.Update(n.Table, mt.rid, newRow)
-			return err
-		},
-		func(mt located) { e.mgr.UndoUpdate(n.Table, mt.rid, mt.row) })
+			newRow[setOrds[k]] = v
+		}
+		_, err := e.mgr.Update(n.Table, mt.rid, newRow)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1542,12 +1507,10 @@ func (e *run) runDelete(n *plan.DeleteNode, c *Collector) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = e.mutate(n.Table, targets,
-		func(d located) error {
-			_, err := e.mgr.Delete(n.Table, d.rid)
-			return err
-		},
-		func(d located) { e.mgr.UndoDelete(n.Table, d.rid, d.row) })
+	err = e.statement(n.Table, len(targets), func(i int) error {
+		_, err := e.mgr.Delete(n.Table, targets[i].rid)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 
 	"onlinetuner/internal/catalog"
@@ -272,10 +273,14 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 	tablePages := o.env.TablePages(table)
 	ixPages := o.env.IndexPages(ix)
 
-	// Consume leading equality columns in index order.
+	// Consume leading equality columns in index order. bound collects the
+	// conjuncts that become the seek's bounds; every other conjunct — a
+	// second equality or a looser second bound on a seek column included —
+	// stays a residual, because the seek does not enforce it.
 	var eqVals []datum.Datum
 	var eqLits []*sql.Literal
-	consumed := map[string]bool{}
+	var boundBuf [8]sql.Expr
+	bound := boundBuf[:0]
 	sel := 1.0
 	pos := 0
 	for ; pos < len(ix.Columns); pos++ {
@@ -286,7 +291,7 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 		}
 		eqVals = append(eqVals, p.val)
 		eqLits = append(eqLits, litOf(p.expr))
-		consumed[strings.ToLower(col)] = true
+		bound = append(bound, p.expr)
 		sel *= o.selEq(table, col, p.val)
 	}
 	// Range on the next column.
@@ -295,7 +300,7 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 		if r, ok := ranges[strings.ToLower(ix.Columns[pos])]; ok {
 			rb = r
 			sel *= rb.sel
-			consumed[strings.ToLower(rb.col)] = true
+			bound = append(bound, rb.loExpr, rb.hiExpr)
 		}
 	}
 
@@ -327,19 +332,11 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 	}
 	// Residual predicates (not consumed by the seek).
 	var resid []sql.Expr
-	for _, p := range bt.eqs {
-		if !consumed[strings.ToLower(p.col)] {
-			resid = append(resid, p.expr)
-		}
-	}
-	for _, p := range bt.lows {
-		if rb == nil || !strings.EqualFold(p.col, rb.col) {
-			resid = append(resid, p.expr)
-		}
-	}
-	for _, p := range bt.highs {
-		if rb == nil || !strings.EqualFold(p.col, rb.col) {
-			resid = append(resid, p.expr)
+	for _, ps := range [][]sargPred{bt.eqs, bt.lows, bt.highs} {
+		for _, p := range ps {
+			if !slices.Contains(bound, p.expr) {
+				resid = append(resid, p.expr)
+			}
 		}
 	}
 	resid = append(resid, bt.resid...)

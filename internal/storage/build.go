@@ -49,12 +49,6 @@ func (d *buildDelta) log(del bool, e Entry) {
 	d.ops = append(d.ops, deltaOp{del: del, e: e})
 }
 
-// unlog drops the n most recently logged ops; DML rollback uses it to
-// retract delta entries from a statement that failed mid-maintenance.
-func (d *buildDelta) unlog(n int) {
-	d.ops = d.ops[:len(d.ops)-n]
-}
-
 // Build is the handle for one background index build, returned by
 // StartBuild. Exactly one goroutine may call Run; Finish/Abort are then
 // called by the coordinating tuner.
@@ -136,29 +130,38 @@ func (m *Manager) StartBuild(ix *catalog.Index) (*Build, error) {
 // linear bulk load instead of n tree inserts; the resulting tree holds
 // exactly the same entry sequence for every worker count.
 func (b *Build) Run(ctx context.Context) error {
-	const cancelCheckEvery = 256
-	inj := b.m.Faults()
-	entries := make([]Entry, 0, len(b.snap))
-	for i, hr := range b.snap {
-		if i%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := inj.Hit(fault.BuildStep); err != nil {
-			return err
-		}
-		entries = append(entries, Entry{Key: keyFor(b.pi.colOrds, hr.Row), RID: hr.RID})
-	}
-	SortEntriesPooled(entries, b.m.Pool())
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	tree, err := BulkLoad(entries)
+	tree, err := b.m.loadTree(ctx, b.snap, b.pi.colOrds, b.m.Faults())
 	if err != nil {
 		return err
 	}
 	b.tree = tree
 	b.snap = nil
 	return nil
+}
+
+// loadTree builds a private B+-tree over rows keyed by the columns at
+// ords: extract one entry per row (one BuildStep fault draw each), sort,
+// bulk-load. It takes no locks and polls ctx so a background build can be
+// cancelled. Every tree the manager builds from table rows — online
+// build, restart of a suspended index, recovery restore — comes from
+// here.
+func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, ords []int, inj *fault.Injector) (*BTree, error) {
+	const cancelCheckEvery = 256
+	entries := make([]Entry, 0, len(rows))
+	for i, hr := range rows {
+		if i%cancelCheckEvery == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if err := inj.Hit(fault.BuildStep); err != nil {
+			return nil, err
+		}
+		entries = append(entries, Entry{Key: keyFor(ords, hr.Row), RID: hr.RID})
+	}
+	SortEntriesPooled(entries, m.Pool())
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return BulkLoad(entries)
 }
 
 // FinishBuild replays the DML delta accumulated during the build into

@@ -64,6 +64,13 @@ func (h *Heap) Pages() int64 { return PagesFor(h.bytes.Load()) }
 
 // Insert stores a row and returns its RID.
 func (h *Heap) Insert(r datum.Row) RID {
+	rid, _ := h.insert(r)
+	return rid
+}
+
+// insert is Insert that also reports whether the row took a fresh slot
+// at the end of the slot array (true) or recycled a free one.
+func (h *Heap) insert(r datum.Row) (RID, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.count.Add(1)
@@ -72,10 +79,28 @@ func (h *Heap) Insert(r datum.Row) RID {
 		rid := h.free[n-1]
 		h.free = h.free[:n-1]
 		h.rows[rid] = r
-		return rid
+		return rid, false
 	}
 	h.rows = append(h.rows, r)
-	return RID(len(h.rows) - 1)
+	return RID(len(h.rows) - 1), true
+}
+
+// uninsert is the exact inverse of the insert that returned (rid,
+// fresh) once every later change to the heap has been undone: a fresh
+// slot is cut off the end of the array again, a recycled one goes back
+// on top of the free list. A fresh slot that is no longer the last one
+// (an unlocked direct insert got in between) is freed like any other.
+func (h *Heap) uninsert(rid RID, fresh bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.bytes.Add(-(int64(h.rows[rid].Width()) + RowOverhead))
+	h.count.Add(-1)
+	h.rows[rid] = nil
+	if fresh && int(rid) == len(h.rows)-1 {
+		h.rows = h.rows[:rid]
+	} else {
+		h.free = append(h.free, rid)
+	}
 }
 
 // InsertAt restores a row at a tombstoned RID — the inverse of Delete,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -95,11 +96,10 @@ func (pi *PhysicalIndex) PendingOps() int64 { return pi.pendingOps.Load() }
 type tableStore struct {
 	def  *catalog.Table
 	heap *Heap
-	// stmt is the open WAL record batch of the in-flight DML statement
-	// on this table, nil when none (or when the WAL is detached).
-	// Guarded by the manager lock; at most one writer statement exists
-	// per table thanks to the engine's table write locks.
-	stmt *stmtBatch
+	// stmt is the frame of the in-flight DML statement on this table,
+	// nil when none. Guarded by the manager lock; at most one writer
+	// statement exists per table thanks to the engine's table write locks.
+	stmt *stmtFrame
 }
 
 // BuildStats describes the work performed by an index build; the cost
@@ -330,341 +330,225 @@ func (m *Manager) KeyFor(t *catalog.Table, ix *catalog.Index, row datum.Row) dat
 	return keyFor(ordinalsFor(t, ix), row)
 }
 
-// dmlUndo records the side effects of a partially applied DML statement
-// so a mid-statement failure can be compensated. Rollback runs the
-// recorded actions in reverse and must never fail: tree compensation
-// bypasses the fault injector (insertWith(nil)) and only reverses
-// operations that are known to have applied.
-type dmlUndo struct {
-	applied  []func()
-	deferred []*PhysicalIndex // suspended indexes whose pendingOps was bumped
-	logged   []*PhysicalIndex // building indexes whose delta log grew
-	loggedN  []int
+// rowChange is one applied row change: old == nil is an insert, new ==
+// nil a delete. It is the undo half of a statement frame (wal.go); the
+// before-image is all an inverse needs.
+type rowChange struct {
+	rid      RID
+	old, new datum.Row
+	// fresh marks an insert that grew the heap's slot array; its inverse
+	// shrinks the array again instead of leaving a free slot behind, so a
+	// rolled-back statement does not change which RID the next insert gets.
+	fresh bool
 }
 
-func (u *dmlUndo) rollback() {
-	for i := len(u.applied) - 1; i >= 0; i-- {
-		u.applied[i]()
-	}
-	for i, pi := range u.logged {
-		pi.building.unlog(u.loggedN[i])
-	}
-	for _, pi := range u.deferred {
-		pi.pendingOps.Add(-1)
-	}
-}
-
-// Insert adds a row to a table and maintains all active indexes. It
-// returns the RID and the number of index structures touched (for update
-// cost accounting).
+// Insert adds a row to a table and maintains its indexes. It returns the
+// RID and the number of index structures touched (for update cost
+// accounting).
 //
-// Insert is all-or-nothing: if any index maintenance step fails (e.g.
-// under fault injection), every structure already touched — including
-// the heap row — is compensated before the error returns, so a failed
-// statement leaves no partial mutations behind.
+// Every row change is all-or-nothing: if an index maintenance step fails
+// (e.g. under fault injection), the structures already touched — heap
+// row included — are restored before the error returns. Inside a
+// statement frame (BeginStmt) the change joins the frame; outside one it
+// is a frame of its own and commits before the call returns.
 func (m *Manager) Insert(table string, row datum.Row) (RID, int, error) {
-	rid, touched, auto, err := m.insertLocked(table, row)
-	if err != nil {
-		return 0, 0, err
-	}
-	if auto != nil {
-		// Autocommit: no statement batch is open, so this row's record
-		// commits by itself, outside the manager lock. A failed append
-		// means the row never became durable — undo it.
-		if err := auto.commit(); err != nil {
-			m.UndoInsert(table, rid)
-			return 0, 0, err
-		}
-	}
-	return rid, touched, nil
+	return m.change(table, wal.OpInsert, 0, row)
 }
 
-func (m *Manager) insertLocked(table string, row datum.Row) (RID, int, *autoBatch, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return 0, 0, nil, fmt.Errorf("storage: table %s not materialized", table)
-	}
-	if len(row) != len(ts.def.Columns) {
-		return 0, 0, nil, fmt.Errorf("storage: table %s: row arity %d != %d", table, len(row), len(ts.def.Columns))
-	}
-	if err := m.faults.Load().Hit(fault.PageWrite); err != nil {
-		return 0, 0, nil, err
-	}
-	rid := ts.heap.Insert(row)
-	touched := 0
-	var undo dmlUndo
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-			undo.deferred = append(undo.deferred, pi)
-		case StateBuilding:
-			pi.building.log(false, Entry{Key: keyFor(pi.colOrds, row), RID: rid})
-			undo.logged = append(undo.logged, pi)
-			undo.loggedN = append(undo.loggedN, 1)
-		case StateActive:
-			t, e := pi.Tree(), Entry{Key: keyFor(pi.colOrds, row), RID: rid}
-			if err := t.Insert(e); err != nil {
-				undo.rollback()
-				_ = ts.heap.Delete(rid)
-				return 0, 0, nil, err
-			}
-			undo.applied = append(undo.applied, func() { t.Delete(e) })
-			touched++
-		}
-	}
-	auto := m.logLocked(ts, &wal.Record{Kind: wal.KindPageWrite, Op: wal.OpInsert, Table: ts.def.Name, RID: int64(rid), Row: row})
-	return rid, touched, auto, nil
-}
-
-// Delete removes the row at rid and maintains all active indexes. Like
-// Insert, it compensates every applied step if a later one fails.
+// Delete removes the row at rid and maintains the table's indexes.
 func (m *Manager) Delete(table string, rid RID) (int, error) {
-	touched, old, auto, err := m.deleteLocked(table, rid)
-	if err != nil {
-		return 0, err
-	}
-	if auto != nil {
-		if err := auto.commit(); err != nil {
-			m.UndoDelete(table, rid, old)
-			return 0, err
-		}
-	}
-	return touched, nil
-}
-
-func (m *Manager) deleteLocked(table string, rid RID) (int, datum.Row, *autoBatch, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return 0, nil, nil, fmt.Errorf("storage: table %s not materialized", table)
-	}
-	row := ts.heap.Get(rid)
-	if row == nil {
-		return 0, nil, nil, fmt.Errorf("storage: table %s: rid %d not found", table, rid)
-	}
-	if err := m.faults.Load().Hit(fault.PageWrite); err != nil {
-		return 0, nil, nil, err
-	}
-	touched := 0
-	var undo dmlUndo
-	fail := func(err error) (int, datum.Row, *autoBatch, error) {
-		undo.rollback()
-		return 0, nil, nil, err
-	}
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-			undo.deferred = append(undo.deferred, pi)
-		case StateBuilding:
-			pi.building.log(true, Entry{Key: keyFor(pi.colOrds, row), RID: rid})
-			undo.logged = append(undo.logged, pi)
-			undo.loggedN = append(undo.loggedN, 1)
-		case StateActive:
-			t, e := pi.Tree(), Entry{Key: keyFor(pi.colOrds, row), RID: rid}
-			if !t.Delete(e) {
-				return fail(fmt.Errorf("storage: index %s missing entry for rid %d", pi.Def.Name, rid))
-			}
-			undo.applied = append(undo.applied, func() { _ = t.insertWith(e, nil) })
-			touched++
-		}
-	}
-	if err := ts.heap.Delete(rid); err != nil {
-		return fail(err)
-	}
-	auto := m.logLocked(ts, &wal.Record{Kind: wal.KindPageWrite, Op: wal.OpDelete, Table: ts.def.Name, RID: int64(rid)})
-	return touched, row, auto, nil
+	_, touched, err := m.change(table, wal.OpDelete, rid, nil)
+	return touched, err
 }
 
 // Update replaces the row at rid and maintains indexes whose keys
 // changed.
 func (m *Manager) Update(table string, rid RID, newRow datum.Row) (int, error) {
-	touched, old, auto, err := m.updateLocked(table, rid, newRow)
-	if err != nil {
-		return 0, err
+	_, touched, err := m.change(table, wal.OpUpdate, rid, newRow)
+	return touched, err
+}
+
+func (m *Manager) change(table string, op wal.Op, rid RID, row datum.Row) (RID, int, error) {
+	m.mu.Lock()
+	rid, touched, auto, err := m.changeLocked(table, op, rid, row)
+	m.mu.Unlock()
+	if err == nil && auto != nil {
+		// Autocommit is a frame of one operation; like CommitStmt it
+		// appends outside the manager lock.
+		err = m.commit(auto)
 	}
-	if auto != nil {
-		if err := auto.commit(); err != nil {
-			m.UndoUpdate(table, rid, old)
-			return 0, err
+	if err != nil {
+		return 0, 0, err
+	}
+	return rid, touched, nil
+}
+
+// changeLocked applies one row change and records it in the table's open
+// statement frame. With no frame open it returns a one-operation frame
+// for the caller to commit (nil when there is no log to commit to).
+func (m *Manager) changeLocked(table string, op wal.Op, rid RID, row datum.Row) (RID, int, *stmtFrame, error) {
+	ts := m.tables[strings.ToLower(table)]
+	if ts == nil {
+		return 0, 0, nil, fmt.Errorf("storage: table %s not materialized", table)
+	}
+	c := rowChange{rid: rid, new: row}
+	if op == wal.OpInsert {
+		if len(row) != len(ts.def.Columns) {
+			return 0, 0, nil, fmt.Errorf("storage: table %s: row arity %d != %d", table, len(row), len(ts.def.Columns))
+		}
+	} else if c.old = ts.heap.Get(rid); c.old == nil {
+		return 0, 0, nil, fmt.Errorf("storage: table %s: rid %d not found", table, rid)
+	}
+	inj := m.faults.Load()
+	if err := inj.Hit(fault.PageWrite); err != nil {
+		return 0, 0, nil, err
+	}
+	touched, err := m.applyLocked(ts, &c, inj)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	w := m.WAL()
+	var auto *stmtFrame
+	f := ts.stmt
+	if f == nil {
+		if w == nil {
+			return c.rid, touched, nil, nil
+		}
+		auto = &stmtFrame{ts: ts}
+		f = auto
+	}
+	f.undo = append(f.undo, c)
+	if w != nil {
+		f.recs = append(f.recs, &wal.Record{Kind: wal.KindPageWrite, Op: op, Table: ts.def.Name, RID: int64(c.rid), Row: c.new})
+	}
+	return c.rid, touched, auto, nil
+}
+
+// applyLocked applies c to the heap and then to the table's indexes,
+// filling in the RID of an insert. If an index fails, nothing of c
+// remains.
+func (m *Manager) applyLocked(ts *tableStore, c *rowChange, inj *fault.Injector) (int, error) {
+	switch {
+	case c.old == nil:
+		c.rid, c.fresh = ts.heap.insert(c.new)
+	case c.new == nil:
+		_ = ts.heap.Delete(c.rid)
+	default:
+		_, _ = ts.heap.Update(c.rid, c.new)
+	}
+	var buf [8]*PhysicalIndex
+	touched, err := maintain(m.indexesOfLocked(ts, buf[:0]), c.rid, c.old, c.new, inj)
+	if err != nil {
+		revertHeap(ts.heap, c)
+	}
+	return touched, err
+}
+
+// undoLocked is the inverse of applyLocked: the same index routine with
+// the rows swapped and the fault injector off (compensation must never
+// itself fail), then the heap row put back.
+func (m *Manager) undoLocked(ts *tableStore, c *rowChange) {
+	var buf [8]*PhysicalIndex
+	_, _ = maintain(m.indexesOfLocked(ts, buf[:0]), c.rid, c.new, c.old, nil)
+	revertHeap(ts.heap, c)
+}
+
+func revertHeap(h *Heap, c *rowChange) {
+	switch {
+	case c.old == nil:
+		h.uninsert(c.rid, c.fresh)
+	case c.new == nil:
+		_ = h.InsertAt(c.rid, c.old)
+	default:
+		_, _ = h.Update(c.rid, c.old)
+	}
+}
+
+// indexesOfLocked appends the physical indexes over ts's table to buf.
+func (m *Manager) indexesOfLocked(ts *tableStore, buf []*PhysicalIndex) []*PhysicalIndex {
+	for _, pi := range m.indexes {
+		if strings.EqualFold(pi.Def.Table, ts.def.Name) {
+			buf = append(buf, pi)
+		}
+	}
+	return buf
+}
+
+// maintain applies the row change old → new at rid (nil old: insert, nil
+// new: delete) to each index in idx, and returns how many active
+// structures it touched. It is the one rule per index state (Section 3.3
+// of the paper), for forward and inverse application alike:
+//
+//   - active: the tree loses the old entry and gains the new one;
+//   - building: the same two operations go to the build's delta log,
+//     which FinishBuild replays over the snapshot tree;
+//   - suspended: the change is counted as missed work (pendingOps, the
+//     driver of the accounted restart cost) and the stale tree is left
+//     alone.
+//
+// A rolled-back row is maintained as one more change — its inverse is
+// logged to a building index and counted by a suspended one — rather
+// than retracted from the delta log or the count. Retraction is only
+// right while the index is in the state it had when the row was applied;
+// StartBuild, FinishBuild, SuspendIndex and RestartIndex take no table
+// lock and may land between two rows of an open statement, and applying
+// the inverse to whatever state the index has now is correct under every
+// such interleaving (a snapshot taken mid-statement holds the applied
+// row, so only the logged inverse removes it).
+//
+// With inj nil no step can fail. When a tree insert fails under
+// injection, the indexes already maintained get the inverse change
+// before the error returns.
+func maintain(idx []*PhysicalIndex, rid RID, old, new datum.Row, inj *fault.Injector) (int, error) {
+	touched := 0
+	for i, pi := range idx {
+		switch pi.State() {
+		case StateSuspended:
+			pi.pendingOps.Add(1)
+		case StateBuilding:
+			if oldE, newE, changed := entriesFor(pi, rid, old, new); changed {
+				if old != nil {
+					pi.building.log(true, oldE)
+				}
+				if new != nil {
+					pi.building.log(false, newE)
+				}
+			}
+		case StateActive:
+			oldE, newE, changed := entriesFor(pi, rid, old, new)
+			if !changed {
+				continue
+			}
+			t := pi.Tree()
+			var err error
+			if old != nil && !t.Delete(oldE) {
+				err = fmt.Errorf("storage: index %s missing entry for rid %d", pi.Def.Name, rid)
+			} else if new != nil {
+				if err = t.insertWith(newE, inj); err != nil && old != nil {
+					_ = t.insertWith(oldE, nil)
+				}
+			}
+			if err != nil {
+				_, _ = maintain(idx[:i], rid, new, old, nil)
+				return 0, err
+			}
+			touched++
 		}
 	}
 	return touched, nil
 }
 
-func (m *Manager) updateLocked(table string, rid RID, newRow datum.Row) (int, datum.Row, *autoBatch, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return 0, nil, nil, fmt.Errorf("storage: table %s not materialized", table)
+// entriesFor returns pi's entries for the old and the new row (zero for
+// a nil row) and whether the change moves pi's key at all — an update
+// that leaves the index's columns alone does not.
+func entriesFor(pi *PhysicalIndex, rid RID, old, new datum.Row) (oldE, newE Entry, changed bool) {
+	if old != nil {
+		oldE = Entry{Key: keyFor(pi.colOrds, old), RID: rid}
 	}
-	old := ts.heap.Get(rid)
-	if old == nil {
-		return 0, nil, nil, fmt.Errorf("storage: table %s: rid %d not found", table, rid)
+	if new != nil {
+		newE = Entry{Key: keyFor(pi.colOrds, new), RID: rid}
 	}
-	if err := m.faults.Load().Hit(fault.PageWrite); err != nil {
-		return 0, nil, nil, err
-	}
-	touched := 0
-	var undo dmlUndo
-	fail := func(err error) (int, datum.Row, *autoBatch, error) {
-		undo.rollback()
-		return 0, nil, nil, err
-	}
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-			undo.deferred = append(undo.deferred, pi)
-		case StateBuilding:
-			oldKey := keyFor(pi.colOrds, old)
-			newKey := keyFor(pi.colOrds, newRow)
-			if oldKey.Compare(newKey) == 0 {
-				continue
-			}
-			pi.building.log(true, Entry{Key: oldKey, RID: rid})
-			pi.building.log(false, Entry{Key: newKey, RID: rid})
-			undo.logged = append(undo.logged, pi)
-			undo.loggedN = append(undo.loggedN, 2)
-		case StateActive:
-			oldKey := keyFor(pi.colOrds, old)
-			newKey := keyFor(pi.colOrds, newRow)
-			if oldKey.Compare(newKey) == 0 {
-				continue
-			}
-			t := pi.Tree()
-			oldE := Entry{Key: oldKey, RID: rid}
-			newE := Entry{Key: newKey, RID: rid}
-			if !t.Delete(oldE) {
-				return fail(fmt.Errorf("storage: index %s missing entry for rid %d", pi.Def.Name, rid))
-			}
-			if err := t.Insert(newE); err != nil {
-				_ = t.insertWith(oldE, nil)
-				return fail(err)
-			}
-			undo.applied = append(undo.applied, func() {
-				t.Delete(newE)
-				_ = t.insertWith(oldE, nil)
-			})
-			touched++
-		}
-	}
-	if _, err := ts.heap.Update(rid, newRow); err != nil {
-		return fail(err)
-	}
-	auto := m.logLocked(ts, &wal.Record{Kind: wal.KindPageWrite, Op: wal.OpUpdate, Table: ts.def.Name, RID: int64(rid), Row: newRow})
-	return touched, old, auto, nil
-}
-
-// UndoInsert retracts a row applied earlier in the same statement — the
-// executor's statement-level rollback. Undo paths bypass the fault
-// layer entirely (compensation must never itself fail) and, for a
-// building index, log the inverse delta op rather than unlogging, which
-// is correct under any interleaving.
-func (m *Manager) UndoInsert(table string, rid RID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return
-	}
-	row := ts.heap.Get(rid)
-	if row == nil {
-		return
-	}
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		e := Entry{Key: keyFor(pi.colOrds, row), RID: rid}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-		case StateBuilding:
-			pi.building.log(true, e)
-		case StateActive:
-			pi.Tree().Delete(e)
-		}
-	}
-	_ = ts.heap.Delete(rid)
-}
-
-// UndoDelete restores a row removed earlier in the same statement at
-// its original RID.
-func (m *Manager) UndoDelete(table string, rid RID, row datum.Row) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return
-	}
-	if err := ts.heap.InsertAt(rid, row); err != nil {
-		return
-	}
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		e := Entry{Key: keyFor(pi.colOrds, row), RID: rid}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-		case StateBuilding:
-			pi.building.log(false, e)
-		case StateActive:
-			_ = pi.Tree().insertWith(e, nil)
-		}
-	}
-}
-
-// UndoUpdate restores a row's previous value after a later step of the
-// same statement failed.
-func (m *Manager) UndoUpdate(table string, rid RID, oldRow datum.Row) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[strings.ToLower(table)]
-	if ts == nil {
-		return
-	}
-	cur := ts.heap.Get(rid)
-	if cur == nil {
-		return
-	}
-	for _, pi := range m.indexes {
-		if !strings.EqualFold(pi.Def.Table, table) {
-			continue
-		}
-		curKey := keyFor(pi.colOrds, cur)
-		oldKey := keyFor(pi.colOrds, oldRow)
-		if curKey.Compare(oldKey) == 0 {
-			continue
-		}
-		switch pi.State() {
-		case StateSuspended:
-			pi.pendingOps.Add(1)
-		case StateBuilding:
-			pi.building.log(true, Entry{Key: curKey, RID: rid})
-			pi.building.log(false, Entry{Key: oldKey, RID: rid})
-		case StateActive:
-			pi.Tree().Delete(Entry{Key: curKey, RID: rid})
-			_ = pi.Tree().insertWith(Entry{Key: oldKey, RID: rid}, nil)
-		}
-	}
-	_, _ = ts.heap.Update(rid, oldRow)
+	return oldE, newE, old == nil || new == nil || oldE.Key.Compare(newE.Key) != 0
 }
 
 // EstimateIndexBytes estimates the byte size a (possibly hypothetical)
@@ -679,84 +563,25 @@ func (m *Manager) EstimateIndexBytes(ix *catalog.Index) int64 {
 	return rowKeyWidth * int64(h.Len())
 }
 
-// BuildIndex materializes a secondary index structure. The build scans
-// the cheapest existing active source (an index whose key order makes the
-// new index's key sorted, else the heap plus an explicit sort) and bulk
-// inserts into a fresh tree. It enforces the space budget and returns
-// BuildStats for cost accounting.
+// BuildIndex materializes a secondary index structure: the online build
+// protocol of build.go run start to finish on the calling goroutine. The
+// build reads the cheapest existing active source (an index whose key
+// order makes the new index's key sorted, else the heap plus an explicit
+// sort), enforces the space budget and returns BuildStats for cost
+// accounting. On any failure the build is aborted and leaves no trace.
 func (m *Manager) BuildIndex(ix *catalog.Index) (*BuildStats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.indexes[ix.ID()]; dup {
-		return nil, fmt.Errorf("storage: index %s already materialized", ix.Name)
-	}
-	ts := m.tables[strings.ToLower(ix.Table)]
-	if ts == nil {
-		return nil, fmt.Errorf("storage: table %s not materialized", ix.Table)
-	}
-	inj := m.faults.Load()
-	if err := inj.Hit(fault.PageAlloc); err != nil {
-		return nil, err
-	}
-	est := int64(ts.def.ColumnsWidth(ix.Columns)+8) * int64(ts.heap.Len())
-	if m.budget > 0 && m.usedLocked()+est > m.budget {
-		return nil, &ErrBudget{Index: ix.Name, Need: est, Free: m.budget - m.usedLocked()}
-	}
-
-	stats := &BuildStats{Rows: int64(ts.heap.Len())}
-	// Sort avoidance: if an active index on the same table has the new
-	// index's key sequence as a prefix of its own columns, scanning it
-	// yields rows already in target order (the paper's I1-vs-I2 creation
-	// cost asymmetry).
-	source := m.sortAvoidingSourceLocked(ix)
-	if source != nil {
-		stats.SourceIndex = source.Def.Name
-		stats.SourcePages = source.Pages()
-		if source.Def.Primary {
-			stats.SourcePages = ts.heap.Pages()
-		}
-		stats.Sorted = false
-	} else {
-		stats.SourcePages = ts.heap.Pages()
-		stats.Sorted = true
-	}
-
-	pi := &PhysicalIndex{Def: ix}
-	pi.colOrds = ordinalsFor(ts.def, ix)
-	// The bulk build is all-or-nothing: the tree stays private until the
-	// scan completes, so a mid-scan fault (BuildStep per row) discards it
-	// with no published state. Per-insert alloc faults are bypassed so
-	// one site controls build failures. Entry extraction keeps the old
-	// per-row fault cadence; the sort runs on Workers() goroutines and
-	// the tree is assembled by a linear bulk load.
-	entries := make([]Entry, 0, ts.heap.Len())
-	var buildErr error
-	ts.heap.Scan(func(rid RID, row datum.Row) bool {
-		if err := inj.Hit(fault.BuildStep); err != nil {
-			buildErr = err
-			return false
-		}
-		entries = append(entries, Entry{Key: keyFor(pi.colOrds, row), RID: rid})
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	SortEntriesPooled(entries, m.Pool())
-	tree, err := BulkLoad(entries)
+	b, err := m.StartBuild(ix)
 	if err != nil {
 		return nil, err
 	}
-	tree.faults = inj
-	pi.tree.Store(tree)
-	pi.setState(StateActive)
-	stats.NewPages = pi.Pages()
-	if err := m.logLifecycleLocked(&wal.Record{Kind: wal.KindIndexCreate, Index: indexDefFor(ix)}); err != nil {
-		return nil, err
+	if err = b.Run(context.Background()); err == nil {
+		var stats *BuildStats
+		if stats, err = m.FinishBuild(b); err == nil {
+			return stats, nil
+		}
 	}
-	m.indexes[ix.ID()] = pi
-	m.configVersion.Add(1)
-	return stats, nil
+	m.AbortBuild(b)
+	return nil, err
 }
 
 // sortAvoidingSourceLocked returns an active index whose leading columns
@@ -838,24 +663,10 @@ func (m *Manager) RestartIndex(id string) (int64, error) {
 		return 0, err
 	}
 	ts := m.tables[strings.ToLower(pi.Def.Table)]
-	// Like BuildIndex, the replacement tree stays private until complete:
-	// a mid-replay fault leaves the index suspended with its old
-	// structure and pending count intact.
-	entries := make([]Entry, 0, ts.heap.Len())
-	var err error
-	ts.heap.Scan(func(rid RID, row datum.Row) bool {
-		if e := inj.Hit(fault.BuildStep); e != nil {
-			err = e
-			return false
-		}
-		entries = append(entries, Entry{Key: keyFor(pi.colOrds, row), RID: rid})
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	SortEntriesPooled(entries, m.Pool())
-	tree, err := BulkLoad(entries)
+	// The replacement tree stays private until complete: a mid-replay
+	// fault leaves the index suspended with its old structure and pending
+	// count intact.
+	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi.colOrds, inj)
 	if err != nil {
 		return 0, err
 	}

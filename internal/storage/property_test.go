@@ -3,12 +3,15 @@ package storage
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/fault"
+	"onlinetuner/internal/wal"
 )
 
 // This file holds the model-based property tests for the storage layer:
@@ -20,7 +23,96 @@ import (
 
 // propModel mirrors the live rows the manager should hold.
 type propModel struct {
-	rows map[RID]datum.Row
+	rows   map[RID]datum.Row
+	rids   []RID
+	nextID int64
+}
+
+func (p *propModel) clone() *propModel {
+	return &propModel{rows: maps.Clone(p.rows), rids: slices.Clone(p.rids), nextID: p.nextID}
+}
+
+// step applies one random row operation to the manager and, when it
+// succeeds, to the model. The error is the manager's.
+func (p *propModel) step(rng *rand.Rand, m *Manager) error {
+	switch r := rng.Intn(9); {
+	case r < 5 || len(p.rids) == 0: // insert
+		p.nextID++
+		row := row(p.nextID, rng.Int63n(200), rng.Int63n(1000))
+		rid, _, err := m.Insert("R", row)
+		if err != nil {
+			return err
+		}
+		p.rows[rid] = row
+		p.rids = append(p.rids, rid)
+	case r < 7: // delete
+		i := rng.Intn(len(p.rids))
+		rid := p.rids[i]
+		if _, err := m.Delete("R", rid); err != nil {
+			return err
+		}
+		delete(p.rows, rid)
+		p.rids[i] = p.rids[len(p.rids)-1]
+		p.rids = p.rids[:len(p.rids)-1]
+	default: // update
+		rid := p.rids[rng.Intn(len(p.rids))]
+		newRow := row(p.rows[rid][0].Int(), rng.Int63n(200), rng.Int63n(1000))
+		if _, err := m.Update("R", rid, newRow); err != nil {
+			return err
+		}
+		p.rows[rid] = newRow
+	}
+	return nil
+}
+
+// propState is everything a rolled-back statement must leave as it found
+// it: the heap physically (slot count and free-list order decide which
+// RID the next insert gets), every active tree's entries, and the log's
+// position.
+type propState struct {
+	slots   int
+	rows    []HeapRow
+	free    []RID
+	trees   map[string][]Entry
+	seq     uint64
+	appends int64
+}
+
+func captureState(m *Manager) propState {
+	st := propState{trees: map[string][]Entry{}, seq: m.WAL().Seq(), appends: m.WAL().Appends()}
+	st.slots, st.rows, st.free = m.Heap("R").dumpState()
+	for _, pi := range m.TableIndexes("R") {
+		if pi.State() != StateActive {
+			continue
+		}
+		var es []Entry
+		for it := pi.Tree().Scan(); it.Valid(); it.Next() {
+			es = append(es, it.Entry())
+		}
+		st.trees[pi.Def.ID()] = es
+	}
+	return st
+}
+
+// diff reports the first difference of got from want. Trees are
+// compared when active in both, the log position only when sameLog.
+func (want propState) diff(got propState, sameLog bool) error {
+	if want.slots != got.slots || !slices.Equal(want.free, got.free) {
+		return fmt.Errorf("heap slots/free list %d %v, want %d %v", got.slots, got.free, want.slots, want.free)
+	}
+	sameRow := func(x, y HeapRow) bool { return x.RID == y.RID && x.Row.Compare(y.Row) == 0 }
+	if !slices.EqualFunc(want.rows, got.rows, sameRow) {
+		return fmt.Errorf("heap rows differ (%d live, want %d)", len(got.rows), len(want.rows))
+	}
+	for id, es := range want.trees {
+		if now, ok := got.trees[id]; ok && !slices.EqualFunc(now, es, func(x, y Entry) bool { return compareEntry(x, y) == 0 }) {
+			return fmt.Errorf("entries of active index %s differ (%d, want %d)", id, len(now), len(es))
+		}
+	}
+	if sameLog && (want.seq != got.seq || want.appends != got.appends) {
+		return fmt.Errorf("wal seq/appends %d/%d, want %d/%d", got.seq, got.appends, want.seq, want.appends)
+	}
+	return nil
 }
 
 // TestBTreePropertyUnderFaults drives a bare B+-tree with random
@@ -88,113 +180,180 @@ func TestBTreePropertyUnderFaults(t *testing.T) {
 }
 
 // TestManagerPropertyUnderFaults runs a randomized DML + index-DDL
-// sequence against the manager under write/alloc/split faults. The
-// all-or-nothing contract is checked op by op against a model, and
-// CheckConsistency validates cross-structure agreement throughout.
+// sequence against a logged manager under write/alloc/split/append
+// faults, over a primary, two active secondaries (one of them churned
+// through suspend → restart), a secondary that is suspended on and off
+// and one that is mid-build on and off. Row operations run alone
+// (autocommit) and inside statement frames of 1–20 operations that end
+// in a commit, an explicit abort at a random position, an injected fault
+// or a failed commit append — with StartBuild / FinishBuild / DropIndex /
+// SuspendIndex / RestartIndex landing between two rows of the open
+// statement. The all-or-nothing contract is checked against a model and
+// against the storage itself: after every failed operation or statement
+// the heap (physically), every active tree and the log position equal
+// the pre-statement state, and CheckConsistency validates
+// cross-structure agreement — which, for an index published after
+// straddling an aborted statement, is the check that its tree equals the
+// heap's keys.
 func TestManagerPropertyUnderFaults(t *testing.T) {
+	// Outcome counts over all seeds: map iteration order makes each run's
+	// fault schedule its own, so strength is asserted on the total.
+	var applied, failed, committed, aborted, faulted, failedCommits, midStmtChurns int
 	for _, seed := range []int64{1, 2, 3, 4} {
-		seed := seed
 		rng := rand.New(rand.NewSource(seed))
 		cat, m := newTestDB(t)
+		w, err := wal.OpenWriter(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		m.SetWAL(w)
 		inj := fault.New(uint64(seed)).
 			Plan(fault.PageWrite, fault.Rule{Prob: 0.05}).
 			Plan(fault.PageAlloc, fault.Rule{Prob: 0.01}).
 			Plan(fault.BTreeSplit, fault.Rule{Prob: 0.3}).
-			Plan(fault.BuildStep, fault.Rule{Prob: 0.001})
+			Plan(fault.BuildStep, fault.Rule{Prob: 0.001}).
+			Plan(fault.WALAppend, fault.Rule{Prob: 0.03})
 		m.SetFaults(inj)
+		w.SetFaults(inj)
 		inj.Arm()
 
-		// Two secondary indexes so every DML touches several trees and a
-		// mid-loop fault has partial state to roll back.
 		ixA := &catalog.Index{Table: "R", Name: "ix_a", Columns: []string{"a"}}
 		ixB := &catalog.Index{Table: "R", Name: "ix_ab", Columns: []string{"a", "b"}}
-		for _, ix := range []*catalog.Index{ixA, ixB} {
+		ixS := &catalog.Index{Table: "R", Name: "ix_b", Columns: []string{"b"}}       // suspended on and off
+		ixM := &catalog.Index{Table: "R", Name: "ix_ba", Columns: []string{"b", "a"}} // mid-build on and off
+		for _, ix := range []*catalog.Index{ixA, ixB, ixS, ixM} {
 			if err := cat.AddIndex(ix); err != nil {
 				t.Fatal(err)
 			}
 		}
-		buildUntilOK := func(ix *catalog.Index) {
-			for {
-				if _, err := m.BuildIndex(ix); err == nil {
-					return
-				} else if !fault.Is(err) {
-					t.Fatalf("seed %d: build %s: %v", seed, ix.Name, err)
-				}
+		// injected reports whether err is one of the schedule's faults;
+		// any other error fails the test.
+		injected := func(what string, err error) bool {
+			if err != nil && !fault.Is(err) {
+				t.Fatalf("seed %d: %s: %v", seed, what, err)
+			}
+			return err != nil
+		}
+		untilOK := func(what string, f func() error) {
+			for injected(what, f()) {
 			}
 		}
-		buildUntilOK(ixA)
-		buildUntilOK(ixB)
+		for _, ix := range []*catalog.Index{ixA, ixB, ixS} {
+			untilOK("build "+ix.Name, func() error { _, err := m.BuildIndex(ix); return err })
+		}
 
-		model := propModel{rows: map[RID]datum.Row{}}
-		var rids []RID
-		nextID := int64(0)
-		failed, applied := 0, 0
-		for op := 0; op < 3000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 5 || len(rids) == 0: // insert
-				nextID++
-				row := row(nextID, rng.Int63n(200), rng.Int63n(1000))
-				rid, _, err := m.Insert("R", row)
-				if err != nil {
-					if !fault.Is(err) {
-						t.Fatalf("seed %d op %d: insert: %v", seed, op, err)
+		// churn moves ixM or ixS one step along its lifecycle.
+		var build *Build
+		finishBuild := func() error {
+			err := build.Run(context.Background())
+			if err == nil {
+				_, err = m.FinishBuild(build)
+			}
+			return err
+		}
+		churn := func() {
+			if rng.Intn(2) == 0 {
+				switch pi := m.Index(ixM.ID()); {
+				case pi == nil:
+					b, err := m.StartBuild(ixM)
+					if !injected("start build", err) {
+						build = b
 					}
-					failed++
+				case pi.State() == StateBuilding:
+					if injected("finish build", finishBuild()) {
+						m.AbortBuild(build)
+					}
+				default:
+					injected("drop", m.DropIndex(ixM.ID()))
+				}
+				return
+			}
+			if m.Index(ixS.ID()).State() == StateActive {
+				injected("suspend", m.SuspendIndex(ixS.ID()))
+			} else {
+				_, err := m.RestartIndex(ixS.ID())
+				injected("restart", err)
+			}
+		}
+
+		model := &propModel{rows: map[RID]datum.Row{}}
+		for op := 0; op < 2000; op++ {
+			label := fmt.Sprintf("seed %d op %d", seed, op)
+			switch r := rng.Intn(12); {
+			case r < 10:
+				// One unit of work on a copy of the model: a lone row
+				// operation, or a statement frame. It either takes effect
+				// whole (the copy becomes the model) or leaves no trace.
+				before, work := captureState(m), model.clone()
+				var err error
+				churned, explicit := false, false
+				if r < 7 {
+					err = work.step(rng, m)
+				} else {
+					n := 1 + rng.Intn(20)
+					stop := rng.Intn(2*n + 1) // <= n: explicit abort after stop rows
+					churnAt := rng.Intn(2 * n)
+					m.BeginStmt("R")
+					for i := 0; i < n && i != stop && err == nil; i++ {
+						if i == churnAt {
+							churn()
+							churned = true
+							midStmtChurns++
+						}
+						err = work.step(rng, m)
+					}
+					switch {
+					case err != nil:
+						m.AbortStmt("R")
+						faulted++
+					case stop <= n:
+						m.AbortStmt("R")
+						explicit = true
+						aborted++
+					default:
+						if err = m.CommitStmt("R"); err != nil {
+							failedCommits++
+						} else {
+							committed++
+						}
+					}
+				}
+				if !injected(label, err) && !explicit {
+					model = work
+					applied++
 					break
 				}
-				applied++
-				model.rows[rid] = row
-				rids = append(rids, rid)
-			case r < 7: // delete
-				i := rng.Intn(len(rids))
-				rid := rids[i]
-				if _, err := m.Delete("R", rid); err != nil {
-					if !fault.Is(err) {
-						t.Fatalf("seed %d op %d: delete: %v", seed, op, err)
-					}
-					failed++
-					break
+				failed++
+				if err := before.diff(captureState(m), !churned); err != nil {
+					t.Fatalf("%s: failed unit left a trace: %v", label, err)
 				}
-				applied++
-				delete(model.rows, rid)
-				rids[i] = rids[len(rids)-1]
-				rids = rids[:len(rids)-1]
-			case r < 9: // update
-				rid := rids[rng.Intn(len(rids))]
-				old := model.rows[rid]
-				newRow := row(old[0].Int(), rng.Int63n(200), rng.Int63n(1000))
-				if _, err := m.Update("R", rid, newRow); err != nil {
-					if !fault.Is(err) {
-						t.Fatalf("seed %d op %d: update: %v", seed, op, err)
-					}
-					failed++
-					break
+				if err := m.CheckConsistency(); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				applied++
-				model.rows[rid] = newRow
-			default: // index DDL churn: suspend → restart
-				if err := m.SuspendIndex(ixA.ID()); err != nil {
-					break
+			default: // index DDL churn: suspend → restart, and one lifecycle step
+				if err := m.SuspendIndex(ixA.ID()); err == nil {
+					untilOK("restart", func() error { _, err := m.RestartIndex(ixA.ID()); return err })
 				}
-				for {
-					if _, err := m.RestartIndex(ixA.ID()); err == nil {
-						break
-					} else if !fault.Is(err) {
-						t.Fatalf("seed %d op %d: restart: %v", seed, op, err)
-					}
-				}
+				churn()
 			}
 			if op%211 == 0 {
 				if err := m.CheckConsistency(); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, op, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}
-		if failed == 0 {
-			t.Fatalf("seed %d: no faulted ops; schedule too weak", seed)
+		// Bring every index to active, faults off (a failed FinishBuild can
+		// only be aborted, not retried) — a build still in flight has by
+		// now straddled aborted statements — and check them all against the
+		// heap.
+		inj.Disarm()
+		if pi := m.Index(ixM.ID()); pi != nil && pi.State() == StateBuilding {
+			injected("final publish", finishBuild())
 		}
-		if applied == 0 {
-			t.Fatalf("seed %d: every op faulted; schedule too strong", seed)
+		if m.Index(ixS.ID()).State() == StateSuspended {
+			_, err := m.RestartIndex(ixS.ID())
+			injected("final restart", err)
 		}
 		if err := m.CheckConsistency(); err != nil {
 			t.Fatalf("seed %d final: %v", seed, err)
@@ -214,6 +373,14 @@ func TestManagerPropertyUnderFaults(t *testing.T) {
 			}
 			return true
 		})
+	}
+	if failed == 0 || aborted == 0 || faulted == 0 || failedCommits == 0 {
+		t.Fatalf("schedule too weak: %d failed units, %d aborted / %d faulted statements, %d failed commits",
+			failed, aborted, faulted, failedCommits)
+	}
+	if applied == 0 || committed == 0 || midStmtChurns == 0 {
+		t.Fatalf("schedule too strong: %d applied units, %d committed statements, %d mid-statement lifecycle steps",
+			applied, committed, midStmtChurns)
 	}
 }
 

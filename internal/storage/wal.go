@@ -1,39 +1,41 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"onlinetuner/internal/catalog"
-	"onlinetuner/internal/datum"
 	"onlinetuner/internal/wal"
 )
 
-// This file threads the write-ahead log through the storage manager.
-// Logging is commit-time and logical: DML paths buffer one record per
-// applied row effect, and the batch reaches the log only when the
-// statement commits. Three framing modes exist:
+// This file holds the statement frame and threads the write-ahead log
+// through the storage manager. Logging is commit-time and logical.
 //
-//   - Statement batches. The executor brackets each DML statement with
-//     BeginStmt / CommitStmt / AbortStmt on the written table. The
-//     engine's per-table write locks guarantee one writer statement per
-//     table, so the open batch lives on the tableStore. CommitStmt
-//     appends (and, per policy, fsyncs) OUTSIDE the manager lock — the
-//     group-commit wait must not block readers or other tables' writers.
+// One frame serves every DML statement, with or without a log. It owns
+// both halves of the statement: redo — one WAL record per applied row,
+// buffered until commit — and undo — the same rows with their
+// before-images (rowChange). The executor brackets a statement with
+// BeginStmt / CommitStmt / AbortStmt on the written table and applies
+// rows through Insert/Update/Delete in between; the engine's per-table
+// write locks guarantee one writer statement per table, so the open frame
+// lives on the tableStore. CommitStmt appends the redo half (and, per
+// policy, fsyncs) OUTSIDE the manager lock — the group-commit wait must
+// not block readers or other tables' writers. AbortStmt, or a commit
+// whose append fails, unwinds the undo half newest-first: each row's
+// inverse goes through the same per-index-state routine as the row did
+// (the comment on maintain in manager.go states the rule). A direct Manager DML
+// call with no frame open (the bulk loader, recovery replay, tests) is a
+// frame of one operation.
 //
-//   - Autocommit. A direct Manager DML call with no open batch (the
-//     bulk loader, tests) commits its single record right after the
-//     manager lock is released, undoing the in-memory effect if the
-//     append fails.
-//
-//   - Lifecycle records. Table/index lifecycle transitions log a
-//     single-record batch under the manager lock, ordered validate →
-//     append → apply: all fallible work happens first, so once the
-//     record is durable the in-memory transition cannot fail.
+// Lifecycle records are not framed: a table or index transition logs a
+// single-record batch under the manager lock, ordered validate → append
+// → apply, so once the record is durable the in-memory transition cannot
+// fail.
 //
 // With no writer installed (Durable=false, or during recovery replay)
-// every hook is inert: one atomic load on the DML path.
+// the redo half stays empty and commit appends nothing.
 
 // SetWAL installs the write-ahead log writer. Pass nil to detach (the
 // in-memory mode). Installed after recovery replay, so replayed
@@ -57,85 +59,74 @@ func (m *Manager) WAL() *wal.Writer {
 // walRef wraps the writer for atomic.Pointer storage.
 type walRef struct{ w *wal.Writer }
 
-// stmtBatch buffers the records of one open DML statement on its table.
-type stmtBatch struct {
-	recs []*wal.Record
+// stmtFrame is one open DML statement on its table.
+type stmtFrame struct {
+	ts   *tableStore
+	recs []*wal.Record // redo, in application order; empty without a log
+	undo []rowChange   // undo, in application order
 }
 
-// autoBatch is a single-record batch to commit after the manager lock
-// is released.
-type autoBatch struct {
-	w    *wal.Writer
-	recs []*wal.Record
-}
-
-func (a *autoBatch) commit() error {
-	_, err := a.w.Append(a.recs)
-	return err
-}
-
-// BeginStmt opens a statement record batch on a table. The caller must
-// hold the table's write lock (the executor does, for the whole
-// statement including CommitStmt). A no-op without a WAL.
+// BeginStmt opens a statement frame on a table. The caller must hold the
+// table's write lock (the executor does, for the whole statement
+// including CommitStmt).
 func (m *Manager) BeginStmt(table string) {
-	if m.wal.Load() == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ts := m.tables[strings.ToLower(table)]; ts != nil {
-		ts.stmt = &stmtBatch{}
+		ts.stmt = &stmtFrame{ts: ts}
 	}
 }
 
-// CommitStmt closes the statement batch and appends it to the log as
-// one commit unit. A nil return is the durability acknowledgement; on
-// error the caller must roll the statement's in-memory effects back
-// (nothing of the batch survives in the log). Empty batches (statement
-// matched no rows) skip the log entirely.
+// CommitStmt closes the table's statement frame and appends its records
+// to the log as one commit unit. A nil return is the durability
+// acknowledgement; on error the statement has been rolled back in memory
+// and nothing of it survives in the log.
 func (m *Manager) CommitStmt(table string) error {
 	m.mu.Lock()
-	var recs []*wal.Record
-	if ts := m.tables[strings.ToLower(table)]; ts != nil && ts.stmt != nil {
-		recs = ts.stmt.recs
-		ts.stmt = nil
+	var f *stmtFrame
+	if ts := m.tables[strings.ToLower(table)]; ts != nil {
+		f, ts.stmt = ts.stmt, nil
 	}
-	w := m.WAL()
 	m.mu.Unlock()
-	if w == nil || len(recs) == 0 {
+	if f == nil {
 		return nil
 	}
-	_, err := w.Append(recs)
-	return err
+	return m.commit(f)
 }
 
-// AbortStmt discards the open statement batch (the statement failed and
-// was rolled back in memory; the log never sees it).
-func (m *Manager) AbortStmt(table string) {
-	if m.wal.Load() == nil {
-		return
+// commit appends a closed frame's records, outside the manager lock, and
+// unwinds the frame if the append fails. A frame with no records (no log,
+// or a statement that matched no rows) skips the log entirely.
+func (m *Manager) commit(f *stmtFrame) error {
+	w := m.WAL()
+	if w == nil || len(f.recs) == 0 {
+		return nil
 	}
+	if _, err := w.Append(f.recs); err != nil {
+		m.mu.Lock()
+		m.unwindLocked(f)
+		m.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// AbortStmt rolls the table's open statement back and discards its
+// frame; the log never sees it.
+func (m *Manager) AbortStmt(table string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ts := m.tables[strings.ToLower(table)]; ts != nil {
+	if ts := m.tables[strings.ToLower(table)]; ts != nil && ts.stmt != nil {
+		m.unwindLocked(ts.stmt)
 		ts.stmt = nil
 	}
 }
 
-// logLocked routes one DML record: into the open statement batch, or —
-// with no statement open — into an autocommit batch the caller commits
-// after releasing the manager lock. Returns nil when no WAL is
-// installed or the record joined a statement batch.
-func (m *Manager) logLocked(ts *tableStore, rec *wal.Record) *autoBatch {
-	w := m.WAL()
-	if w == nil {
-		return nil
+// unwindLocked undoes a frame's applied rows, newest first.
+func (m *Manager) unwindLocked(f *stmtFrame) {
+	for i := len(f.undo) - 1; i >= 0; i-- {
+		m.undoLocked(f.ts, &f.undo[i])
 	}
-	if ts.stmt != nil {
-		ts.stmt.recs = append(ts.stmt.recs, rec)
-		return nil
-	}
-	return &autoBatch{w: w, recs: []*wal.Record{rec}}
 }
 
 // logLifecycleLocked appends a single-record batch for a lifecycle
@@ -286,13 +277,7 @@ func (m *Manager) RestoreIndex(ix *catalog.Index, state IndexState, pendingOps i
 // rebuildTreeLocked bulk-loads a fresh tree for pi from ts's heap. No
 // fault draws: recovery and restore paths must not inject.
 func (m *Manager) rebuildTreeLocked(ts *tableStore, pi *PhysicalIndex) error {
-	entries := make([]Entry, 0, ts.heap.Len())
-	ts.heap.Scan(func(rid RID, row datum.Row) bool {
-		entries = append(entries, Entry{Key: keyFor(pi.colOrds, row), RID: rid})
-		return true
-	})
-	SortEntriesPooled(entries, m.Pool())
-	tree, err := BulkLoad(entries)
+	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi.colOrds, nil)
 	if err != nil {
 		return err
 	}
