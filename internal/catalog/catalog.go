@@ -9,6 +9,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -453,7 +454,7 @@ func (c *Catalog) Indexes() []*Index {
 	for _, ix := range c.indexes {
 		out = append(out, ix)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Index) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -479,8 +480,10 @@ func (c *Catalog) TableIndexes(table string) []*Index {
 
 // PrimaryIndex returns the primary index of the named table, or nil.
 func (c *Catalog) PrimaryIndex(table string) *Index {
-	for _, ix := range c.TableIndexes(table) {
-		if ix.Primary {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ix := range c.indexes {
+		if ix.Primary && strings.EqualFold(ix.Table, table) {
 			return ix
 		}
 	}

@@ -416,7 +416,8 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	l1 := time.Now()
 	tree := info.Result.Tree
 	reqs := tree.Requests()
-	shared := sharedORSet(tree)
+	groups := tree.ORGroups()
+	shared := sharedORSet(groups)
 	t.mLine1NS.Add(time.Since(l1).Nanoseconds())
 
 	// Lines 2–8: update Δ values (in-memory scalars only).
@@ -434,7 +435,7 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	// Used-index credit is attributed once per OR group: only one
 	// alternative of an OR group is implemented in the plan, so crediting
 	// every sibling would double-count the index's value.
-	for _, g := range requestGroups(tree) {
+	for _, g := range requestGroups(groups, shared, reqs) {
 		if r := attributionRequest(t.memo, g); r != nil {
 			t.noteUsed(r, config, shared[r], gained)
 		}
@@ -475,17 +476,11 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	t.mTotalNS.Add(time.Since(start).Nanoseconds())
 }
 
-// requestGroups partitions the tree's non-update requests into OR groups;
-// requests outside any OR group form singleton groups.
-func requestGroups(tree *whatif.Node) [][]*whatif.Request {
-	groups := tree.ORGroups()
-	inGroup := map[*whatif.Request]bool{}
-	for _, g := range groups {
-		for _, r := range g {
-			inGroup[r] = true
-		}
-	}
-	for _, r := range tree.Requests() {
+// requestGroups partitions the tree's non-update requests into OR groups
+// (groups, whose members inGroup marks); requests outside any OR group
+// form singleton groups.
+func requestGroups(groups [][]*whatif.Request, inGroup map[*whatif.Request]bool, reqs []*whatif.Request) [][]*whatif.Request {
+	for _, r := range reqs {
 		if r.Kind != whatif.KindUpdate && !inGroup[r] {
 			groups = append(groups, []*whatif.Request{r})
 		}
@@ -527,9 +522,9 @@ func attributionRequest(memo *whatif.Memo, group []*whatif.Request) *whatif.Requ
 
 // sharedORSet marks requests that live under OR nodes with multiple
 // alternatives.
-func sharedORSet(tree *whatif.Node) map[*whatif.Request]bool {
+func sharedORSet(groups [][]*whatif.Request) map[*whatif.Request]bool {
 	out := map[*whatif.Request]bool{}
-	for _, g := range tree.ORGroups() {
+	for _, g := range groups {
 		for _, r := range g {
 			out[r] = true
 		}

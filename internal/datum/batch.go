@@ -1,28 +1,36 @@
 package datum
 
-// BatchRows is the target row count per executor batch: large enough to
-// amortize per-batch costs (context ticks, fault draws, channel sends),
-// small enough to keep intermediate state cache-resident.
-const BatchRows = 1024
-
-// slabDatums sizes the backing arena slabs Alloc carves rows from.
-const slabDatums = 4096
+// slabDatums caps the backing arena slabs Alloc carves rows from;
+// firstSlabRows sizes the first slab of a batch created without a row
+// capacity hint.
+const (
+	slabDatums    = 4096
+	firstSlabRows = 4
+)
 
 // Batch is a resizable run of rows backed by a datum arena. Rows built
-// with Alloc share large slabs instead of one heap allocation per row;
-// rows appended with Append keep whatever backing they arrived with.
-// When a slab is exhausted a new one is allocated — previously carved
-// rows keep pointing into the old slab, so references handed out by
-// Alloc stay valid for the life of the batch.
+// with Alloc share slabs instead of one heap allocation per row; rows
+// appended with Append keep whatever backing they arrived with. The
+// arena grows with its rows: the first slab holds the batch's row
+// capacity hint (firstSlabRows rows without one), each later slab
+// doubles the last up to slabDatums, so a one-row batch costs a few
+// hundred bytes and a full morsel carves from full-size slabs. When a
+// slab is exhausted a new one is allocated — previously carved rows
+// keep pointing into the old slab, so references handed out by Alloc
+// stay valid for the life of the batch.
+//
+// Invariant: a slab is only ever carved forward (Reset does not rewind
+// it), so every datum Alloc hands out is still the zero value make
+// left there and is never cleared a second time.
 type Batch struct {
 	rows []Row
 	slab []Datum
 }
 
-// NewBatch returns an empty batch with row capacity hint n.
+// NewBatch returns an empty batch with row capacity hint n (0: none).
 func NewBatch(n int) *Batch {
 	if n <= 0 {
-		n = BatchRows
+		return &Batch{}
 	}
 	return &Batch{rows: make([]Row, 0, n)}
 }
@@ -43,11 +51,14 @@ func (b *Batch) Append(r Row) { b.rows = append(b.rows, r) }
 // returns it for the caller to fill.
 func (b *Batch) Alloc(n int) Row {
 	if len(b.slab)+n > cap(b.slab) {
-		sz := slabDatums
-		if n > sz {
-			sz = n
+		sz := 2 * cap(b.slab)
+		if b.slab == nil {
+			sz = firstSlabRows * n
+			if hint := cap(b.rows); hint > 0 {
+				sz = hint * n
+			}
 		}
-		b.slab = make([]Datum, 0, sz)
+		b.slab = make([]Datum, 0, max(min(sz, slabDatums), n))
 	}
 	lo := len(b.slab)
 	// Grow len only — the slab must keep its capacity so later Allocs
@@ -55,9 +66,6 @@ func (b *Batch) Alloc(n int) Row {
 	// append to it cannot alias the next carved row.
 	b.slab = b.slab[:lo+n]
 	r := Row(b.slab[lo : lo+n : lo+n])
-	for i := range r {
-		r[i] = Datum{}
-	}
 	b.rows = append(b.rows, r)
 	return r
 }

@@ -37,7 +37,8 @@ func (db *DB) ExecBatch(ctx context.Context, texts []string) (results []*executo
 	stmts := make([]sql.Statement, len(texts))
 	fps := make([]*sql.Fingerprint, len(texts))
 	for i, text := range texts {
-		if e := db.pc.lookupStmt(text); e != nil {
+		sh := db.pc.stmtShardOf(text)
+		if e := db.pc.lookupStmt(sh, text); e != nil {
 			stmts[i], fps[i] = e.stmt, e.fp
 			continue
 		}
@@ -51,7 +52,7 @@ func (db *DB) ExecBatch(ctx context.Context, texts []string) (results []*executo
 			f := sql.FingerprintOf(stmt)
 			fp = &f
 		}
-		db.pc.storeStmt(&stmtEntry{text: text, stmt: stmt, fp: fp})
+		db.pc.storeStmt(sh, &stmtEntry{text: text, stmt: stmt, fp: fp})
 		stmts[i], fps[i] = stmt, fp
 	}
 

@@ -295,7 +295,8 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet
 	if tr != nil {
 		parseSpan = tr.Phase("parse")
 	}
-	if e := db.pc.lookupStmt(text); e != nil {
+	sh := db.pc.stmtShardOf(text)
+	if e := db.pc.lookupStmt(sh, text); e != nil {
 		if tr != nil {
 			parseSpan.SetAttr("stmt-cache hit")
 		}
@@ -311,7 +312,7 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet
 		f := sql.FingerprintOf(stmt)
 		fp = &f
 	}
-	db.pc.storeStmt(&stmtEntry{text: text, stmt: stmt, fp: fp})
+	db.pc.storeStmt(sh, &stmtEntry{text: text, stmt: stmt, fp: fp})
 	return db.execStmtFP(ctx, text, stmt, fp, tr)
 }
 

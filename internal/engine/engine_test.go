@@ -282,6 +282,40 @@ func TestCreateIndexKeepsSelectAnswers(t *testing.T) {
 			t.Errorf("WHERE %s does not run through %q: %v\n%s", q.where, q.seek, err, s)
 		}
 	}
+	// Both edges of the executor batches' growth, at one worker and at
+	// four: a result of exactly one row, and results several arena slabs
+	// wide out of the projection (sized from its input morsel) and out of
+	// the join (grown from nothing). Every cell is checked, so a row that
+	// lost its storage to a later slab shows.
+	for _, workers := range []int{1, 4} {
+		db.SetExecWorkers(workers)
+		check(fmt.Sprintf("with %d workers and", workers))
+		for _, q := range []struct {
+			sql  string
+			rows int
+		}{
+			{"SELECT id, a, b FROM T WHERE id = 4999", 1},
+			{"SELECT id, a, b FROM T", 5000},
+			{"SELECT x.id, x.a, y.b FROM T x JOIN T y ON x.id = y.id", 5000},
+		} {
+			rs := db.MustExec(q.sql)
+			if len(rs.Rows) != q.rows {
+				t.Fatalf("%d workers: %s returned %d rows, want %d", workers, q.sql, len(rs.Rows), q.rows)
+			}
+			seen := map[int64]bool{}
+			for _, r := range rs.Rows {
+				id := r[0].Int()
+				okA := r[1].IsNull()
+				if id >= 5 {
+					okA = !r[1].IsNull() && r[1].Int() == id-4
+				}
+				if seen[id] || !okA || r[2].Int() != id%10 {
+					t.Fatalf("%d workers: %s returned the row %v (duplicate id: %v)", workers, q.sql, r, seen[id])
+				}
+				seen[id] = true
+			}
+		}
+	}
 }
 
 func TestDistinct(t *testing.T) {

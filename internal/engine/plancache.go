@@ -2,13 +2,13 @@ package engine
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"onlinetuner/internal/datum"
+	"onlinetuner/internal/fnv1a"
 	"onlinetuner/internal/obs"
 	"onlinetuner/internal/optimizer"
 	"onlinetuner/internal/sql"
@@ -161,15 +161,14 @@ func cacheable(stmt sql.Statement) bool {
 	return false
 }
 
-func textShard(text string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(text))
-	return h.Sum64()
+// stmtShardOf picks the statement-text shard of a text; ExecContext
+// computes it once and hands it to both lookupStmt and storeStmt.
+func (pc *planCache) stmtShardOf(text string) *stmtShard {
+	return &pc.stmts[fnv1a.Init.Str(text)%planShards]
 }
 
 // lookupStmt returns the cached parse of a statement text, or nil.
-func (pc *planCache) lookupStmt(text string) *stmtEntry {
-	sh := &pc.stmts[textShard(text)%planShards]
+func (pc *planCache) lookupStmt(sh *stmtShard, text string) *stmtEntry {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	el, ok := sh.byText[text]
@@ -181,8 +180,7 @@ func (pc *planCache) lookupStmt(text string) *stmtEntry {
 	return el.Value.(*stmtEntry)
 }
 
-func (pc *planCache) storeStmt(e *stmtEntry) {
-	sh := &pc.stmts[textShard(e.text)%planShards]
+func (pc *planCache) storeStmt(sh *stmtShard, e *stmtEntry) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.byText[e.text]; ok {
@@ -300,36 +298,25 @@ func (db *DB) sizeSigFor(stmt sql.Statement) uint64 {
 		names = append(names, strings.ToLower(t))
 	}
 	sort.Strings(names)
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	h := fnv1a.Init
 	prev := ""
 	for _, t := range names {
 		if t == prev {
 			continue
 		}
 		prev = t
-		h.Write([]byte(t))
-		h.Write([]byte{0xff})
+		h = h.Str(t).Byte(0xff)
 		if hp := db.Mgr.Heap(t); hp != nil {
-			put(uint64(hp.Len()))
-			put(uint64(hp.Pages()))
+			h = h.Uint64(uint64(hp.Len())).Uint64(uint64(hp.Pages()))
 		}
 		for _, pi := range db.Mgr.TableIndexes(t) {
 			if pi.Def.Primary || pi.State() != storage.StateActive {
 				continue
 			}
-			h.Write([]byte(pi.Def.ID()))
-			h.Write([]byte{0xfe})
-			put(uint64(pi.Pages()))
+			h = h.Str(pi.Def.ID()).Byte(0xfe).Uint64(uint64(pi.Pages()))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // optimizeMaybeCached is the cache-aware optimizer entry point for the

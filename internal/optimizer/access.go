@@ -163,15 +163,16 @@ func (o *Optimizer) chooseAccess(bt *boundTable, sortCols []string) *accessPath 
 	if outRows < 1 && rows > 0 {
 		outRows = 1
 	}
-	npreds := len(allPreds(bt))
+	preds := allPreds(bt)
+	npreds := len(preds)
 
 	// Baseline: heap scan.
 	best := &accessPath{
 		cost: o.env.Model.HeapScan(pages, rows, npreds),
 		rows: outRows,
 	}
-	scan := &plan.SeqScan{Table: table, Alias: alias, Preds: allPreds(bt)}
-	scan.Out = plan.TableSchema(bt.tbl, alias)
+	scan := &plan.SeqScan{Table: table, Alias: alias, Preds: preds}
+	scan.Out = bt.schema()
 	scan.Cost = best.cost
 	scan.Rows = outRows
 	best.node = scan
@@ -356,7 +357,7 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 		n.Out = plan.IndexSchema(ix, alias)
 	} else {
 		// Primary seeks (and non-covering fetches) produce full table rows.
-		n.Out = plan.TableSchema(bt.tbl, alias)
+		n.Out = bt.schema()
 	}
 	n.Cost = c
 	n.Rows = outRows

@@ -13,6 +13,7 @@ import (
 
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
+	"onlinetuner/internal/plan"
 	"onlinetuner/internal/sql"
 )
 
@@ -27,9 +28,20 @@ type boundTable struct {
 	// required columns in select-list-then-predicate order
 	required []string
 	reqSet   map[string]bool
+	full     []plan.ColRef // schema()'s result, built on first use
 }
 
 func (bt *boundTable) name() string { return bt.ref.Name() }
+
+// schema is the table's full-row schema under the reference's alias,
+// built once per optimization and shared (schemas are never mutated) by
+// the scan and every full-row seek chooseAccess weighs.
+func (bt *boundTable) schema() []plan.ColRef {
+	if bt.full == nil {
+		bt.full = plan.TableSchema(bt.tbl, bt.name())
+	}
+	return bt.full
+}
 
 func (bt *boundTable) addRequired(col string) {
 	key := strings.ToLower(col)

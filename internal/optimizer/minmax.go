@@ -149,7 +149,7 @@ func (o *Optimizer) tryMinMaxEndpoint(bq *boundQuery, paths []*accessPath, rules
 		EqVals: bestEqVals, EqLits: bestEqLits,
 		WantMin: wantMin, WantMax: wantMax,
 	}
-	n.Out = plan.TableSchema(bt.tbl, bt.name())
+	n.Out = bt.schema()
 	n.Cost = bestCost
 	n.Rows = float64(endpoints)
 	// The scan/seek alternatives captured by chooseAccess are no longer

@@ -343,7 +343,7 @@ func (o *Optimizer) joinChoiceFor(bq *boundQuery, st *joinState, j int, path *ac
 		jsel *= 1 / math.Max(1, math.Max(o.distinctOf(bt.ref.Table, ic), o.distinctOf(bq.tables[indexOfOther(bq, jp, j)].ref.Table, oc)))
 	}
 
-	outSchema := append(append([]plan.ColRef(nil), st.node.Schema()...), plan.TableSchema(bt.tbl, bt.name())...)
+	outSchema := append(append([]plan.ColRef(nil), st.node.Schema()...), bt.schema()...)
 
 	// Both join inputs are materialized (hash table, merge run or cross
 	// buffer): charge the width-aware term so narrowing projections from
@@ -647,9 +647,9 @@ func (o *Optimizer) finishSelect(bq *boundQuery, st *joinState, rules Rules, app
 		if aggregated {
 			return // HashAgg already produced the select list
 		}
-		var exprs []sql.Expr
-		var outNames []string
-		var schema []plan.ColRef
+		exprs := make([]sql.Expr, 0, len(sel.Items))
+		outNames := make([]string, 0, len(sel.Items))
+		schema := make([]plan.ColRef, 0, len(sel.Items))
 		for i, it := range sel.Items {
 			if it.Star {
 				for _, cr := range st.node.Schema() {

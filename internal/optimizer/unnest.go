@@ -344,7 +344,7 @@ func (o *Optimizer) applySemiJoin(st *joinState, sp *semiSpec, rules Rules, appl
 			outRows = 1
 		}
 		scan := &plan.SeqScan{Table: table, Alias: bt.name(), Preds: preds}
-		scan.Out = plan.TableSchema(bt.tbl, bt.name())
+		scan.Out = bt.schema()
 		scan.Cost = m.HeapScan(pages, rows, len(preds))
 		scan.Rows = outRows
 		inner = &accessPath{node: scan, cost: scan.Cost, rows: outRows}

@@ -221,6 +221,7 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 	sess := newSession(sid, s)
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	var dec requestDecoder
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -237,7 +238,7 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 			}
 			return // EOF, net errors, protocol violations: the session ends
 		}
-		req, err := DecodeRequest(body)
+		req, err := dec.decode(body)
 		if err != nil {
 			// The framing survived but the JSON is not a request; answer
 			// typed and close — there is no way to know what the client

@@ -202,11 +202,34 @@ func WriteFrame(w io.Writer, body []byte) error {
 // DecodeRequest parses a request body. Unknown fields are rejected so a
 // frame holding a response (or garbage JSON) cannot silently pass as a
 // request.
-func DecodeRequest(body []byte) (*Request, error) {
+func DecodeRequest(body []byte) (*Request, error) { return new(requestDecoder).decode(body) }
+
+// requestDecoder is DecodeRequest for the frames of one connection: the
+// json.Decoder (DisallowUnknownFields exists nowhere else) and its read
+// buffer are kept from frame to frame instead of being rebuilt per
+// request. The zero value is ready; not safe for concurrent use.
+type requestDecoder struct {
+	rd  bytes.Reader
+	dec *json.Decoder
+	fed int64 // bytes of every body handed to dec
+}
+
+func (d *requestDecoder) decode(body []byte) (*Request, error) {
+	if d.dec == nil {
+		d.dec = json.NewDecoder(&d.rd)
+		d.dec.DisallowUnknownFields()
+		d.fed = 0
+	}
+	d.rd.Reset(body)
+	d.fed += int64(len(body))
 	var req Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := d.dec.Decode(&req)
+	if err != nil || d.dec.InputOffset() != d.fed {
+		// An error is sticky and bytes after the request would be read as
+		// the start of the next frame: that decoder is not used again.
+		d.dec = nil
+	}
+	if err != nil {
 		return nil, fmt.Errorf("server: bad request: %w", err)
 	}
 	if req.Op == "" {

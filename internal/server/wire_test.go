@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -123,6 +124,42 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
+// TestRequestDecoderAcrossFrames drives one connection's decoder over
+// frames whose leftovers must not leak into their successors: bytes
+// after the request, a body cut short, a request the strict decoder
+// rejects. Every frame must decode as it would alone, and the steady
+// state must not rebuild the json.Decoder.
+func TestRequestDecoderAcrossFrames(t *testing.T) {
+	long := `{"id":7,"op":"query","sql":"` + strings.Repeat("SELECT 1 -- pad ", 200) + `"}`
+	frames := []string{
+		`{"id":1,"op":"ping"}`,
+		`{"id":2,"op":"query","sql":"SELECT 1"}` + "\n",
+		`{"id":3,"op":"ping"} {"id":99,"op":"close"}`,
+		`{"id":4,"op":"ping"}`,
+		`{"id":5,"op":"pi`,
+		`ng"}`,
+		`{"id":6,"op":"ping","rows":[]}`,
+		long,
+		` {"id":8,"op":"exec","sql":"x"}`,
+		`{"id":9,"op":"ping"} trailing`,
+		`{"id":10,"op":"ping"}`,
+	}
+	var conn requestDecoder
+	for i, f := range frames {
+		want, werr := DecodeRequest([]byte(f))
+		got, gerr := conn.decode([]byte(f))
+		if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(want, got) {
+			t.Fatalf("frame %d %q: alone (%+v, %v), on the connection (%+v, %v)", i, f, want, werr, got, gerr)
+		}
+	}
+	body := []byte(frames[0])
+	fresh := testing.AllocsPerRun(200, func() { _, _ = DecodeRequest(body) })
+	kept := testing.AllocsPerRun(200, func() { _, _ = conn.decode(body) })
+	if kept > fresh-2 {
+		t.Fatalf("connection decoder allocates %.0f objects per frame, a fresh one %.0f: nothing is being reused", kept, fresh)
+	}
+}
+
 // TestGenerateWireCorpus regenerates the checked-in seed corpus when
 // SERVER_GEN_CORPUS=1; a no-op otherwise (mirrors the WAL decoder's
 // corpus generator).
@@ -179,6 +216,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
+		var conn requestDecoder
 		off := 0
 		for off < len(data) {
 			body, n, err := DecodeFrame(data[off:], maxFrame)
@@ -197,6 +235,12 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("body %d bytes for frame of %d", len(body), n)
 			}
 			req, err := DecodeRequest(body)
+			// The connection's decoder, carried over every earlier frame
+			// of this input, must answer exactly like a fresh one.
+			creq, cerr := conn.decode(body)
+			if (err == nil) != (cerr == nil) || !reflect.DeepEqual(req, creq) {
+				t.Fatalf("frame at %d: fresh decoder (%+v, %v), connection decoder (%+v, %v)", off, req, err, creq, cerr)
+			}
 			if err == nil {
 				re, err := EncodeRequest(req)
 				if err != nil {

@@ -3,7 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -292,17 +292,20 @@ func (m *Manager) Index(id string) *PhysicalIndex {
 func (m *Manager) TableIndexes(table string) []*PhysicalIndex {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []*PhysicalIndex
+	out := make([]*PhysicalIndex, 0, 4)
 	for _, pi := range m.indexes {
 		if strings.EqualFold(pi.Def.Table, table) {
 			out = append(out, pi)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Def.Primary != out[j].Def.Primary {
-			return out[i].Def.Primary
+	slices.SortFunc(out, func(a, b *PhysicalIndex) int {
+		if a.Def.Primary != b.Def.Primary {
+			if a.Def.Primary {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Def.Name < out[j].Def.Name
+		return strings.Compare(a.Def.Name, b.Def.Name)
 	})
 	return out
 }

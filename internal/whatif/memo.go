@@ -1,12 +1,12 @@
 package whatif
 
 import (
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"onlinetuner/internal/catalog"
+	"onlinetuner/internal/fnv1a"
 )
 
 // memoCostCap bounds the cost memo; past it the memo is cleared rather
@@ -134,11 +134,9 @@ func (m *Memo) GetCost(r *Request, config []*catalog.Index) float64 {
 
 // ImplCost is the memoized ImplCost primitive.
 func (m *Memo) ImplCost(r *Request, ix *catalog.Index) float64 {
-	h := fnv.New64a()
-	h.Write([]byte{0x02}) // domain-separate from GetCost config signatures
-	writeString(h, ix.ID())
-	writeFloat(h, m.IndexPages(ix))
-	key := memoKey{req: requestSig(r), cfg: h.Sum64()}
+	// 0x02 domain-separates these keys from GetCost config signatures.
+	h := sigFloat(sigString(fnv1a.Init.Byte(0x02), ix.ID()), m.IndexPages(ix))
+	key := memoKey{req: requestSig(r), cfg: uint64(h)}
 	if c, ok := m.costs[key]; ok {
 		m.stats.Hits++
 		return c
@@ -158,7 +156,7 @@ func (m *Memo) configSig(table string, config []*catalog.Index) uint64 {
 		id    string
 		pages float64
 	}
-	var parts []idPages
+	parts := make([]idPages, 0, 8)
 	for _, ix := range config {
 		if ix == nil || !strings.EqualFold(ix.Table, table) {
 			continue
@@ -168,14 +166,12 @@ func (m *Memo) configSig(table string, config []*catalog.Index) uint64 {
 	// The primary index participates in getCost implicitly; its pages
 	// equal the heap pages, which are part of the request signature
 	// (TablePages), so it needs no separate entry here.
-	sort.Slice(parts, func(i, j int) bool { return parts[i].id < parts[j].id })
-	h := fnv.New64a()
-	h.Write([]byte{0x01})
+	slices.SortFunc(parts, func(a, b idPages) int { return strings.Compare(a.id, b.id) })
+	h := fnv1a.Init.Byte(0x01)
 	for _, p := range parts {
-		writeString(h, p.id)
-		writeFloat(h, p.pages)
+		h = sigFloat(sigString(h, p.id), p.pages)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // requestSig hashes every field of the request that getCost/implCost
@@ -183,48 +179,29 @@ func (m *Memo) configSig(table string, config []*catalog.Index) uint64 {
 // annotations the cost functions never touch, so they are excluded to
 // maximize sharing.
 func requestSig(r *Request) uint64 {
-	h := fnv.New64a()
-	writeString(h, strings.ToLower(r.Table))
-	h.Write([]byte{byte(r.Kind)})
+	h := sigString(fnv1a.Init, strings.ToLower(r.Table)).Byte(byte(r.Kind))
 	for i, c := range r.EqCols {
-		writeString(h, strings.ToLower(c))
-		writeFloat(h, r.EqSels[i])
+		h = sigFloat(sigString(h, strings.ToLower(c)), r.EqSels[i])
 	}
-	h.Write([]byte{0xfe})
-	writeString(h, strings.ToLower(r.RangeCol))
-	writeFloat(h, r.RangeSel)
+	h = sigString(h.Byte(0xfe), strings.ToLower(r.RangeCol))
+	h = sigFloat(h, r.RangeSel)
 	for _, c := range r.Required {
-		writeString(h, strings.ToLower(c))
+		h = sigString(h, strings.ToLower(c))
 	}
-	h.Write([]byte{0xfe})
+	h = h.Byte(0xfe)
 	for _, c := range r.SortCols {
-		writeString(h, strings.ToLower(c))
+		h = sigString(h, strings.ToLower(c))
 	}
-	h.Write([]byte{0xfe})
-	writeFloat(h, r.Bindings)
-	writeFloat(h, r.RowsPerBinding)
-	writeFloat(h, float64(r.ResidualPreds))
-	writeFloat(h, r.TableRows)
-	writeFloat(h, r.TablePages)
-	writeFloat(h, r.UpdateRows)
-	writeFloat(h, float64(r.UpdateTouchedIndexes))
-	return h.Sum64()
-}
-
-type hash64 interface {
-	Write(p []byte) (int, error)
-}
-
-func writeString(h hash64, s string) {
-	_, _ = h.Write([]byte(s))
-	_, _ = h.Write([]byte{0xff})
-}
-
-func writeFloat(h hash64, f float64) {
-	b := math.Float64bits(f)
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(b >> (8 * i))
+	h = h.Byte(0xfe)
+	for _, f := range [...]float64{r.Bindings, r.RowsPerBinding, float64(r.ResidualPreds),
+		r.TableRows, r.TablePages, r.UpdateRows, float64(r.UpdateTouchedIndexes)} {
+		h = sigFloat(h, f)
 	}
-	_, _ = h.Write(buf[:])
+	return uint64(h)
 }
+
+// sigString adds a 0xff-terminated string to a signature.
+func sigString(h fnv1a.Hash, s string) fnv1a.Hash { return h.Str(s).Byte(0xff) }
+
+// sigFloat adds a float's bit pattern to a signature.
+func sigFloat(h fnv1a.Hash, f float64) fnv1a.Hash { return h.Uint64(math.Float64bits(f)) }

@@ -1,7 +1,9 @@
 package whatif
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"onlinetuner/internal/catalog"
@@ -86,13 +88,79 @@ func TestMemoMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-	st := m.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("expected both hits and misses, got %+v", st)
+	// 4 requests × (2 configs + 1 ImplCost): the first pass misses every
+	// key, the second hits every one. Exact counts, so a signature change
+	// that merges or splits keys shows here.
+	if st := m.Stats(); st.Hits != 12 || st.Misses != 12 {
+		t.Fatalf("want 12 hits and 12 misses, got %+v", st)
 	}
-	// Second pass must be all hits: same requests, same configs.
-	if st.Hits < st.Misses {
-		t.Fatalf("second pass should hit every entry: %+v", st)
+}
+
+// refRequestSig is requestSig as first written, over hash/fnv with one
+// Write per field: the reference the allocation-free version must agree
+// with bit for bit, so memo keys (and hit rates) keep their values.
+func refRequestSig(r *Request) uint64 {
+	h := fnv.New64a()
+	str := func(s string) {
+		h.Write([]byte(s))
+		h.Write([]byte{0xff})
+	}
+	float := func(f float64) {
+		b := math.Float64bits(f)
+		var buf [8]byte
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(b >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	str(strings.ToLower(r.Table))
+	h.Write([]byte{byte(r.Kind)})
+	for i, c := range r.EqCols {
+		str(strings.ToLower(c))
+		float(r.EqSels[i])
+	}
+	h.Write([]byte{0xfe})
+	str(strings.ToLower(r.RangeCol))
+	float(r.RangeSel)
+	for _, c := range r.Required {
+		str(strings.ToLower(c))
+	}
+	h.Write([]byte{0xfe})
+	for _, c := range r.SortCols {
+		str(strings.ToLower(c))
+	}
+	h.Write([]byte{0xfe})
+	float(r.Bindings)
+	float(r.RowsPerBinding)
+	float(float64(r.ResidualPreds))
+	float(r.TableRows)
+	float(r.TablePages)
+	float(r.UpdateRows)
+	float(float64(r.UpdateTouchedIndexes))
+	return h.Sum64()
+}
+
+func TestRequestSigKeepsItsValues(t *testing.T) {
+	reqs := append(memoRequests(nil, 2000),
+		&Request{},
+		&Request{Table: "Orders", Kind: KindEndpoint, EqCols: []string{"O_CustKey", "ü"},
+			EqSels: []float64{0.5, math.Inf(1)}, RangeCol: "o_orderDATE", RangeSel: math.NaN(),
+			Required: []string{"O_TOTALPRICE"}, SortCols: []string{"o_orderdate", "O_CustKey"},
+			Bindings: 1e9, RowsPerBinding: 1e-9, ResidualPreds: -1, UpdateTouchedIndexes: 7})
+	seen := map[uint64]int{}
+	for i, r := range reqs {
+		got, want := requestSig(r), refRequestSig(r)
+		if got != want {
+			t.Errorf("request %d (%v): sig %#x, reference %#x", i, r, got, want)
+		}
+		if j, dup := seen[got]; dup {
+			t.Errorf("requests %d and %d share signature %#x", j, i, got)
+		}
+		seen[got] = i
+	}
+	r := reqs[1]
+	if n := testing.AllocsPerRun(100, func() { requestSig(r) }); n != 0 {
+		t.Errorf("requestSig allocates %.0f objects per call, want 0", n)
 	}
 }
 

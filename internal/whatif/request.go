@@ -154,19 +154,22 @@ func NewAnd(children ...*Node) *Node { return &Node{Op: And, Children: children}
 func NewOr(children ...*Node) *Node { return &Node{Op: Or, Children: children} }
 
 // Requests returns all leaf requests in the tree in depth-first order.
-func (n *Node) Requests() []*Request {
+func (n *Node) Requests() []*Request { return n.appendRequests(nil) }
+
+// appendRequests is Requests into one accumulator: a tree costs its
+// caller the result slice, not a slice per node.
+func (n *Node) appendRequests(out []*Request) []*Request {
 	if n == nil {
-		return nil
+		return out
 	}
 	if n.Op == Leaf {
-		if n.Req == nil {
-			return nil
+		if n.Req != nil {
+			out = append(out, n.Req)
 		}
-		return []*Request{n.Req}
+		return out
 	}
-	var out []*Request
 	for _, c := range n.Children {
-		out = append(out, c.Requests()...)
+		out = c.appendRequests(out)
 	}
 	return out
 }
@@ -235,7 +238,7 @@ func GetBestIndex(cat *catalog.Catalog, r *Request) *catalog.Index {
 	if t == nil {
 		return nil
 	}
-	var cols []string
+	cols := make([]string, 0, len(r.EqCols)+1+len(r.SortCols)+len(t.PrimaryKey)+len(r.Required))
 	add := func(c string) {
 		for _, x := range cols {
 			if strings.EqualFold(x, c) {
@@ -281,7 +284,7 @@ func GetBestIndex(cat *catalog.Catalog, r *Request) *catalog.Index {
 		return nil
 	}
 	ix := (&catalog.Index{
-		Name:    fmt.Sprintf("auto_%s_%s", r.Table, strings.Join(cols, "_")),
+		Name:    "auto_" + r.Table + "_" + strings.Join(cols, "_"),
 		Table:   r.Table,
 		Columns: cols,
 	}).Canonicalize()
