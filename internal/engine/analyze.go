@@ -60,7 +60,9 @@ type Analysis struct {
 // mutates the database), but like EXPLAIN the execution is not reported
 // to the tuner: an analysis session is diagnostics, not workload. The
 // plan cache is probed and populated exactly as a normal execution
-// would, so the reported provenance matches what Exec would have used.
+// would, so the reported provenance matches what Exec would have used,
+// and it returns through the same locked section: an analyzed DML
+// statement is acknowledged only once it is durable.
 func (db *DB) ExplainAnalyze(text string) (*Analysis, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -74,9 +76,15 @@ func (db *DB) ExplainAnalyze(text string) (*Analysis, error) {
 		return nil, fmt.Errorf("engine: EXPLAIN ANALYZE does not support DDL")
 	}
 	reads, writes := db.lockTablesFor(stmt)
-	release := db.locks.acquire(reads, writes)
-	defer release()
+	var a *Analysis
+	werr := db.locked(nil, reads, writes, func() { a, err = db.analyzeLocked(stmt) })
+	if err == nil && werr != nil {
+		return nil, werr
+	}
+	return a, err
+}
 
+func (db *DB) analyzeLocked(stmt sql.Statement) (*Analysis, error) {
 	var fp *sql.Fingerprint
 	for attempt := 0; attempt < 3; attempt++ {
 		res, err := db.optimizeMaybeCached(stmt, &fp)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"onlinetuner/internal/executor"
+	"onlinetuner/internal/obs"
 	"onlinetuner/internal/sql"
 )
 
@@ -15,14 +16,17 @@ import (
 // the serving layer's transaction scope (BEGIN ... COMMIT).
 //
 // Atomicity is statement-granular: each statement inside the span
-// commits (and, in durable mode, WAL-acknowledges) individually, and a
-// runtime failure stops the batch at that statement — earlier
+// commits individually (in durable mode: appends its own WAL commit), and
+// a runtime failure stops the batch at that statement — earlier
 // statements stay applied, the failing one rolls back as any statement
 // failure does, later ones never run. The returned applied count says
 // how many completed; isolation still holds because the lock span
-// covers the whole attempt. Callers that need all-or-nothing semantics
-// must keep their batches to statements that cannot fail at runtime
-// (the wire protocol documents this contract).
+// covers the whole attempt. Durability is waited for once, for the whole
+// batch, after the locks are released: one fsync acknowledges every
+// statement that applied, and if that flush fails the batch returns the
+// flush's error with nothing acknowledged. Callers that need
+// all-or-nothing semantics must keep their batches to statements that
+// cannot fail at runtime (the wire protocol documents this contract).
 //
 // Because every lock is taken before the first statement runs, a batch
 // cannot deadlock with other statements or batches: all acquisition
@@ -57,53 +61,43 @@ func (db *DB) ExecBatch(ctx context.Context, texts []string) (results []*executo
 	}
 
 	reads, writes := db.batchLockSets(stmts)
-	release := db.locks.acquire(reads, writes)
-	defer release()
-
 	results = make([]*executor.ResultSet, 0, len(texts))
 	infos = make([]*QueryInfo, 0, len(texts))
-	for i, stmt := range stmts {
-		if cerr := ctx.Err(); cerr != nil {
-			db.execErrors.Inc()
-			return results, infos, applied, cerr
+	werr := db.locked(obs.FromContext(ctx), reads, writes, func() {
+		for i, stmt := range stmts {
+			if err = ctx.Err(); err != nil {
+				db.execErrors.Inc()
+				return
+			}
+			tr, owned := db.startTrace(ctx, texts[i])
+			var rs *executor.ResultSet
+			var info *QueryInfo
+			rs, info, err = db.execLocked(ctx, texts[i], stmt, fps[i], tr)
+			if owned {
+				db.ob.FinishTrace(tr)
+			}
+			if err != nil {
+				return
+			}
+			results = append(results, rs)
+			infos = append(infos, info)
+			applied++
 		}
-		tr, owned := db.startTrace(ctx, texts[i])
-		rs, info, serr := db.execLocked(ctx, texts[i], stmt, fps[i], tr)
-		if owned {
-			db.ob.FinishTrace(tr)
-		}
-		if serr != nil {
-			return results, infos, applied, serr
-		}
-		results = append(results, rs)
-		infos = append(infos, info)
-		applied++
+	})
+	if werr != nil {
+		// The log stopped under the batch: none of it is acknowledged.
+		return nil, nil, 0, werr
 	}
-	return results, infos, applied, nil
+	return results, infos, applied, err
 }
 
-// batchLockSets computes the union lock classification for a batch: a
-// table written by any statement is exclusive for the whole span,
-// everything else referenced is shared.
+// batchLockSets computes the union lock classification for a batch. The
+// lock set itself resolves duplicates: a table written by any statement
+// is exclusive for the whole span, everything else referenced is shared.
 func (db *DB) batchLockSets(stmts []sql.Statement) (reads, writes []string) {
-	wset := make(map[string]bool)
-	rset := make(map[string]bool)
 	for _, stmt := range stmts {
 		r, w := db.lockTablesFor(stmt)
-		for _, t := range w {
-			wset[t] = true
-		}
-		for _, t := range r {
-			rset[t] = true
-		}
-	}
-	for t := range wset {
-		writes = append(writes, t)
-	}
-	for t := range rset {
-		if !wset[t] {
-			reads = append(reads, t)
-		}
+		reads, writes = append(reads, r...), append(writes, w...)
 	}
 	return reads, writes
 }

@@ -18,9 +18,10 @@ import (
 // WAL directory, recovering state from the newest checkpoint snapshot
 // plus the log suffix, checkpointing, and clean/crash shutdown.
 //
-// Recovery invariant: every statement whose WAL commit was acknowledged
-// (CommitStmt returned nil) is reconstructed exactly; everything after
-// the last durable commit record vanishes atomically. Replay drives the
+// Recovery invariant: every statement that was acknowledged (DB.locked
+// returned nil: its commit was appended under the table lock and found
+// durable after it) is reconstructed exactly; everything after the last
+// durable commit record vanishes atomically. Replay drives the
 // normal Manager DML/lifecycle entry points with no WAL and no fault
 // injector installed, so recovered state is produced by the same code
 // that produced the original state — RID assignment is deterministic
@@ -33,8 +34,9 @@ import (
 // restart logged just after CheckpointBegin may already be reflected in
 // the snapshot. Lifecycle replay is therefore idempotent — a record
 // whose effect is already present is skipped. DML cannot straddle:
-// statement commits happen under the table write lock the checkpoint
-// holds.
+// statement commits are appended under the table write lock the
+// checkpoint holds, and CheckpointBegin's own wait flushes every append
+// before it.
 
 // RecoveryInfo reports what OpenDurable reconstructed.
 type RecoveryInfo struct {
@@ -346,8 +348,8 @@ func (db *DB) Checkpoint() error {
 	for _, t := range tables {
 		names = append(names, strings.ToLower(t.Name))
 	}
-	release := db.locks.acquire(nil, names)
-	defer release()
+	ls := db.locks.acquire(nil, nil, names)
+	defer ls.release()
 
 	seq, err := db.wal.Append([]*wal.Record{{Kind: wal.KindCheckpointBegin}})
 	if err != nil {

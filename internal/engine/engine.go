@@ -50,11 +50,12 @@ type Observer interface {
 //
 // Concurrency model: any number of goroutines may call Exec/ExecStmt
 // concurrently. Each statement takes per-table reader-writer locks (see
-// tableLocks) for its whole optimize→execute→observe span: reads share,
+// tableLocks) for its optimize→execute→observe span: reads share,
 // writes to the same table serialize, and disjoint tables never
 // contend. The observer (the online tuner) runs inside the statement's
 // critical section, so it sees executions over any one table in a
-// serial order. Physical changes the tuner makes (index creation in the
+// serial order; in durable mode the wait for the disk follows the unlock
+// (DB.locked). Physical changes the tuner makes (index creation in the
 // background, drops) synchronize below the statement layer, inside
 // storage; a statement whose plan loses its index mid-flight is
 // transparently re-optimized (see executor.ErrStaleIndex).
@@ -83,8 +84,9 @@ type DB struct {
 
 	// Timed metrics, recorded only for traced statements: the extra
 	// clock reads they need already happened for the trace's spans.
-	execLatency *obs.Histogram
-	lockWaitNS  *obs.Counter
+	execLatency   *obs.Histogram
+	lockWaitNS    *obs.Counter
+	durableWaitNS *obs.Counter
 
 	// Durable-mode state (see durable.go); zero for in-memory databases.
 	wal          *wal.Writer
@@ -162,6 +164,7 @@ func OpenConfig(cfg Config) *DB {
 		transientRetries: ob.Reg.Counter("engine.transient_retries"),
 		execLatency:      ob.Reg.Histogram("engine.exec_ns", obs.DefaultLatencyBuckets),
 		lockWaitNS:       ob.Reg.Counter("engine.lock_wait_ns"),
+		durableWaitNS:    ob.Reg.Counter("engine.durable_wait_ns"),
 	}
 	db.retryBackoffNS.Store(int64(50 * time.Microsecond))
 	morsels := ob.Reg.Counter("engine.exec_parallel_morsels")
@@ -317,8 +320,8 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet
 }
 
 // ExecStmt runs an already-parsed statement (callers that replay
-// workloads avoid re-parsing). It holds the statement's table locks for
-// the whole optimize→execute→observe span.
+// workloads avoid re-parsing). Like every execution path it goes through
+// the engine's one locked section (DB.locked).
 func (db *DB) ExecStmt(text string, stmt sql.Statement) (*executor.ResultSet, *QueryInfo, error) {
 	tr, owned := db.startTrace(context.Background(), text)
 	if owned {
@@ -352,17 +355,16 @@ func (db *DB) execStmtFP(ctx context.Context, text string, stmt sql.Statement, f
 		return nil, nil, err
 	}
 	reads, writes := db.lockTablesFor(stmt)
-	var lockStart time.Time
-	if tr != nil {
-		tr.Phase("lock-wait")
-		lockStart = time.Now()
+	var rs *executor.ResultSet
+	var info *QueryInfo
+	var err error
+	werr := db.locked(tr, reads, writes, func() {
+		rs, info, err = db.execLocked(ctx, text, stmt, fp, tr)
+	})
+	if err == nil && werr != nil {
+		return nil, nil, werr
 	}
-	release := db.locks.acquire(reads, writes)
-	defer release()
-	if tr != nil {
-		db.lockWaitNS.Add(time.Since(lockStart).Nanoseconds())
-	}
-	return db.execLocked(ctx, text, stmt, fp, tr)
+	return rs, info, err
 }
 
 func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, fp *sql.Fingerprint, tr *obs.Trace) (*executor.ResultSet, *QueryInfo, error) {
@@ -574,10 +576,14 @@ func (db *DB) ExplainString(text string) (string, error) {
 		stmt = ex.Stmt
 	}
 	reads, writes := db.lockTablesFor(stmt)
-	release := db.locks.acquire(append(reads, writes...), nil)
-	defer release()
-	var fp *sql.Fingerprint
-	res, err := db.optimizeMaybeCached(stmt, &fp)
+	var res *optimizer.Result
+	werr := db.locked(nil, append(reads, writes...), nil, func() {
+		var fp *sql.Fingerprint
+		res, err = db.optimizeMaybeCached(stmt, &fp)
+	})
+	if err == nil {
+		err = werr
+	}
 	if err != nil {
 		return "", err
 	}
@@ -637,8 +643,8 @@ func (db *DB) DropIndex(ix *catalog.Index) error {
 // contents. It takes the table's shared lock so the sampled columns are
 // mutually consistent even under concurrent DML.
 func (db *DB) Analyze(table string) error {
-	release := db.locks.acquire([]string{table}, nil)
-	defer release()
+	ls := db.locks.acquire(nil, []string{table}, nil)
+	defer ls.release()
 	t := db.Cat.Table(table)
 	if t == nil {
 		return fmt.Errorf("engine: unknown table %s", table)

@@ -102,7 +102,9 @@ func loadDurableChaosDB(t *testing.T, seed uint64, dir string) (*engine.DB, *tpc
 // Crash placement varies by seed: seed%3==0 dies mid-checkpoint,
 // seed%3==1 dies at an injected WAL append fault, seed%3==2 at an
 // injected WAL fsync fault (falling back to an end-of-script crash if
-// the probabilistic fault never fires).
+// the probabilistic fault never fires). The fsync-fault mode runs a
+// second writer beside the script, so commits share flushes and either
+// committer may be the one that draws the fault.
 func TestChaosCrashRecovery(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
@@ -115,6 +117,47 @@ func TestChaosCrashRecovery(t *testing.T) {
 			runCrashSeed(t, seed)
 		})
 	}
+}
+
+// startSideWriter runs a second committer on supplier, a table the
+// script reads but never writes. Each tick lets it run one more UPDATE, which
+// keeps it in step with the script; stop waits for it and returns the
+// statements it was told succeeded. It stops by itself once the log does.
+func startSideWriter(t *testing.T, db *engine.DB) (tick func(), stop func() []string) {
+	ticks, done := make(chan struct{}, 1), make(chan struct{})
+	var acked []string
+	go func() {
+		defer close(done)
+		for n := 1; ; n++ {
+			if _, ok := <-ticks; !ok {
+				return
+			}
+			q := fmt.Sprintf("UPDATE supplier SET s_acctbal = %d.5 WHERE s_suppkey = 1", n)
+			_, _, err := db.Exec(q)
+			var fe *fault.Error
+			switch {
+			case err == nil:
+				acked = append(acked, q)
+			case !fault.Is(err):
+				t.Errorf("side writer: non-fault error %v", err)
+				return
+			case errors.As(err, &fe) && fe.Site == fault.WALFsync:
+				return
+			}
+		}
+	}()
+	tick = func() {
+		select {
+		case ticks <- struct{}{}:
+		default: // still busy with the previous one
+		}
+	}
+	stop = func() []string {
+		close(ticks)
+		<-done
+		return acked
+	}
+	return tick, stop
 }
 
 func runCrashSeed(t *testing.T, seed uint64) {
@@ -134,13 +177,18 @@ func runCrashSeed(t *testing.T, seed uint64) {
 	case 1:
 		inj = inj.Plan(fault.WALAppend, fault.Rule{Prob: 0.01})
 	case 2:
-		inj = inj.Plan(fault.WALFsync, fault.Rule{Prob: 0.01})
+		inj = inj.Plan(fault.WALFsync, fault.Rule{Prob: 0.03})
 	}
 	db.SetFaults(inj)
 	inj.Arm()
+	tick, stopSide := func() {}, func() []string { return nil }
+	if mode == 2 {
+		tick, stopSide = startSideWriter(t, db)
+	}
 
 	crashed := false
 	var succeededIdx []int
+	var sideAcked []string
 	for i, stmt := range script {
 		if mode == 0 && i == len(script)/2 {
 			// Mid-checkpoint crash: a one-shot WAL fault fails the
@@ -160,6 +208,7 @@ func runCrashSeed(t *testing.T, seed uint64) {
 			crashed = true
 			break
 		}
+		tick()
 		rs, _, err := db.Exec(stmt)
 		if err != nil {
 			if !fault.Is(err) {
@@ -168,7 +217,10 @@ func runCrashSeed(t *testing.T, seed uint64) {
 			var fe *fault.Error
 			if errors.As(err, &fe) && (fe.Site == fault.WALAppend || fe.Site == fault.WALFsync) {
 				// The durability layer itself failed: this is the
-				// kill point for WAL-fault modes.
+				// kill point for WAL-fault modes. The side writer's
+				// in-flight statement is answered first, so the log
+				// holds no commit whose fate nobody was told.
+				sideAcked = stopSide()
 				db.Crash()
 				crashed = true
 				break
@@ -179,9 +231,11 @@ func runCrashSeed(t *testing.T, seed uint64) {
 		succeededIdx = append(succeededIdx, i)
 	}
 	if !crashed {
+		sideAcked = stopSide()
 		db.Crash() // probabilistic fault never fired; die at end of script
 	}
 	inj.Disarm()
+	t.Logf("seed %d: %d script and %d side-writer statements acknowledged, fault-killed=%v", seed, len(succeededIdx), len(sideAcked), crashed)
 	if len(succeededIdx) == 0 {
 		t.Fatalf("seed %d: crash before any acknowledged statement; nothing to verify", seed)
 	}
@@ -215,6 +269,11 @@ func runCrashSeed(t *testing.T, seed uint64) {
 	for _, idx := range succeededIdx {
 		if _, _, err := oracle.Exec(script[idx]); err != nil {
 			t.Fatalf("seed %d: oracle failed on stmt %d: %v\n%s", seed, idx, err, script[idx])
+		}
+	}
+	for _, q := range sideAcked {
+		if _, _, err := oracle.Exec(q); err != nil {
+			t.Fatalf("seed %d: oracle failed on side-writer statement: %v\n%s", seed, err, q)
 		}
 	}
 

@@ -66,9 +66,12 @@ const (
 	// reaches the log. A fired append fails the committing statement, whose
 	// in-memory effects the executor then rolls back.
 	WALAppend Site = "wal.append"
-	// WALFsync fires when the WAL would fsync. A fired fsync discards the
-	// unflushed log tail (the writer truncates back to the last durable
-	// offset) and fails every statement waiting on that flush.
+	// WALFsync fires when the WAL would fsync. A fired fsync is fail-stop,
+	// like a real one: the writer truncates the unflushed tail back to the
+	// last durable offset and stops for good. Every statement in or behind
+	// that tail fails, reads of the tables they wrote fail, no later write
+	// is acknowledged, and reopening the directory recovers exactly the
+	// acknowledged statements.
 	WALFsync Site = "wal.fsync"
 )
 

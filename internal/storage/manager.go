@@ -100,6 +100,10 @@ type tableStore struct {
 	// nil when none. Guarded by the manager lock; at most one writer
 	// statement exists per table thanks to the engine's table write locks.
 	stmt *stmtFrame
+	// barrier is the ticket of the newest statement commit appended for
+	// this table. Stored under the table's write lock, after the append;
+	// read under at least its read lock.
+	barrier atomic.Uint64
 }
 
 // BuildStats describes the work performed by an index build; the cost
@@ -377,8 +381,9 @@ func (m *Manager) change(table string, op wal.Op, rid RID, row datum.Row) (RID, 
 	m.mu.Unlock()
 	if err == nil && auto != nil {
 		// Autocommit is a frame of one operation; like CommitStmt it
-		// appends outside the manager lock.
-		err = m.commit(auto)
+		// appends outside the manager lock, but it also waits: no
+		// epilogue follows a direct call.
+		err = m.commit(auto, true)
 	}
 	if err != nil {
 		return 0, 0, err

@@ -6,6 +6,7 @@ import (
 
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
+	"onlinetuner/internal/wal"
 )
 
 func newTestDB(t *testing.T) (*catalog.Catalog, *Manager) {
@@ -341,5 +342,45 @@ func TestManagerErrors(t *testing.T) {
 	}
 	if _, err := m.BuildIndex(ix); err == nil {
 		t.Error("double build accepted")
+	}
+}
+
+// CommitStmt's nil means appended: the frame is gone, the table's barrier
+// names the commit's ticket, and no fsync has happened yet. A direct
+// call outside a frame appends and waits before it returns.
+func TestCommitStmtAppendsWithoutWaiting(t *testing.T) {
+	_, m := newTestDB(t)
+	w, err := wal.OpenWriter(wal.Options{Dir: t.TempDir(), Policy: wal.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m.SetWAL(w)
+
+	if _, _, err := m.Insert("R", row(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if w.Appends() != 1 || w.Fsyncs() != 1 || w.Durable() != 1 {
+		t.Fatalf("autocommit: %d appends, %d fsyncs, durable %d; want 1, 1, 1", w.Appends(), w.Fsyncs(), w.Durable())
+	}
+
+	m.BeginStmt("R")
+	for id := int64(2); id < 5; id++ {
+		if _, _, err := m.Insert("R", row(id, id, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CommitStmt("R"); err != nil {
+		t.Fatal(err)
+	}
+	if w.Appends() != 2 || w.Fsyncs() != 1 || w.Durable() != 1 {
+		t.Fatalf("CommitStmt: %d appends, %d fsyncs, durable %d; want 2, 1, 1", w.Appends(), w.Fsyncs(), w.Durable())
+	}
+	ticket := m.Barrier("r")
+	if ticket != 2 || m.Barrier("nosuch") != 0 {
+		t.Fatalf("barrier %d (unknown table %d), want 2 and 0", ticket, m.Barrier("nosuch"))
+	}
+	if err := w.Wait(ticket); err != nil || w.Fsyncs() != 2 {
+		t.Fatalf("wait: %v, %d fsyncs", err, w.Fsyncs())
 	}
 }

@@ -20,14 +20,21 @@ import (
 // BeginStmt / CommitStmt / AbortStmt on the written table and applies
 // rows through Insert/Update/Delete in between; the engine's per-table
 // write locks guarantee one writer statement per table, so the open frame
-// lives on the tableStore. CommitStmt appends the redo half (and, per
-// policy, fsyncs) OUTSIDE the manager lock — the group-commit wait must
-// not block readers or other tables' writers. AbortStmt, or a commit
-// whose append fails, unwinds the undo half newest-first: each row's
-// inverse goes through the same per-index-state routine as the row did
-// (the comment on maintain in manager.go states the rule). A direct Manager DML
-// call with no frame open (the bulk loader, recovery replay, tests) is a
-// frame of one operation.
+// lives on the tableStore.
+//
+// The append is the frame's commit point, not the fsync. CommitStmt
+// submits the redo half OUTSIDE the manager lock and does not wait for
+// the disk: its nil means appended. The acknowledgement is the engine's
+// epilogue (DB.locked), which reads the table's barrier under the table
+// lock and waits on it after the unlock, so a second writer can append
+// behind this one and share its flush. AbortStmt, or a commit whose
+// append fails, unwinds the undo half newest-first, still under the table
+// lock: each row's inverse goes through the same per-index-state routine
+// as the row did (the comment on maintain in manager.go states the
+// rule). Past the commit point a statement is never unwound — a failed
+// flush stops the log for good (wal.Writer). A direct Manager DML call
+// with no frame open (the bulk loader, recovery replay, tests) is a frame
+// of one operation that appends AND waits before it returns.
 //
 // Lifecycle records are not framed: a table or index transition logs a
 // single-record batch under the manager lock, ordered validate → append
@@ -78,9 +85,10 @@ func (m *Manager) BeginStmt(table string) {
 }
 
 // CommitStmt closes the table's statement frame and appends its records
-// to the log as one commit unit. A nil return is the durability
-// acknowledgement; on error the statement has been rolled back in memory
-// and nothing of it survives in the log.
+// to the log as one commit unit. A nil return means appended, not
+// durable: the caller owes a wait on the table's Barrier before it
+// acknowledges the statement. On error the statement has been rolled
+// back in memory and nothing of it is in the log.
 func (m *Manager) CommitStmt(table string) error {
 	m.mu.Lock()
 	var f *stmtFrame
@@ -91,24 +99,48 @@ func (m *Manager) CommitStmt(table string) error {
 	if f == nil {
 		return nil
 	}
-	return m.commit(f)
+	return m.commit(f, false)
 }
 
 // commit appends a closed frame's records, outside the manager lock, and
-// unwinds the frame if the append fails. A frame with no records (no log,
-// or a statement that matched no rows) skips the log entirely.
-func (m *Manager) commit(f *stmtFrame) error {
+// unwinds the frame if that fails. A statement's frame is only
+// submitted — the table's barrier is raised to the commit's ticket for
+// the engine to wait on; an autocommit frame (wait) is appended and
+// waited for in one step. A frame with no records (no log, or a
+// statement that matched no rows) skips the log entirely.
+func (m *Manager) commit(f *stmtFrame, wait bool) error {
 	w := m.WAL()
 	if w == nil || len(f.recs) == 0 {
 		return nil
 	}
-	if _, err := w.Append(f.recs); err != nil {
+	var ticket uint64
+	var err error
+	if wait {
+		ticket, err = w.Append(f.recs)
+	} else {
+		ticket, err = w.Submit(f.recs)
+	}
+	if err != nil {
 		m.mu.Lock()
 		m.unwindLocked(f)
 		m.mu.Unlock()
 		return err
 	}
+	f.ts.barrier.Store(ticket)
 	return nil
+}
+
+// Barrier returns the ticket of the newest statement commit appended for
+// a table: what must be durable before anything read from the table, or
+// written to it by the caller, may be acknowledged. The caller holds the
+// table's lock, so no statement commit on it is in flight.
+func (m *Manager) Barrier(table string) uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if ts := m.tables[strings.ToLower(table)]; ts != nil {
+		return ts.barrier.Load()
+	}
+	return 0
 }
 
 // AbortStmt rolls the table's open statement back and discards its

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// Emulates: waiter parked in awaitDurableLocked while a group-commit
-// flush is in flight; the flush completes and an Append needing a roll
-// wins the mutex race before the waiter wakes. rollLocked fsyncs the
-// waiter's bytes, then resets written/flushed to 0 for the new segment.
-// The waiter's end offset is segment-relative and now stale.
+// Emulates: waiter parked in awaitLocked while a group-commit flush is
+// in flight; the flush completes and an Append needing a roll wins the
+// mutex race before the waiter wakes. rollLocked fsyncs the waiter's
+// bytes, then resets written/flushed to 0 for the new segment. Waiters
+// compare commit sequences, which a roll does not reset.
 func TestRollStrandsGroupCommitWaiter(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(Options{Dir: dir, Policy: SyncGroup})

@@ -320,6 +320,9 @@ func TestWriterAppendFault(t *testing.T) {
 	}
 }
 
+// A failed flush is fail-stop: the statement that was waiting fails, the
+// writer is poisoned with the flush's error, and the directory reopens to
+// exactly the acknowledged prefix.
 func TestWriterFsyncFaultDiscardsTail(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWriter(t, dir, Options{Policy: SyncGroup})
@@ -327,12 +330,22 @@ func TestWriterFsyncFaultDiscardsTail(t *testing.T) {
 	inj := fault.New(1).Plan(fault.WALFsync, fault.Rule{Prob: 1, Count: 1})
 	inj.Arm()
 	w.SetFaults(inj)
-	if _, err := w.Append([]*Record{insRec("t", 2)}); !fault.Is(err) {
-		t.Fatalf("fsync fault not surfaced: %v", err)
+	_, flushErr := w.Append([]*Record{insRec("t", 2)})
+	if !fault.Is(flushErr) {
+		t.Fatalf("fsync fault not surfaced: %v", flushErr)
 	}
-	// The failed flush discarded the unflushed tail; the acknowledged
-	// prefix survives and the writer keeps working.
-	mustAppend(t, w, insRec("t", 3))
+	// The one-shot fault is spent, yet nothing is acknowledged again.
+	for rid := int64(3); rid < 6; rid++ {
+		if _, err := w.Append([]*Record{insRec("t", rid)}); err != flushErr {
+			t.Fatalf("append after failed flush: %v, want the flush's error", err)
+		}
+	}
+	if err := w.Roll(); err != flushErr {
+		t.Fatalf("roll after failed flush: %v", err)
+	}
+	if err := w.Wait(1); err != nil {
+		t.Fatalf("the acknowledged ticket stopped being durable: %v", err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +353,54 @@ func TestWriterFsyncFaultDiscardsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Batches) != 2 {
-		t.Fatalf("log holds %d batches", len(res.Batches))
+	if res.Torn || len(res.Batches) != 1 || res.Batches[0].Recs[0].RID != 1 || res.LastSeq != 1 {
+		t.Fatalf("reopened log: torn=%v batches=%d last=%d, want exactly the acknowledged batch", res.Torn, len(res.Batches), res.LastSeq)
 	}
-	if res.Batches[0].Recs[0].RID != 1 || res.Batches[1].Recs[0].RID != 3 {
-		t.Fatal("discarded batch resurfaced in the log")
+	w2 := openTestWriter(t, dir, Options{Policy: SyncGroup, StartSeq: res.LastSeq, StartSegment: res.NextSegment})
+	if seq := mustAppend(t, w2, insRec("t", 7)); seq != 2 {
+		t.Fatalf("resumed seq %d, want 2", seq)
+	}
+	_ = w2.Close()
+}
+
+// Two commits, one flush: Submit does not fsync, the first Wait flushes
+// everything written so far, and a ticket that is already durable never
+// touches the file again — not even on a crashed writer.
+func TestWriterSubmitWaitSharesOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWriter(t, dir, Options{Policy: SyncGroup})
+	mustAppend(t, w, insRec("t", 1))
+	base := w.Fsyncs()
+	a, err := w.Submit([]*Record{insRec("t", 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.Submit([]*Record{insRec("t", 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != 2 || b != 3 || w.Fsyncs() != base || w.Durable() != 1 {
+		t.Fatalf("after two submits: tickets %d,%d fsyncs +%d durable %d", a, b, w.Fsyncs()-base, w.Durable())
+	}
+	if err := w.Wait(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(a); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Fsyncs() - base; got != 1 || w.Durable() != b {
+		t.Fatalf("two commits cost %d fsyncs (durable %d), want 1", got, w.Durable())
+	}
+	c, err := w.Submit([]*Record{insRec("t", 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Crash()
+	if err := w.Wait(b); err != nil {
+		t.Fatalf("durable ticket after crash: %v", err)
+	}
+	if err := w.Wait(c); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("unflushed ticket after crash: %v", err)
 	}
 }
 

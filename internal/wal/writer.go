@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +33,7 @@ const (
 	// becomes the flush leader and a single fsync covers every chunk
 	// written while the previous flush was in flight.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs inside each Append with the writer lock held —
+	// SyncAlways fsyncs inside each Append or Submit with the writer lock held —
 	// no batching, one fsync per commit.
 	SyncAlways
 	// SyncNone writes records to the file but never fsyncs. Commit
@@ -52,20 +51,6 @@ func (p SyncPolicy) String() string {
 		return "none"
 	}
 	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// ParseSyncPolicy maps a policy name ("always", "group", "none") to its
-// value.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "group":
-		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
-	case "none":
-		return SyncNone, nil
-	}
-	return SyncGroup, fmt.Errorf("wal: unknown sync policy %q", s)
 }
 
 // ErrCrashed is returned by appends after Crash() simulated a hard stop.
@@ -121,6 +106,18 @@ type Options struct {
 
 // Writer is the group-commit WAL appender. It is safe for concurrent
 // use; one Writer owns the log directory's active segment.
+//
+// A commit has two halves. Submit writes the chunk and assigns its commit
+// sequence — the ticket; Wait blocks until a ticket is durable. The log
+// is serial, so one fsync makes every ticket up to the newest written one
+// durable, and committers that submit while a flush is in flight share
+// the next one. Append is Submit followed by Wait.
+//
+// A failed flush is fail-stop, whatever its cause: the unflushed tail is
+// truncated away, the writer is poisoned with the flush's error, every
+// ticket in the discarded tail and every later call fails with it, and
+// only tickets that were already durable still wait nil. Reopening the
+// directory recovers exactly the acknowledged commits.
 type Writer struct {
 	dir      string
 	segBytes int64
@@ -135,13 +132,10 @@ type Writer struct {
 	flushing bool  // a group-commit leader is mid-fsync (lock released)
 	policy   SyncPolicy
 	seq      uint64
-	err      error // sticky fatal: crash, close, or unrecoverable I/O
-	// truncEpoch counts tail discards (failed flushes). A waiter whose
-	// chunk was written before a discard and not yet flushed lost its
-	// bytes; it detects that by the epoch moving and fails with
-	// truncCause.
-	truncEpoch uint64
-	truncCause error
+	err      error // sticky fatal: crash, close, or a failed flush
+	// durable is the newest commit sequence known fsynced. Written under
+	// mu together with flushed; read without it by Wait's fast path.
+	durable atomic.Uint64
 
 	appends atomic.Int64
 	fsyncs  atomic.Int64
@@ -164,6 +158,7 @@ func OpenWriter(o Options) (*Writer, error) {
 		seg:      o.StartSegment,
 	}
 	w.cond = sync.NewCond(&w.mu)
+	w.durable.Store(o.StartSeq)
 	f, err := createSegment(o.Dir, o.StartSegment)
 	if err != nil {
 		return nil, err
@@ -209,13 +204,6 @@ func (w *Writer) SetPolicy(p SyncPolicy) {
 	w.mu.Unlock()
 }
 
-// Policy returns the current sync policy.
-func (w *Writer) Policy() SyncPolicy {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.policy
-}
-
 // Seq returns the last committed sequence number.
 func (w *Writer) Seq() uint64 {
 	w.mu.Lock()
@@ -236,16 +224,24 @@ func (w *Writer) Appends() int64 { return w.appends.Load() }
 // Fsyncs returns the number of fsyncs performed.
 func (w *Writer) Fsyncs() int64 { return w.fsyncs.Load() }
 
-// Append writes recs plus a Commit record as one contiguous chunk and,
-// per the sync policy, waits until the chunk is durable. It returns the
-// batch's commit sequence. A nil error is the durability acknowledgement
-// (under SyncNone it only means the chunk reached the file).
+// Append is Submit followed by Wait: it writes recs plus a Commit record
+// and, per the sync policy, waits until the chunk is durable. It returns
+// the batch's commit sequence. A nil error is the durability
+// acknowledgement (under SyncNone it only means the chunk reached the
+// file).
+func (w *Writer) Append(recs []*Record) (uint64, error) { return w.append(recs, true) }
+
+// Submit writes recs plus a Commit record as one contiguous chunk and
+// returns the batch's commit sequence without waiting for it to be
+// durable: the caller owes a Wait on the ticket before it acknowledges
+// anything that depends on the batch. Under SyncAlways the fsync happens
+// here, with the writer lock held, and the ticket is durable on return.
 //
-// On failure nothing of the batch survives in the durable log: a failed
-// flush truncates the file back to the last durable offset, so a
-// statement that was rolled back in memory can never resurface at
-// recovery.
-func (w *Writer) Append(recs []*Record) (uint64, error) {
+// On failure nothing of the batch is in the log and the sequence was not
+// consumed.
+func (w *Writer) Submit(recs []*Record) (uint64, error) { return w.append(recs, false) }
+
+func (w *Writer) append(recs []*Record, wait bool) (uint64, error) {
 	if err := w.faults.Load().Hit(fault.WALAppend); err != nil {
 		return 0, err
 	}
@@ -255,10 +251,9 @@ func (w *Writer) Append(recs []*Record) (uint64, error) {
 	}
 
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
+		return 0, w.err
 	}
 	// Roll before assigning the sequence: rollLocked may release the
 	// lock while waiting out an in-flight flush, and the sequence must
@@ -267,12 +262,6 @@ func (w *Writer) Append(recs []*Record) (uint64, error) {
 	const commitMax = 32 // framed Commit record upper bound
 	if w.written > 0 && w.written+int64(len(buf))+commitMax > w.segBytes {
 		if err := w.rollLocked(); err != nil {
-			w.mu.Unlock()
-			return 0, err
-		}
-		if w.err != nil {
-			err := w.err
-			w.mu.Unlock()
 			return 0, err
 		}
 	}
@@ -281,34 +270,36 @@ func (w *Writer) Append(recs []*Record) (uint64, error) {
 	buf = AppendRecord(buf, &Record{Kind: KindCommit, Seq: seq})
 	if err := w.writeLocked(buf); err != nil {
 		w.seq--
-		w.mu.Unlock()
 		return 0, err
 	}
-	end := w.written
-	epoch := w.truncEpoch
-	seg := w.seg
 	w.appends.Add(1)
 	if c := w.mAppends.Load(); c != nil {
 		c.Inc()
 	}
-
-	var err error
-	switch w.policy {
-	case SyncNone:
-		// Written, not durable; nothing to wait for.
-	case SyncAlways:
-		// One fsync per commit, lock held: no other committer can share
-		// this flush.
-		err = w.fsyncHoldingLocked(end, epoch, seg)
-	default: // SyncGroup
-		err = w.awaitDurableLocked(end, epoch, seg)
-	}
-	w.mu.Unlock()
-	if err != nil {
-		return 0, err
+	if wait || w.policy == SyncAlways {
+		if err := w.awaitLocked(seq); err != nil {
+			return 0, err
+		}
 	}
 	return seq, nil
 }
+
+// Wait blocks until the commit with the given ticket is durable. A
+// ticket that is already durable — zero included — answers nil without
+// taking the writer lock, also after Crash, Close or a failed flush; any
+// other ticket on a dead writer fails with the writer's sticky error.
+// Under SyncNone nothing is waited for.
+func (w *Writer) Wait(ticket uint64) error {
+	if w.durable.Load() >= ticket {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.awaitLocked(ticket)
+}
+
+// Durable returns the newest commit sequence known to be fsynced.
+func (w *Writer) Durable() uint64 { return w.durable.Load() }
 
 // writeLocked appends buf to the current segment, keeping the file and
 // the written counter in agreement even when the write fails midway.
@@ -338,125 +329,78 @@ func (w *Writer) truncateToLocked(off int64) error {
 	return nil
 }
 
-// fsyncHoldingLocked makes end durable with the writer lock held
-// throughout (SyncAlways). If a group-commit leader from a previous
-// policy is mid-flight it waits for it first. end is relative to
-// segment seg: if the writer rolled past that segment while we waited,
-// the roll already fsynced (or discarded, via the truncation epoch) the
-// chunk, and end must not be compared against the new segment's
-// counters.
-func (w *Writer) fsyncHoldingLocked(end int64, epoch uint64, seg int) error {
-	for w.flushing {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.truncEpoch != epoch {
-		return w.truncCause
-	}
-	if w.seg != seg {
-		// Rolled past our segment: rollLocked fsyncs the whole tail
-		// (any policy) before switching, so the chunk is durable.
-		return nil
-	}
-	if w.flushed >= end {
-		return nil
-	}
-	target := w.written
-	ferr := w.faults.Load().Hit(fault.WALFsync)
-	if ferr == nil {
-		ferr = w.f.Sync()
-	}
-	if ferr != nil {
-		w.discardTailLocked(ferr)
-		return ferr
-	}
-	w.flushed = target
-	w.fsyncs.Add(1)
-	if c := w.mFsyncs.Load(); c != nil {
-		c.Inc()
-	}
-	w.cond.Broadcast()
-	return nil
-}
-
-// awaitDurableLocked blocks until end is fsynced (SyncGroup). The first
+// awaitLocked blocks until seq is durable. Under SyncGroup the first
 // waiter that finds no flush in flight becomes the leader: it syncs
 // everything written so far in one fsync, releasing the lock for the
 // duration so later committers can write (and batch onto the next
-// flush). end and epoch are relative to segment seg: a waiter that
-// wakes to find the writer rolled past its segment must not compare end
-// against the fresh segment's reset counters — the roll made its chunk
-// durable (rollLocked fsyncs the tail under every policy) or discarded
-// it (truncation epoch moved), and both are decided before the roll.
-func (w *Writer) awaitDurableLocked(end int64, epoch uint64, seg int) error {
-	for {
-		if w.err != nil {
+// flush). Under SyncAlways the lock stays held across the fsync, so no
+// other committer can share it. Durability is tracked by commit
+// sequence, not file offset, so a roll to a fresh segment while a waiter
+// is parked needs no special case.
+func (w *Writer) awaitLocked(seq uint64) error {
+	for w.durable.Load() < seq {
+		switch {
+		case w.err != nil:
 			return w.err
-		}
-		if w.truncEpoch != epoch {
-			// A failed flush discarded the unflushed tail — including
-			// this chunk, which was written but not yet durable.
-			return w.truncCause
-		}
-		if w.seg != seg {
-			return nil
-		}
-		if w.flushed >= end {
-			return nil
-		}
-		if !w.flushing {
-			w.flushing = true
-			target := w.written
-			ferr := w.faults.Load().Hit(fault.WALFsync)
-			if ferr == nil {
-				f := w.f
-				w.mu.Unlock()
-				ferr = f.Sync()
-				w.mu.Lock()
+		case w.policy == SyncNone:
+			return nil // written, not durable; nothing to wait for
+		case w.flushing:
+			w.cond.Wait()
+		default:
+			if err := w.flushLocked(w.policy == SyncGroup); err != nil {
+				return err
 			}
-			w.flushing = false
-			if ferr != nil {
-				w.discardTailLocked(ferr)
-			} else {
-				w.flushed = target
-				w.fsyncs.Add(1)
-				if c := w.mFsyncs.Load(); c != nil {
-					c.Inc()
-				}
-			}
-			w.cond.Broadcast()
-			continue
 		}
-		w.cond.Wait()
 	}
+	return nil
 }
 
-// discardTailLocked handles a failed flush: the bytes between flushed
-// and written never became durable and their statements are about to be
-// failed, so they are removed from the file. An injected fault leaves
-// the writer usable; a real I/O error that also defeats the truncate
-// makes the writer sticky-failed.
-func (w *Writer) discardTailLocked(cause error) {
-	if w.written > w.flushed {
-		if terr := w.truncateToLocked(w.flushed); terr != nil {
-			w.err = terr
-		}
-		w.written = w.flushed
-		w.truncEpoch++
-		w.truncCause = cause
+// flushLocked fsyncs everything written so far and publishes the new
+// durable sequence. With unlock set the writer lock is released for the
+// duration of the fsync (the group-commit leader); callers must not have
+// another flush in flight.
+//
+// On failure the bytes between flushed and written never became durable,
+// so they are removed from the file; but their statements' table locks
+// may be long released and their effects already built upon in memory,
+// so nothing can be unwound: the writer stops for good, and with it
+// every acknowledgement.
+func (w *Writer) flushLocked(unlock bool) error {
+	target, seq := w.written, w.seq
+	err := w.faults.Load().Hit(fault.WALFsync)
+	if err == nil && unlock {
+		w.flushing = true
+		f := w.f
+		w.mu.Unlock()
+		err = f.Sync()
+		w.mu.Lock()
+		w.flushing = false
+	} else if err == nil {
+		err = w.f.Sync()
 	}
-	if !fault.Is(cause) && w.err == nil {
-		// A real fsync failure leaves the kernel state unknowable; stop
-		// accepting appends rather than risk acknowledging lost bytes.
-		w.err = cause
+	if err == nil {
+		w.flushed = target
+		w.durable.Store(seq)
+		w.fsyncs.Add(1)
+		if c := w.mFsyncs.Load(); c != nil {
+			c.Inc()
+		}
+	} else {
+		_ = w.truncateToLocked(w.flushed) // best effort: recovery drops an unacknowledged tail anyway
+		w.written, w.seq = w.flushed, w.durable.Load()
+		if w.err == nil {
+			w.err = err
+		}
 	}
 	w.cond.Broadcast()
+	return err
 }
 
 // rollLocked fsyncs and closes the current segment and starts the next
-// one. Callers hold the lock.
+// one. Callers hold the lock. The tail is fsynced under EVERY policy
+// (including SyncNone, where it costs one fsync per 64 MB segment):
+// flushed offsets are relative to the segment, so a segment is left only
+// once it is wholly durable.
 func (w *Writer) rollLocked() error {
 	for w.flushing {
 		w.cond.Wait()
@@ -464,24 +408,9 @@ func (w *Writer) rollLocked() error {
 	if w.err != nil {
 		return w.err
 	}
-	// The tail is fsynced under EVERY policy (including SyncNone, where
-	// it costs one fsync per 64 MB segment): parked group-commit waiters
-	// conclude "segment moved ⇒ my chunk is durable", and a policy change
-	// racing a roll must not invalidate that.
 	if w.written > w.flushed {
-		target := w.written
-		ferr := w.faults.Load().Hit(fault.WALFsync)
-		if ferr == nil {
-			ferr = w.f.Sync()
-		}
-		if ferr != nil {
-			w.discardTailLocked(ferr)
-			return ferr
-		}
-		w.flushed = target
-		w.fsyncs.Add(1)
-		if c := w.mFsyncs.Load(); c != nil {
-			c.Inc()
+		if err := w.flushLocked(false); err != nil {
+			return err
 		}
 	}
 	_ = w.f.Close()
@@ -493,24 +422,7 @@ func (w *Writer) rollLocked() error {
 	w.f = f
 	w.seg++
 	w.written, w.flushed = 0, 0
-	w.cond.Broadcast()
 	return nil
-}
-
-// Sync flushes everything appended so far, regardless of policy.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.flushing {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.written == w.flushed {
-		return nil
-	}
-	return w.fsyncHoldingLocked(w.written, w.truncEpoch, w.seg)
 }
 
 // Roll fsyncs the current segment and switches to a fresh one. The
@@ -523,19 +435,24 @@ func (w *Writer) Roll() error {
 }
 
 // Close flushes and closes the log cleanly. Further appends fail with
-// ErrClosed.
+// ErrClosed. On a writer that already stopped (crash, failed flush) it
+// only releases the file handle.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return nil
-	}
 	for w.flushing {
 		w.cond.Wait()
 	}
+	if w.err != nil {
+		_ = w.f.Close() // nothing left to flush; closing twice is harmless
+		return nil
+	}
 	var err error
 	if w.written > w.flushed {
-		err = w.f.Sync()
+		if err = w.f.Sync(); err == nil {
+			w.flushed = w.written
+			w.durable.Store(w.seq)
+		}
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
