@@ -399,8 +399,7 @@ func idleFaultInjector() *fault.Injector {
 // probe on the engine's fastest statement: the cached seek with an
 // injector installed but disarmed — the production configuration, where
 // every site is a single atomic load. The acceptance budget is ≤ 1%
-// over BenchmarkHotPathSeekCached (BENCH_fault.json records the
-// measured matrix).
+// over BenchmarkHotPathSeekCached.
 func BenchmarkHotPathSeekCachedFaultDisabled(b *testing.B) {
 	db, _ := hotPathDB(b, engine.CacheExact)
 	inj := idleFaultInjector()
@@ -451,8 +450,8 @@ func BenchmarkHotPathParallelSeq(b *testing.B) {
 }
 
 // BenchmarkHotPathParallel4 replays the same batch with four intra-
-// query workers. cmd/experiments' exec subcommand records the full
-// 1/2/4/8 matrix as BENCH_parallel.json; this pair is the CI smoke.
+// query workers; against BenchmarkHotPathParallelSeq it is the
+// in-process witness of the morsel executor's speed-up.
 func BenchmarkHotPathParallel4(b *testing.B) {
 	db, gen := parallelDB(b, 4)
 	runHotPath(b, db, gen.Batch())

@@ -1,22 +1,17 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Section 4): Table 1's configuration schedules, the
 // Figure 7 per-batch cost curves (with and without disruptive updates),
-// the Figure 8 overall-cost summary, and the Figure 9 overhead report.
+// the Figure 8 overall-cost summary and the Figure 9 overhead report,
+// plus the damping ablation, the competitive-ratio sweep and the tuner
+// race.
 //
 // Usage:
 //
-//	experiments [flags] table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|plancache|all
+//	experiments [flags] table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|tuners|all
 //
-// plancache benchmarks the engine's statement/plan cache on
-// repeated-template TPC-H workloads and, with -out FILE, writes the
-// report as JSON (the recorded BENCH_plancache.json). obs does the same
-// for statement-tracing overhead (the recorded BENCH_obs.json), fault
-// for fault-injection-layer overhead with the injector disabled (the
-// recorded BENCH_fault.json), and wal for WAL durability costs — commit
-// throughput per fsync policy, replay bandwidth, checkpoint pause (the
-// recorded BENCH_wal.json). rules measures the optimizer rewrite pack
-// cell by cell — all-rules-off vs only-one-rule-on estimated cost,
-// result hashes, and latency (the recorded BENCH_rules.json).
+// "all" runs everything but tuners, in that order. tuners races every
+// advisor over the scenario matrix (the recorded BENCH_tuners.json with
+// -out FILE), or re-checks a recorded report with -verify FILE.
 //
 // Flags scale the TPC-H workload (the defaults reproduce the shapes at
 // laptop scale in minutes):
@@ -48,16 +43,13 @@ func main() {
 	updates := flag.Int("updates", 40, "disruptive update statements (fig7c/fig7d)")
 	engineMode := flag.String("engine", "auto", "execution engine: auto|row|vector")
 	procs := flag.Int("procs", 0, "override GOMAXPROCS for this run (0 = leave as-is)")
-	out := flag.String("out", "", "plancache: also write the benchmark report as JSON to this file")
+	out := flag.String("out", "", "tuners: also write the race report as JSON to this file")
 	seeds := flag.String("seeds", "1,2", "tuners: comma-separated race seeds")
 	scenarios := flag.String("scenarios", "", "tuners: comma-separated scenario subset (default all)")
 	advisors := flag.String("advisors", "", "tuners: comma-separated advisor subset (default all)")
 	statements := flag.Int("statements", 0, "tuners: cap each scenario's statement stream (0 = scenario default)")
 	verify := flag.String("verify", "", "tuners: verify an existing report file instead of racing")
 	expect := flag.Bool("expect", false, "tuners -verify: also check the headline expectations (full-scale artifacts only)")
-	requests := flag.Int("requests", 60, "serve: requests per client per cell")
-	meta := flag.String("meta", "", "serve/rules: print the canonical metadata of a report file and exit")
-	reps := flag.Int("reps", 9, "rules: repetitions per cell (min-of-k latency)")
 	rules := flag.String("rules", "all", "optimizer rule set: all|none|comma list (unnest,topn,minmax,prune,joindp)")
 	flag.Parse()
 
@@ -78,80 +70,24 @@ func main() {
 		ExecEngine:     *engineMode,
 		Rules:          *rules,
 	}
-
-	if cmd == "plancache" {
-		if err := planCache(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+	tf := tunersFlags{
+		scale:      *scale,
+		engine:     *engineMode,
+		seeds:      *seeds,
+		scenarios:  *scenarios,
+		advisors:   *advisors,
+		statements: *statements,
+		out:        *out,
+		verify:     *verify,
+		expect:     *expect,
 	}
-	if cmd == "obs" {
-		if err := obsOverhead(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "fault" {
-		if err := faultOverhead(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "exec" {
-		if err := execParallel(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "tuners" {
-		if err := tunersRace(tunersFlags{
-			scale:      *scale,
-			engine:     *engineMode,
-			seeds:      *seeds,
-			scenarios:  *scenarios,
-			advisors:   *advisors,
-			statements: *statements,
-			out:        *out,
-			verify:     *verify,
-			expect:     *expect,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "rules" {
-		if err := rulesProfile(opts, *reps, *out, *verify, *meta); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "serve" {
-		if err := serveProfile(opts, *requests, *out, *verify, *meta); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "wal" {
-		if err := walProfile(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(cmd, opts); err != nil {
+	if err := run(cmd, opts, tf); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cmd string, opts workload.TPCHOptions) error {
+func run(cmd string, opts workload.TPCHOptions, tf tunersFlags) error {
 	switch cmd {
 	case "table1":
 		return table1()
@@ -171,6 +107,8 @@ func run(cmd string, opts workload.TPCHOptions) error {
 		return ablation(opts)
 	case "competitive":
 		return competitive()
+	case "tuners":
+		return tunersRace(tf)
 	case "all":
 		for _, c := range []func() error{
 			table1,
@@ -190,7 +128,7 @@ func run(cmd string, opts workload.TPCHOptions) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown experiment %q (want table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|plancache|obs|fault|exec|wal|serve|rules|all)", cmd)
+	return fmt.Errorf("unknown experiment %q (want table1|fig7a|fig7b|fig7c|fig7d|fig8|fig9|ablation|competitive|tuners|all)", cmd)
 }
 
 func table1() error {
@@ -265,66 +203,6 @@ func ablation(opts workload.TPCHOptions) error {
 	}
 	fmt.Print(bench.FormatAblation(rows))
 	return nil
-}
-
-// planCache runs the plan-cache hot-path benchmark matrix. It is not
-// part of "all": it reports machine-dependent timings, while "all"
-// regenerates the paper's deterministic artifacts.
-func planCache(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.PlanCache(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatPlanCache(rep))
-	return writeReportJSON(out, rep)
-}
-
-// obsOverhead runs the tracing-overhead matrix (see planCache for why
-// it is not part of "all").
-func obsOverhead(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Obs(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatObs(rep))
-	return writeReportJSON(out, rep)
-}
-
-// faultOverhead runs the fault-layer overhead matrix (see planCache for
-// why it is not part of "all").
-func faultOverhead(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Fault(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatFault(rep))
-	return writeReportJSON(out, rep)
-}
-
-// execParallel runs the morsel-parallel executor matrix, sequential vs
-// 1/2/4/8 workers on a fixed TPC-H batch (see planCache for why it is
-// not part of "all"). With -out FILE it writes the recorded
-// BENCH_parallel.json.
-func execParallel(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.Parallel(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatParallel(rep))
-	return writeReportJSON(out, rep)
-}
-
-// walProfile runs the WAL durability cost matrix — commit throughput
-// per fsync policy, replay bandwidth, checkpoint pause (see planCache
-// for why it is not part of "all"). With -out FILE it writes the
-// recorded BENCH_wal.json.
-func walProfile(opts workload.TPCHOptions, out string) error {
-	rep, err := bench.WAL(opts.Scale, opts.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatWAL(rep))
-	return writeReportJSON(out, rep)
 }
 
 func competitive() error {

@@ -2,11 +2,28 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"onlinetuner/internal/core"
 	"onlinetuner/internal/workload"
 )
+
+// sharedResult returns a getter that computes f once, on first use, for
+// every test that reads the result; the tests must not mutate it.
+func sharedResult[T any](f func() (T, error)) func(t *testing.T) T {
+	var once sync.Once
+	var v T
+	var err error
+	return func(t *testing.T) T {
+		t.Helper()
+		once.Do(func() { v, err = f() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
 
 // smallTPCH keeps harness tests fast.
 func smallTPCH() workload.TPCHOptions {
@@ -80,24 +97,17 @@ func TestRunOfflineSetAndSeq(t *testing.T) {
 // workloads: Offline-Seq ≤ OnlinePT ≤ NoTuning (with small tolerance for
 // the seq approximation).
 func TestPaperOrderingSimple(t *testing.T) {
-	for _, w := range []*workload.Workload{workload.W1(), workload.W3()} {
-		on, err := RunOnline(w, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+	t.Parallel()
+	for _, r := range smallFigure8(t) {
+		if strings.HasPrefix(r.Workload, "TPC-H") {
+			continue
 		}
-		seq, err := RunOfflineSeq(w, 12)
-		if err != nil {
-			t.Fatal(err)
+		on, seq, nt := r.Totals["OnlinePT"], r.Totals["Offline-Seq"], r.Totals["NoTuning"]
+		if seq > on*1.05 {
+			t.Errorf("%s: seq (%g) should not lose to online (%g)", r.Workload, seq, on)
 		}
-		nt, err := RunNoTuning(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Total > on.Total*1.05 {
-			t.Errorf("%s: seq (%g) should not lose to online (%g)", w.Name, seq.Total, on.Total)
-		}
-		if on.Total > nt.Total {
-			t.Errorf("%s: online (%g) worse than no tuning (%g)", w.Name, on.Total, nt.Total)
+		if on > nt {
+			t.Errorf("%s: online (%g) worse than no tuning (%g)", r.Workload, on, nt)
 		}
 	}
 }
@@ -122,6 +132,7 @@ func TestFigure7aShape(t *testing.T) {
 }
 
 func TestFigure7dDisruptionShape(t *testing.T) {
+	t.Parallel()
 	o := smallTPCH()
 	o.NumBatches = 10
 	o.DisruptCount = 24
@@ -150,14 +161,18 @@ func TestFigure7dDisruptionShape(t *testing.T) {
 	_ = w
 }
 
-func TestFigure8Rows(t *testing.T) {
+// smallFigure8 computes Figure 8 at test scale once for the tests that
+// read it; its simple-workload rows are scale-independent.
+var smallFigure8 = sharedResult(func() ([]Figure8Row, error) {
 	o := smallTPCH()
 	o.NumBatches = 4
 	o.DisruptCount = 16
-	rows, err := Figure8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return Figure8(o)
+})
+
+func TestFigure8Rows(t *testing.T) {
+	t.Parallel()
+	rows := smallFigure8(t)
 	if len(rows) != 7 { // TPC-H, TPC-H+updates, five simple workloads
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -261,6 +276,7 @@ func TestCollapsePairs(t *testing.T) {
 }
 
 func TestTable1Smoke(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("table 1 runs all five simple workloads")
 	}
@@ -298,6 +314,20 @@ func TestAblationRuns(t *testing.T) {
 	out := FormatAblation(rows)
 	if !strings.Contains(out, "no-damping") || !strings.Contains(out, "physical changes") {
 		t.Error("format incomplete")
+	}
+}
+
+// TestAblationSuite pins the ablation's workload suite: four
+// workloads, none of them empty.
+func TestAblationSuite(t *testing.T) {
+	ws := AblationWorkloads(workload.TPCHOptions{Scale: 0.1, NumBatches: 100})
+	if len(ws) != 4 {
+		t.Fatalf("ablation suite has %d workloads, want 4", len(ws))
+	}
+	for _, w := range ws {
+		if len(w.Statements) == 0 {
+			t.Errorf("ablation workload %q is empty", w.Name)
+		}
 	}
 }
 
@@ -359,6 +389,7 @@ func TestCompetitiveSweep(t *testing.T) {
 // the run has fewer physical changes than the first third, and its mean
 // batch cost is below the first third's.
 func TestStabilization(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("moderate-scale soak")
 	}
@@ -399,38 +430,6 @@ func TestStabilization(t *testing.T) {
 	}
 	if lateChanges > earlyChanges {
 		t.Errorf("activity did not settle: %d early vs %d late changes", earlyChanges, lateChanges)
-	}
-}
-
-// TestFaultReportSmoke exercises the report plumbing (not the timings —
-// those are machine-dependent and recorded in BENCH_fault.json).
-func TestFaultReportSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs testing.Benchmark nine times")
-	}
-	rep, err := Fault(0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: no timing", r.Name)
-		}
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"overhead_disabled_pct", "seek/no-injector", "seek/disabled", "seek/armed-idle"} {
-		if !strings.Contains(string(js), want) {
-			t.Errorf("JSON missing %q", want)
-		}
-	}
-	if out := FormatFault(rep); !strings.Contains(out, "cached seek") {
-		t.Errorf("format incomplete:\n%s", out)
 	}
 }
 

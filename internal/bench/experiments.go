@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"time"
 
@@ -407,9 +408,14 @@ func Figure9() (map[string][]OverheadRow, error) {
 func FormatFigure9(data map[string][]OverheadRow) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 9: server overhead of OnlinePT (avg per query, % of query processing)\n")
-	for name, rows := range data {
+	names := make([]string, 0, len(data))
+	for name := range data {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		fmt.Fprintf(&sb, "%s\n", name)
-		for _, r := range rows {
+		for _, r := range data[name] {
 			fmt.Fprintf(&sb, "  %-12s %12v (%.2f%%)\n", r.Module, r.Duration, r.Fraction*100)
 		}
 	}

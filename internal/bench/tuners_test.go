@@ -8,24 +8,23 @@ import (
 	"onlinetuner/internal/tuner"
 )
 
-func smokeRace(t *testing.T) *TunersReport {
-	t.Helper()
-	rep, err := RunTuners(TunersConfig{
+func runSmokeRace() (*TunersReport, error) {
+	return RunTuners(TunersConfig{
 		Scale:      0.1,
 		Statements: 60,
 		Seeds:      []int64{1, 2},
 		Scenarios:  []string{"stable", "storm"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
 }
+
+// smokeRace is one smoke race shared by the tests that only read it.
+var smokeRace = sharedResult(runSmokeRace)
 
 // TestTunersInvariants runs a small race across all advisors and checks
 // every harness property the CI guard relies on, both through Verify
 // and cell by cell.
 func TestTunersInvariants(t *testing.T) {
+	t.Parallel()
 	rep := smokeRace(t)
 	if err := rep.Verify(); err != nil {
 		t.Fatal(err)
@@ -54,11 +53,16 @@ func TestTunersInvariants(t *testing.T) {
 // configuration must serialize byte-identically — the property the CI
 // smoke job enforces with a rerun + cmp.
 func TestTunersDeterminism(t *testing.T) {
+	t.Parallel()
 	a, err := smokeRace(t).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := smokeRace(t).JSON()
+	second, err := runSmokeRace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := second.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +74,7 @@ func TestTunersDeterminism(t *testing.T) {
 // TestVerifyCatchesTampering: Verify must reject each class of
 // corruption the honesty guard exists to catch.
 func TestVerifyCatchesTampering(t *testing.T) {
+	t.Parallel()
 	fresh := smokeRace(t)
 
 	tamper := []struct {

@@ -14,7 +14,8 @@
 //   - An inert fast path. A nil *Injector is a valid receiver, and a
 //     disarmed injector answers Hit with a single atomic load. Sites
 //     can therefore stay compiled into release binaries: the disabled
-//     cost is one predictable branch (see BENCH_fault.json).
+//     cost is one predictable branch (see the root package's
+//     BenchmarkHotPathSeekCachedFaultDisabled).
 //
 // Faults are errors, not panics: every site returns *Error and the
 // surrounding layer is responsible for degrading gracefully — rolling

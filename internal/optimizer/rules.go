@@ -8,7 +8,8 @@ import (
 // Rules is the bitset of cost-based rewrite rules the optimizer may
 // apply. Every rule is result-preserving by construction: toggling a
 // rule changes plan shape and cost, never the rows a statement returns
-// (the bench's Verify check and the differential suite enforce this).
+// (engine's TestEachRuleAloneLowersCost and FuzzRewrite and the
+// differential suite enforce this).
 // The bitset participates in the plan-cache key so a toggle can never
 // serve a stale plan.
 type Rules uint32
@@ -40,7 +41,7 @@ const (
 const DefaultRules = ruleEnd - 1
 
 // ruleNames maps each bit to its canonical name (EXPLAIN provenance,
-// ParseRules spelling, bench cell keys).
+// ParseRules spelling).
 var ruleNames = []struct {
 	bit  Rules
 	name string

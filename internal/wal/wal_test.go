@@ -202,16 +202,6 @@ func TestWriterSegmentRoll(t *testing.T) {
 
 func TestSyncPolicyFsyncCounts(t *testing.T) {
 	const n = 8
-	t.Run("always", func(t *testing.T) {
-		w := openTestWriter(t, t.TempDir(), Options{Policy: SyncAlways})
-		for i := 0; i < n; i++ {
-			mustAppend(t, w, insRec("t", int64(i)))
-		}
-		if got := w.Fsyncs(); got != n {
-			t.Fatalf("SyncAlways: %d fsyncs for %d appends", got, n)
-		}
-		_ = w.Close()
-	})
 	t.Run("none", func(t *testing.T) {
 		w := openTestWriter(t, t.TempDir(), Options{Policy: SyncNone})
 		for i := 0; i < n; i++ {

@@ -33,9 +33,6 @@ const (
 	// becomes the flush leader and a single fsync covers every chunk
 	// written while the previous flush was in flight.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs inside each Append or Submit with the writer lock held —
-	// no batching, one fsync per commit.
-	SyncAlways
 	// SyncNone writes records to the file but never fsyncs. Commit
 	// acknowledgements carry no durability; for tests and bulk loads.
 	SyncNone
@@ -45,8 +42,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncGroup:
 		return "group"
-	case SyncAlways:
-		return "always"
 	case SyncNone:
 		return "none"
 	}
@@ -111,7 +106,9 @@ type Options struct {
 // sequence — the ticket; Wait blocks until a ticket is durable. The log
 // is serial, so one fsync makes every ticket up to the newest written one
 // durable, and committers that submit while a flush is in flight share
-// the next one. Append is Submit followed by Wait.
+// the next one. Append is Submit followed by Wait. That is the SyncGroup
+// policy; under SyncNone, Wait returns at once and nothing is fsynced
+// except a segment's tail when it rolls.
 //
 // A failed flush is fail-stop, whatever its cause: the unflushed tail is
 // truncated away, the writer is poisoned with the flush's error, every
@@ -234,8 +231,7 @@ func (w *Writer) Append(recs []*Record) (uint64, error) { return w.append(recs, 
 // Submit writes recs plus a Commit record as one contiguous chunk and
 // returns the batch's commit sequence without waiting for it to be
 // durable: the caller owes a Wait on the ticket before it acknowledges
-// anything that depends on the batch. Under SyncAlways the fsync happens
-// here, with the writer lock held, and the ticket is durable on return.
+// anything that depends on the batch.
 //
 // On failure nothing of the batch is in the log and the sequence was not
 // consumed.
@@ -276,7 +272,7 @@ func (w *Writer) append(recs []*Record, wait bool) (uint64, error) {
 	if c := w.mAppends.Load(); c != nil {
 		c.Inc()
 	}
-	if wait || w.policy == SyncAlways {
+	if wait {
 		if err := w.awaitLocked(seq); err != nil {
 			return 0, err
 		}
@@ -333,10 +329,9 @@ func (w *Writer) truncateToLocked(off int64) error {
 // waiter that finds no flush in flight becomes the leader: it syncs
 // everything written so far in one fsync, releasing the lock for the
 // duration so later committers can write (and batch onto the next
-// flush). Under SyncAlways the lock stays held across the fsync, so no
-// other committer can share it. Durability is tracked by commit
-// sequence, not file offset, so a roll to a fresh segment while a waiter
-// is parked needs no special case.
+// flush). Under SyncNone it returns at once. Durability is tracked by
+// commit sequence, not file offset, so a roll to a fresh segment while a
+// waiter is parked needs no special case.
 func (w *Writer) awaitLocked(seq uint64) error {
 	for w.durable.Load() < seq {
 		switch {
@@ -347,7 +342,7 @@ func (w *Writer) awaitLocked(seq uint64) error {
 		case w.flushing:
 			w.cond.Wait()
 		default:
-			if err := w.flushLocked(w.policy == SyncGroup); err != nil {
+			if err := w.flushLocked(true); err != nil {
 				return err
 			}
 		}
