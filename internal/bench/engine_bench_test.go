@@ -35,7 +35,7 @@ func BenchmarkVecProfile(b *testing.B) {
 				if err := gen.Load(db); err != nil {
 					b.Fatal(err)
 				}
-				db.SetPlanCacheMode(engine.CacheOff)
+				db.BypassPlanCache()
 				if _, _, err := db.Exec(q); err != nil {
 					b.Fatal(err)
 				}

@@ -413,36 +413,48 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	t.memo.BeginStatement(t.db.Mgr.ConfigVersion(), t.db.Stats.Epoch())
 
 	// Line 1: retrieve the AND/OR request tree captured at optimization.
+	// A tree the plan cache served to earlier statements comes with the
+	// what-if terms they already computed (whatif.Terms).
 	l1 := time.Now()
-	tree := info.Result.Tree
-	reqs := tree.Requests()
-	groups := tree.ORGroups()
-	shared := sharedORSet(groups)
+	terms := t.memo.Terms(info.Result.Tree, info.Result.FromCache)
 	t.mLine1NS.Add(time.Since(l1).Nanoseconds())
 
-	// Lines 2–8: update Δ values (in-memory scalars only).
+	// Lines 2–8: update Δ values (in-memory scalars only). The
+	// configuration s is read only if a term has to be computed.
 	l2 := time.Now()
-	config := t.configIndexes()
+	var config []*catalog.Index
+	haveConfig := false
+	configOnce := func() []*catalog.Index {
+		if !haveConfig {
+			config, haveConfig = t.db.Configuration(), true
+		}
+		return config
+	}
 	// First pass: candidate updates, remembering which candidates gained
 	// from this query — they are genuine replacement contenders and are
 	// exempt from oscillation damping below.
-	gained := map[string]bool{}
-	for _, r := range reqs {
-		if r.Kind != whatif.KindUpdate {
-			t.noteCandidate(r, config, shared[r], gained)
+	var gained map[string]bool
+	for i := range terms.Reqs {
+		if rt := &terms.Reqs[i]; rt.Req.Kind != whatif.KindUpdate {
+			if id := t.noteCandidate(rt, configOnce); id != "" {
+				if gained == nil {
+					gained = make(map[string]bool)
+				}
+				gained[id] = true
+			}
 		}
 	}
 	// Used-index credit is attributed once per OR group: only one
 	// alternative of an OR group is implemented in the plan, so crediting
 	// every sibling would double-count the index's value.
-	for _, g := range requestGroups(groups, shared, reqs) {
-		if r := attributionRequest(t.memo, g); r != nil {
-			t.noteUsed(r, config, shared[r], gained)
+	for g := range terms.Groups {
+		if rt := t.memo.Attribution(terms, g); rt != nil {
+			t.noteUsed(rt, configOnce, gained)
 		}
 	}
-	for _, r := range reqs {
-		if r.Kind == whatif.KindUpdate {
-			t.noteUpdate(r)
+	for i := range terms.Reqs {
+		if rt := &terms.Reqs[i]; rt.Req.Kind == whatif.KindUpdate {
+			t.noteUpdate(rt)
 		}
 	}
 	t.mLines28NS.Add(time.Since(l2).Nanoseconds())
@@ -476,95 +488,30 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	t.mTotalNS.Add(time.Since(start).Nanoseconds())
 }
 
-// requestGroups partitions the tree's non-update requests into OR groups
-// (groups, whose members inGroup marks); requests outside any OR group
-// form singleton groups.
-func requestGroups(groups [][]*whatif.Request, inGroup map[*whatif.Request]bool, reqs []*whatif.Request) [][]*whatif.Request {
-	for _, r := range reqs {
-		if r.Kind != whatif.KindUpdate && !inGroup[r] {
-			groups = append(groups, []*whatif.Request{r})
-		}
-	}
-	return groups
-}
-
-// attributionRequest picks the single request of an OR group that the
-// group's used configuration index serves best — the alternative the
-// plan actually implemented.
-func attributionRequest(memo *whatif.Memo, group []*whatif.Request) *whatif.Request {
-	var usedID string
-	for _, r := range group {
-		if r.Kind != whatif.KindUpdate && r.CurrentIndexID != "" {
-			usedID = r.CurrentIndexID
-			break
-		}
-	}
-	if usedID == "" {
-		return nil
-	}
-	usedIx := memo.Env().Cat.IndexByID(usedID)
-	if usedIx == nil {
-		return nil
-	}
-	var best *whatif.Request
-	bestCost := 0.0
-	for _, r := range group {
-		if r.Kind == whatif.KindUpdate {
-			continue
-		}
-		c := memo.ImplCost(r, usedIx)
-		if best == nil || c < bestCost {
-			best, bestCost = r, c
-		}
-	}
-	return best
-}
-
-// sharedORSet marks requests that live under OR nodes with multiple
-// alternatives.
-func sharedORSet(groups [][]*whatif.Request) map[*whatif.Request]bool {
-	out := map[*whatif.Request]bool{}
-	for _, g := range groups {
-		for _, r := range g {
-			out[r] = true
-		}
-	}
-	return out
-}
-
-// configIndexes returns the active secondary indexes (the configuration
-// s).
-func (t *Tuner) configIndexes() []*catalog.Index {
-	return t.db.Configuration()
-}
-
 // noteCandidate implements lines 3–4: the request's best index joins H
-// and its Δ is updated. Candidates with a positive increment are
-// recorded in gained.
-func (t *Tuner) noteCandidate(r *whatif.Request, config []*catalog.Index, sharedOR bool, gained map[string]bool) {
-	best := whatif.GetBestIndex(t.env.Cat, r)
-	if best == nil || best.Primary {
-		return
-	}
-	id := best.ID()
-	if t.inConfig[id] {
-		return // already in s; handled by noteUsed
+// and its Δ is updated. It returns the candidate's ID when the increment
+// was positive, "" otherwise.
+func (t *Tuner) noteCandidate(rt *whatif.ReqTerms, config func() []*catalog.Index) string {
+	id := t.memo.BestID(rt)
+	if id == "" || t.inConfig[id] {
+		return "" // no candidate, or already in s (handled by noteUsed)
 	}
 	st := t.tracked[id]
 	if st == nil {
-		st = NewIndexStats(best)
+		st = NewIndexStats(rt.NewBest())
 		t.tracked[id] = st
 	}
-	o := t.memo.GetCost(r, config)
-	n := t.memo.GetCost(r, append(config, st.Ix))
-	if st.Add(UsageLevel(r), o, n, sharedOR) > 0 {
-		gained[id] = true
+	o, n := t.memo.CandidateCosts(rt, config, st.Ix)
+	if st.Add(UsageLevel(rt.Req), o, n, rt.Shared) > 0 {
+		return id
 	}
+	return ""
 }
 
 // noteUsed implements lines 5–6: the configuration index implementing
 // the request accumulates the value it provides.
-func (t *Tuner) noteUsed(r *whatif.Request, config []*catalog.Index, sharedOR bool, gained map[string]bool) {
+func (t *Tuner) noteUsed(rt *whatif.ReqTerms, config func() []*catalog.Index, gained map[string]bool) {
+	r := rt.Req
 	id := r.CurrentIndexID
 	if id == "" || !t.inConfig[id] {
 		return
@@ -578,7 +525,7 @@ func (t *Tuner) noteUsed(r *whatif.Request, config []*catalog.Index, sharedOR bo
 		st = NewIndexStats(ix)
 		t.tracked[id] = st
 	}
-	o := t.memo.GetCost(r, without(config, id))
+	o := t.memo.UsedCost(rt, config)
 	n := r.CurrentCost
 	// The optimizer chose this index for a read, so its value for the
 	// request is non-negative; a negative difference here is noise
@@ -589,7 +536,7 @@ func (t *Tuner) noteUsed(r *whatif.Request, config []*catalog.Index, sharedOR bo
 		o = n
 	}
 	wasAtPeak := st.AtPeak()
-	d := st.Add(UsageLevel(r), o, n, sharedOR)
+	d := st.Add(UsageLevel(r), o, n, rt.Shared)
 	// Oscillation damping (Section 3.2.2): while a configuration index
 	// keeps proving useful at its peak, decay outside candidates'
 	// benefit by the same δ — but never below zero benefit (the paper's
@@ -610,13 +557,13 @@ func (t *Tuner) noteUsed(r *whatif.Request, config []*catalog.Index, sharedOR bo
 
 // noteUpdate implements lines 7–8: every tracked index over the updated
 // table accrues the update-shell penalty.
-func (t *Tuner) noteUpdate(r *whatif.Request) {
-	maint := t.env.MaintenancePerIndex(r)
+func (t *Tuner) noteUpdate(rt *whatif.ReqTerms) {
+	maint := rt.Maint
 	if maint <= 0 {
 		return
 	}
 	for _, st := range t.tracked {
-		if !strings.EqualFold(st.Ix.Table, r.Table) || st.Ix.Primary {
+		if !strings.EqualFold(st.Ix.Table, rt.Req.Table) || st.Ix.Primary {
 			continue
 		}
 		st.Add(LevelU, 0, maint, false)
@@ -1263,15 +1210,4 @@ func (t *Tuner) ManualDrop(name string) error {
 	}
 	t.record(Event{Kind: EvDrop, Index: ix, AtQuery: t.queries})
 	return nil
-}
-
-// without returns config minus the index with the given ID.
-func without(config []*catalog.Index, id string) []*catalog.Index {
-	out := make([]*catalog.Index, 0, len(config))
-	for _, ix := range config {
-		if ix.ID() != id {
-			out = append(out, ix)
-		}
-	}
-	return out
 }

@@ -41,23 +41,11 @@ func (db *DB) ExecBatch(ctx context.Context, texts []string) (results []*executo
 	stmts := make([]sql.Statement, len(texts))
 	fps := make([]*sql.Fingerprint, len(texts))
 	for i, text := range texts {
-		sh := db.pc.stmtShardOf(text)
-		if e := db.pc.lookupStmt(sh, text); e != nil {
-			stmts[i], fps[i] = e.stmt, e.fp
-			continue
-		}
-		stmt, perr := sql.Parse(text)
-		if perr != nil {
+		var perr error
+		if stmts[i], fps[i], _, perr = db.parse(text); perr != nil {
 			db.execErrors.Inc()
 			return nil, nil, 0, perr
 		}
-		var fp *sql.Fingerprint
-		if db.PlanCacheMode() != CacheOff && cacheable(stmt) {
-			f := sql.FingerprintOf(stmt)
-			fp = &f
-		}
-		db.pc.storeStmt(sh, &stmtEntry{text: text, stmt: stmt, fp: fp})
-		stmts[i], fps[i] = stmt, fp
 	}
 
 	reads, writes := db.batchLockSets(stmts)

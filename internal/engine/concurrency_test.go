@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"onlinetuner/internal/core"
@@ -224,7 +225,8 @@ func TestConcurrentDDLAndDML(t *testing.T) {
 // an epoch the cached entries are keyed by — and another inserts into a
 // second table. acct's contents never change, so every count a reader
 // sees has exactly one correct value no matter which cached or fresh
-// plan produced it.
+// plan produced it. The churn starts once every reader has run, and the
+// readers keep going until it ends, so the two always overlap.
 func TestConcurrentDDLChurnWithPlanCache(t *testing.T) {
 	const (
 		acctRows = 200
@@ -232,14 +234,18 @@ func TestConcurrentDDLChurnWithPlanCache(t *testing.T) {
 		iters    = 150
 	)
 	db := newStressDB(t, acctRows, 50)
-	db.SetPlanCacheMode(engine.CacheRebind)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, readers+2)
+	var started sync.WaitGroup
+	started.Add(readers)
+	var churnDone atomic.Bool
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer churnDone.Store(true)
+		started.Wait()
 		for i := 0; i < iters/6; i++ {
 			if _, _, err := db.Exec("CREATE INDEX acct_grp ON acct (grp, id)"); err != nil {
 				errs <- fmt.Errorf("create: %w", err)
@@ -271,9 +277,12 @@ func TestConcurrentDDLChurnWithPlanCache(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters || !churnDone.Load(); i++ {
 				grp := rng.Intn(10)
 				rs, err := db.Query(fmt.Sprintf("SELECT id FROM acct WHERE grp = %d", grp))
+				if i == 0 {
+					started.Done()
+				}
 				if err != nil {
 					errs <- fmt.Errorf("select: %w", err)
 					return

@@ -298,24 +298,14 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet
 	if tr != nil {
 		parseSpan = tr.Phase("parse")
 	}
-	sh := db.pc.stmtShardOf(text)
-	if e := db.pc.lookupStmt(sh, text); e != nil {
-		if tr != nil {
-			parseSpan.SetAttr("stmt-cache hit")
-		}
-		return db.execStmtFP(ctx, text, e.stmt, e.fp, tr)
-	}
-	stmt, err := sql.Parse(text)
+	stmt, fp, hit, err := db.parse(text)
 	if err != nil {
 		db.noteErr(tr, err)
 		return nil, nil, err
 	}
-	var fp *sql.Fingerprint
-	if db.PlanCacheMode() != CacheOff && cacheable(stmt) {
-		f := sql.FingerprintOf(stmt)
-		fp = &f
+	if hit && tr != nil {
+		parseSpan.SetAttr("stmt-cache hit")
 	}
-	db.pc.storeStmt(sh, &stmtEntry{text: text, stmt: stmt, fp: fp})
 	return db.execStmtFP(ctx, text, stmt, fp, tr)
 }
 
@@ -471,19 +461,6 @@ func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, f
 		tr.EndPhase()
 	}
 	return rs, info, nil
-}
-
-// provenanceOf names a result's plan-cache provenance: "fresh",
-// "cached (exact)" or "cached (rebound)".
-func provenanceOf(res *optimizer.Result) string {
-	switch {
-	case res.Rebound:
-		return "cached (rebound)"
-	case res.FromCache:
-		return "cached (exact)"
-	default:
-		return "fresh"
-	}
 }
 
 // MustExec runs a statement and panics on error; for tests and examples.

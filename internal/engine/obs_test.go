@@ -125,11 +125,10 @@ func TestCallerOwnedTraceViaContext(t *testing.T) {
 // parallel bookkeeping.
 func TestSnapshotReconcilesWithPlanCacheStats(t *testing.T) {
 	db := openRS(t, 800)
-	db.SetPlanCacheMode(CacheRebind)
 	queries := []string{
-		"SELECT a, b FROM R WHERE a < 10",
-		"SELECT a, b FROM R WHERE a < 10", // exact hit
-		"SELECT a, b FROM R WHERE a < 25", // rebind hit
+		"SELECT a, b FROM R WHERE a = 10",
+		"SELECT a, b FROM R WHERE a = 10", // exact hit
+		"SELECT a, b FROM R WHERE a = 25", // rebind hit: same selectivity
 		"SELECT x FROM S WHERE x < 5",
 	}
 	for _, q := range queries {
@@ -137,7 +136,7 @@ func TestSnapshotReconcilesWithPlanCacheStats(t *testing.T) {
 	}
 	// Invalidate by changing the physical configuration.
 	db.MustExec("CREATE INDEX r_a ON R (a)")
-	db.MustExec("SELECT a, b FROM R WHERE a < 10")
+	db.MustExec("SELECT a, b FROM R WHERE a = 10")
 
 	st := db.PlanCacheStats()
 	if st.Hits == 0 || st.RebindHits == 0 || st.Misses == 0 || st.Invalidations == 0 {

@@ -16,7 +16,6 @@ import (
 func advisorReplay(t *testing.T, stmts []string) ([]string, *tuner.OnlinePT, *engine.DB) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{})
-	db.SetPlanCacheMode(engine.CacheExact)
 	if err := tpch.NewGenerator(scale, dataSeed).Load(db); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestDifferentialAdvisorShell(t *testing.T) {
 		stmts = append(stmts, batch...)
 	}
 
-	resDirect, decDirect, _, tnDirect := replay(t, engine.CacheExact, stmts)
+	resDirect, decDirect, _, tnDirect := replay(t, true, stmts)
 	resShell, adv, dbShell := advisorReplay(t, stmts)
 
 	for i := range stmts {

@@ -1,13 +1,12 @@
 // Package difftest is the differential harness for the plan cache: the
-// cache is an optimization, so every caching mode must be semantically
-// invisible. The same workload is replayed against fresh databases in
-// CacheExact, CacheRebind and CacheOff modes, and the result sets AND
-// the tuner's structured decision logs are required to agree.
+// cache is an optimization, so it must be semantically invisible. The
+// same workload is replayed against fresh databases with the cache on
+// and bypassed, and the result sets AND the tuner's structured decision
+// logs are required to agree byte for byte, in execution order.
 package difftest
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -24,19 +23,21 @@ const (
 )
 
 // replay loads the same TPC-H instance into a fresh database, attaches
-// an online tuner, sets the cache mode, and executes every statement,
-// returning the per-statement canonical results, the tuner decision
-// log, and the database for further inspection.
-func replay(t *testing.T, mode engine.CacheMode, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
-	return replayAt(t, mode, 0, stmts)
+// an online tuner, bypasses the plan cache unless cached, and executes
+// every statement, returning the per-statement canonical results, the
+// tuner decision log, and the database for further inspection.
+func replay(t *testing.T, cached bool, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
+	return replayAt(t, cached, 0, stmts)
 }
 
 // replayAt is replay with an explicit intra-query worker budget (0 =
 // GOMAXPROCS, the engine default).
-func replayAt(t *testing.T, mode engine.CacheMode, workers int, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
+func replayAt(t *testing.T, cached bool, workers int, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{ExecWorkers: workers})
-	db.SetPlanCacheMode(mode)
+	if !cached {
+		db.BypassPlanCache()
+	}
 	if err := tpch.NewGenerator(scale, dataSeed).Load(db); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func replayAt(t *testing.T, mode engine.CacheMode, workers int, stmts []string) 
 	for i, s := range stmts {
 		rs, _, err := db.Exec(s)
 		if err != nil {
-			t.Fatalf("mode %v stmt %d %q: %v", mode, i, s, err)
+			t.Fatalf("cached=%v stmt %d %q: %v", cached, i, s, err)
 		}
 		out[i] = canon(rs.Rows, rs.Affected)
 	}
@@ -68,13 +69,6 @@ func canon(rows []datum.Row, affected int) string {
 	return sb.String()
 }
 
-// sortLines reduces a canonical result to an order-insensitive form.
-func sortLines(s string) string {
-	lines := strings.Split(s, "\n")
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 func sameDecisions(t *testing.T, name string, a, b []obs.Decision) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -88,9 +82,9 @@ func sameDecisions(t *testing.T, name string, a, b []obs.Decision) {
 }
 
 // TestDifferentialFixedWorkload replays one batch of the 22 TPC-H query
-// templates three times with FIXED parameters. All three cache modes
-// must produce byte-identical per-statement results in execution order,
-// and the tuner must make the identical sequence of decisions — same
+// templates three times with FIXED parameters. The cached database must
+// produce byte-identical per-statement results in execution order, and
+// the tuner must make the identical sequence of decisions — same
 // indexes, same Δ evidence, same reasons, at the same query counts.
 func TestDifferentialFixedWorkload(t *testing.T) {
 	batch := tpch.NewGenerator(scale, 7).Batch()
@@ -99,34 +93,30 @@ func TestDifferentialFixedWorkload(t *testing.T) {
 		stmts = append(stmts, batch...)
 	}
 
-	resExact, decExact, dbExact, _ := replay(t, engine.CacheExact, stmts)
-	resRebind, decRebind, _, _ := replay(t, engine.CacheRebind, stmts)
-	resOff, decOff, _, _ := replay(t, engine.CacheOff, stmts)
+	res, dec, db, _ := replay(t, true, stmts)
+	resOff, decOff, _, _ := replay(t, false, stmts)
 
 	for i := range stmts {
-		if resExact[i] != resOff[i] {
-			t.Fatalf("stmt %d %q: exact differs from off:\n%s\nvs\n%s", i, stmts[i], resExact[i], resOff[i])
-		}
-		if resRebind[i] != resOff[i] {
-			t.Fatalf("stmt %d %q: rebind differs from off:\n%s\nvs\n%s", i, stmts[i], resRebind[i], resOff[i])
+		if res[i] != resOff[i] {
+			t.Fatalf("stmt %d %q: cached differs from uncached:\n%s\nvs\n%s", i, stmts[i], res[i], resOff[i])
 		}
 	}
-	sameDecisions(t, "exact vs off", decExact, decOff)
-	sameDecisions(t, "rebind vs off", decRebind, decOff)
+	sameDecisions(t, "cached vs uncached", dec, decOff)
 
 	// The comparison only means something if caching actually happened.
-	if st := dbExact.PlanCacheStats(); st.Hits == 0 {
-		t.Errorf("exact mode never hit the cache: %+v", st)
+	if st := db.PlanCacheStats(); st.Hits == 0 {
+		t.Errorf("the cache never hit: %+v", st)
 	}
 }
 
 // TestDifferentialVaryingWorkloadWithDML is the harder variant: three
 // batches with FRESH parameters per template, interleaved with
-// disruptive updates and refresh streams, then a parameter sweep on one
-// template to force generic-plan rebinds. CacheExact must stay
-// byte-identical to CacheOff (same decisions too); CacheRebind may pick
-// differently-costed but equivalent plans, so its results are compared
-// as order-insensitive sets — and it must actually rebind.
+// disruptive updates and refresh streams, then parameter sweeps that
+// rebind generic plans. The cached replay — plans keyed by selectivity
+// and rebound to fresh literals, request trees and tuner terms shared by
+// every statement of a key — must stay byte-identical to the uncached
+// one in execution order, decision log included, and must actually
+// rebind.
 func TestDifferentialVaryingWorkloadWithDML(t *testing.T) {
 	g := tpch.NewGenerator(scale, 11)
 	var stmts []string
@@ -136,28 +126,36 @@ func TestDifferentialVaryingWorkloadWithDML(t *testing.T) {
 		stmts = append(stmts, g.RefreshInsert(2)...)
 		stmts = append(stmts, g.RefreshDelete(1)...)
 	}
-	// Parameter sweep: same template, different literals, back to back.
+	// Parameter sweeps: same template, different literals, back to back.
 	for i := 0; i < 15; i++ {
 		stmts = append(stmts, g.Query(6))
 	}
+	for k := 1; k <= 40; k++ {
+		stmts = append(stmts,
+			fmt.Sprintf("SELECT o_orderkey, o_custkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = %d", k*7),
+			fmt.Sprintf("SELECT COUNT(*) AS n, SUM(l_extendedprice) AS rev FROM lineitem WHERE l_orderkey = %d", k*5))
+		if k%8 == 0 {
+			stmts = append(stmts, g.DisruptiveUpdates(1)...)
+		}
+	}
 
-	resExact, decExact, _, _ := replay(t, engine.CacheExact, stmts)
-	resRebind, _, dbRebind, _ := replay(t, engine.CacheRebind, stmts)
-	resOff, decOff, _, _ := replay(t, engine.CacheOff, stmts)
+	res, dec, db, tn := replay(t, true, stmts)
+	resOff, decOff, _, _ := replay(t, false, stmts)
 
 	for i := range stmts {
-		if resExact[i] != resOff[i] {
-			t.Fatalf("stmt %d %q: exact differs from off:\n%s\nvs\n%s", i, stmts[i], resExact[i], resOff[i])
-		}
-		if sortLines(resRebind[i]) != sortLines(resOff[i]) {
-			t.Fatalf("stmt %d %q: rebind result set differs from off:\n%s\nvs\n%s", i, stmts[i], resRebind[i], resOff[i])
+		if res[i] != resOff[i] {
+			t.Fatalf("stmt %d %q: cached differs from uncached:\n%s\nvs\n%s", i, stmts[i], res[i], resOff[i])
 		}
 	}
-	sameDecisions(t, "exact vs off", decExact, decOff)
+	sameDecisions(t, "cached vs uncached", dec, decOff)
 
-	if st := dbRebind.PlanCacheStats(); st.RebindHits == 0 {
-		t.Errorf("rebind mode never rebound a generic plan: %+v", st)
+	if st := db.PlanCacheStats(); st.RebindHits == 0 {
+		t.Errorf("the cache never rebound a generic plan: %+v", st)
 	}
+	if st := tn.MemoStats(); st.TreeHits == 0 {
+		t.Errorf("the tuner never reused a shared tree's terms: %+v", st)
+	}
+	t.Logf("%d decisions; plan cache %+v; memo %+v", len(dec), db.PlanCacheStats(), tn.MemoStats())
 }
 
 // TestDifferentialParallelExecutor replays the fixed workload (with DML
@@ -174,8 +172,8 @@ func TestDifferentialParallelExecutor(t *testing.T) {
 		stmts = append(stmts, g.RefreshInsert(2)...)
 	}
 
-	resSeq, decSeq, _, _ := replayAt(t, engine.CacheOff, 1, stmts)
-	resPar, decPar, _, _ := replayAt(t, engine.CacheOff, 4, stmts)
+	resSeq, decSeq, _, _ := replayAt(t, false, 1, stmts)
+	resPar, decPar, _, _ := replayAt(t, false, 4, stmts)
 
 	for i := range stmts {
 		if resSeq[i] != resPar[i] {
@@ -191,7 +189,7 @@ func TestDifferentialParallelExecutor(t *testing.T) {
 func replayEngine(t *testing.T, workers int, engineMode string, stmts []string) ([]string, []obs.Decision, *engine.DB) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{ExecWorkers: workers, ExecEngine: engineMode})
-	db.SetPlanCacheMode(engine.CacheOff)
+	db.BypassPlanCache()
 	if err := tpch.NewGenerator(scale, dataSeed).Load(db); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +295,7 @@ func TestDifferentialVectorized(t *testing.T) {
 func replayRules(t *testing.T, workers int, rules string, stmts []string) ([]string, []obs.Decision, int) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{ExecWorkers: workers, Rules: rules})
-	db.SetPlanCacheMode(engine.CacheOff)
+	db.BypassPlanCache()
 	if err := tpch.NewGenerator(scale, dataSeed).Load(db); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +395,7 @@ func sameActuals(t *testing.T, name, q string, a, b *engine.Analysis) {
 func TestTunerSnapshotReconciliationUnderWorkload(t *testing.T) {
 	g := tpch.NewGenerator(scale, 3)
 	stmts := g.Batch()
-	res, decs, db, tn := replay(t, engine.CacheExact, append(stmts, stmts...))
+	res, decs, db, tn := replay(t, true, append(stmts, stmts...))
 	if len(res) == 0 {
 		t.Fatal("no statements ran")
 	}

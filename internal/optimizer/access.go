@@ -36,9 +36,8 @@ func (o *Optimizer) selEq(table, col string, val datum.Datum) float64 {
 	return o.env.SelectivityEq(table, col)
 }
 
-// selRange returns the selectivity of a range predicate on a column,
-// preferring the histogram (mirroring analyzeRanges' estimation for a
-// single merged bound pair).
+// selRange returns the selectivity of a column's merged range bounds,
+// preferring the histogram.
 func (o *Optimizer) selRange(table, col string, lo, hi *datum.Datum, loInc, hiInc bool) float64 {
 	if cs := o.env.Stats.Get(table, col); cs != nil && cs.Hist != nil {
 		s := cs.Hist.SelectivityRange(lo, hi, loInc, hiInc)
@@ -67,15 +66,26 @@ type rangeBounds struct {
 
 // analyzeRanges merges range predicates per column and estimates their
 // selectivity.
-func (o *Optimizer) analyzeRanges(bt *boundTable) map[string]*rangeBounds {
-	out := map[string]*rangeBounds{}
+func (o *Optimizer) analyzeRanges(bt *boundTable) []*rangeBounds {
+	out := mergeRanges(bt)
+	for _, rb := range out {
+		rb.sel = o.selRange(bt.ref.Table, rb.col, rb.lo, rb.hi, rb.loInc, rb.hiInc)
+	}
+	return out
+}
+
+// mergeRanges merges a table's range predicates into one bound pair per
+// column. Columns come back in the order their first bound appears, so
+// every product over them is formed in one order and a plan's estimates
+// repeat to the bit.
+func mergeRanges(bt *boundTable) []*rangeBounds {
+	var out []*rangeBounds
 	get := func(col string) *rangeBounds {
-		key := strings.ToLower(col)
-		rb, ok := out[key]
-		if !ok {
-			rb = &rangeBounds{col: col, sel: 1}
-			out[key] = rb
+		if rb := findRange(out, col); rb != nil {
+			return rb
 		}
+		rb := &rangeBounds{col: col, sel: 1}
+		out = append(out, rb)
 		return rb
 	}
 	for _, p := range bt.lows {
@@ -98,25 +108,22 @@ func (o *Optimizer) analyzeRanges(bt *boundTable) map[string]*rangeBounds {
 		}
 		rb.exprs = append(rb.exprs, p.expr)
 	}
-	for _, rb := range out {
-		if cs := o.env.Stats.Get(bt.ref.Table, rb.col); cs != nil && cs.Hist != nil {
-			rb.sel = cs.Hist.SelectivityRange(rb.lo, rb.hi, rb.loInc, rb.hiInc)
-			if rb.sel <= 0 {
-				rb.sel = 0.5 / float64(maxI64(cs.Rows, 1))
-			}
-		} else {
-			rb.sel = whatif.DefaultRangeSel
-			if rb.lo != nil && rb.hi != nil {
-				rb.sel = whatif.DefaultRangeSel / 2
-			}
+	return out
+}
+
+// findRange returns the merged bounds on col, or nil.
+func findRange(ranges []*rangeBounds, col string) *rangeBounds {
+	for _, rb := range ranges {
+		if strings.EqualFold(rb.col, col) {
+			return rb
 		}
 	}
-	return out
+	return nil
 }
 
 // tableSel returns the combined selectivity of all of the table's
 // predicates, and per-piece info for access planning.
-func (o *Optimizer) tableSel(bt *boundTable, ranges map[string]*rangeBounds) float64 {
+func (o *Optimizer) tableSel(bt *boundTable, ranges []*rangeBounds) float64 {
 	sel := 1.0
 	for _, p := range bt.eqs {
 		sel *= o.selEq(bt.ref.Table, p.col, p.val)
@@ -212,7 +219,6 @@ func (o *Optimizer) chooseAccess(bt *boundTable, sortCols []string) *accessPath 
 		TablePages:     pages,
 		CurrentCost:    best.cost,
 		CurrentIndexID: bestIndexID,
-		Implemented:    bestIndexID == "" || true,
 	}
 	best.requests = append(best.requests, scanReq)
 
@@ -267,7 +273,7 @@ func (o *Optimizer) chooseAccess(bt *boundTable, sortCols []string) *accessPath 
 }
 
 // indexAccess builds the best plan node using ix for this table, or nil.
-func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[string]*rangeBounds, outRows float64, npreds int) (plan.Node, float64) {
+func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges []*rangeBounds, outRows float64, npreds int) (plan.Node, float64) {
 	table := bt.ref.Table
 	alias := bt.name()
 	rows := o.env.TableRows(table)
@@ -298,8 +304,7 @@ func (o *Optimizer) indexAccess(bt *boundTable, ix *catalog.Index, ranges map[st
 	// Range on the next column.
 	var rb *rangeBounds
 	if pos < len(ix.Columns) {
-		if r, ok := ranges[strings.ToLower(ix.Columns[pos])]; ok {
-			rb = r
+		if rb = findRange(ranges, ix.Columns[pos]); rb != nil {
 			sel *= rb.sel
 			bound = append(bound, rb.loExpr, rb.hiExpr)
 		}

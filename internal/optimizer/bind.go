@@ -74,6 +74,9 @@ type boundQuery struct {
 	joins   []joinPred
 	resid   []sql.Expr // multi-table residual predicates
 	hasAggs bool
+	// truths are the bare literal conjuncts: dropped when TRUE, residual
+	// otherwise (ProbeTruth).
+	truths []*sql.Literal
 }
 
 // bind resolves a SELECT against the catalog and classifies predicates.
@@ -143,8 +146,11 @@ func bind(cat *catalog.Catalog, sel *sql.Select) (*boundQuery, error) {
 
 	// Classify conjuncts.
 	for _, c := range conjuncts {
-		if lit, ok := c.(*sql.Literal); ok && lit.Value.Kind() == datum.KBool && lit.Value.Bool() {
-			continue // ON TRUE from comma joins
+		if lit, ok := c.(*sql.Literal); ok {
+			bq.truths = append(bq.truths, lit)
+			if isTrue(lit.Value) {
+				continue // ON TRUE from comma joins
+			}
 		}
 		if err := bq.classify(c); err != nil {
 			return nil, err

@@ -152,14 +152,8 @@ func (o *Optimizer) tryMinMaxEndpoint(bq *boundQuery, paths []*accessPath, rules
 	n.Out = bt.schema()
 	n.Cost = bestCost
 	n.Rows = float64(endpoints)
-	// The scan/seek alternatives captured by chooseAccess are no longer
-	// realized in the final plan.
-	for _, r := range paths[0].requests[:len(paths[0].requests)-1] {
-		r.Implemented = false
-	}
 	req.CurrentCost = bestCost
 	req.CurrentIndexID = bestIx.ID()
-	req.Implemented = true
 	paths[0] = &accessPath{node: n, cost: bestCost, rows: n.Rows, requests: paths[0].requests}
 	applied["minmax-endpoint"] = true
 }

@@ -2,11 +2,11 @@ package sql
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
 	"onlinetuner/internal/datum"
+	"onlinetuner/internal/fnv1a"
 )
 
 // Fingerprint is the canonical form of a statement: the statement text
@@ -31,11 +31,10 @@ type Fingerprint struct {
 func FingerprintOf(stmt Statement) Fingerprint {
 	w := &fpWriter{}
 	w.stmt(stmt)
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(w.sb.String()))
+	template := w.sb.String()
 	return Fingerprint{
-		Hash:     h.Sum64(),
-		Template: w.sb.String(),
+		Hash:     uint64(fnv1a.Init.Str(template)),
+		Template: template,
 		Bindings: w.bindings,
 		Lits:     w.lits,
 	}
@@ -57,7 +56,8 @@ func (w *fpWriter) ident(s string) { w.sb.WriteString(strings.ToLower(s)) }
 func (w *fpWriter) lit(l *Literal) {
 	w.bindings = append(w.bindings, l.Value)
 	w.lits = append(w.lits, l)
-	w.str("$" + strconv.Itoa(len(w.bindings)))
+	w.sb.WriteByte('$')
+	w.sb.WriteString(strconv.Itoa(len(w.bindings)))
 }
 
 func (w *fpWriter) stmt(s Statement) {

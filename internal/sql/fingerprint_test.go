@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -54,6 +55,24 @@ func TestFingerprintTemplateSharing(t *testing.T) {
 	_, f5 := fp(t, "SELECT a FROM R WHERE a < 100 LIMIT 6")
 	if f4.Hash == f5.Hash {
 		t.Error("LIMIT must be part of the template, not a binding")
+	}
+}
+
+// TestFingerprintHashIsFNV64a pins the template hash to hash/fnv's
+// 64-bit FNV-1a sum of the template text: it keys the engine's cache
+// shards, so a hashing change must not move it.
+func TestFingerprintHashIsFNV64a(t *testing.T) {
+	for _, q := range []string{
+		"SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = 77",
+		"UPDATE R SET c = c + 1 WHERE id = 42 AND b < 'x'",
+		"DELETE FROM S",
+	} {
+		_, f := fp(t, q)
+		h := fnv.New64a()
+		h.Write([]byte(f.Template))
+		if f.Hash != h.Sum64() {
+			t.Errorf("%q: hash %x, hash/fnv says %x", q, f.Hash, h.Sum64())
+		}
 	}
 }
 

@@ -115,6 +115,7 @@ func (m *Manager) StartBuild(ix *catalog.Index) (*Build, error) {
 	pi.setState(StateBuilding)
 	b := &Build{m: m, pi: pi, ix: ix, snap: ts.heap.Snapshot(), stats: stats}
 	m.indexes[ix.ID()] = pi
+	ts.stamp.Add(1)
 	return b, nil
 }
 
@@ -210,6 +211,7 @@ func (m *Manager) FinishBuild(b *Build) (*BuildStats, error) {
 	b.pi.setState(StateActive)
 	b.stats.NewPages = b.pi.Pages()
 	stats := b.stats
+	m.touchLocked(b.ix.Table)
 	m.configVersion.Add(1)
 	return &stats, nil
 }
@@ -222,6 +224,7 @@ func (m *Manager) AbortBuild(b *Build) {
 	defer m.mu.Unlock()
 	if m.indexes[b.ix.ID()] == b.pi {
 		delete(m.indexes, b.ix.ID())
+		m.touchLocked(b.ix.Table)
 		// Best-effort: a lost abort record is harmless — recovery
 		// abandons any BuildStart with no matching publish or abort.
 		_ = m.logLifecycleLocked(&wal.Record{Kind: wal.KindBuildAbort, Index: indexDefFor(b.ix)})

@@ -104,6 +104,32 @@ type tableStore struct {
 	// this table. Stored under the table's write lock, after the append;
 	// read under at least its read lock.
 	barrier atomic.Uint64
+	// stamp counts the changes that can move a size of the table or of
+	// its indexes (see Manager.TableStamp). Bumped under the manager lock.
+	stamp atomic.Uint64
+}
+
+// TableStamp returns a counter that changes whenever the table's rows,
+// or the set, state or size of its indexes, may have changed: every row
+// change (rollbacks and restores included) and every index lifecycle
+// step bumps it. Anything computed from the table's heap and index sizes
+// stays valid while the stamp does. Zero for an unknown table.
+func (m *Manager) TableStamp(table string) uint64 {
+	m.mu.RLock()
+	ts := m.tables[strings.ToLower(table)]
+	m.mu.RUnlock()
+	if ts == nil {
+		return 0
+	}
+	return ts.stamp.Load()
+}
+
+// touchLocked bumps the stamp of a table whose sizes may have changed.
+// Caller holds the manager lock.
+func (m *Manager) touchLocked(table string) {
+	if ts := m.tables[strings.ToLower(table)]; ts != nil {
+		ts.stamp.Add(1)
+	}
 }
 
 // BuildStats describes the work performed by an index build; the cost
@@ -436,6 +462,7 @@ func (m *Manager) changeLocked(table string, op wal.Op, rid RID, row datum.Row) 
 // filling in the RID of an insert. If an index fails, nothing of c
 // remains.
 func (m *Manager) applyLocked(ts *tableStore, c *rowChange, inj *fault.Injector) (int, error) {
+	ts.stamp.Add(1)
 	switch {
 	case c.old == nil:
 		c.rid, c.fresh = ts.heap.insert(c.new)
@@ -456,6 +483,7 @@ func (m *Manager) applyLocked(ts *tableStore, c *rowChange, inj *fault.Injector)
 // the rows swapped and the fault injector off (compensation must never
 // itself fail), then the heap row put back.
 func (m *Manager) undoLocked(ts *tableStore, c *rowChange) {
+	ts.stamp.Add(1)
 	var buf [8]*PhysicalIndex
 	_, _ = maintain(m.indexesOfLocked(ts, buf[:0]), c.rid, c.new, c.old, nil)
 	revertHeap(ts.heap, c)
@@ -621,6 +649,7 @@ func (m *Manager) DropIndex(id string) error {
 		return err
 	}
 	delete(m.indexes, id)
+	m.touchLocked(pi.Def.Table)
 	m.configVersion.Add(1)
 	return nil
 }
@@ -646,6 +675,7 @@ func (m *Manager) SuspendIndex(id string) error {
 	}
 	pi.setState(StateSuspended)
 	pi.pendingOps.Store(0)
+	m.touchLocked(pi.Def.Table)
 	m.configVersion.Add(1)
 	return nil
 }
@@ -686,6 +716,7 @@ func (m *Manager) RestartIndex(id string) (int64, error) {
 	pi.tree.Store(tree)
 	pi.setState(StateActive)
 	pi.pendingOps.Store(0)
+	ts.stamp.Add(1)
 	m.configVersion.Add(1)
 	return ops, nil
 }

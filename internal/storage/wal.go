@@ -271,6 +271,7 @@ func (m *Manager) RestoreHeap(table string, slots int64, rows []wal.SnapRow, fre
 	if err := ts.heap.restoreState(int(slots), hr, fr); err != nil {
 		return fmt.Errorf("storage: restore %s: %w", table, err)
 	}
+	ts.stamp.Add(1)
 	for _, pi := range m.indexes {
 		if !strings.EqualFold(pi.Def.Table, table) || pi.State() != StateActive {
 			continue
@@ -302,6 +303,7 @@ func (m *Manager) RestoreIndex(ix *catalog.Index, state IndexState, pendingOps i
 	pi.setState(state)
 	pi.pendingOps.Store(pendingOps)
 	m.indexes[ix.ID()] = pi
+	ts.stamp.Add(1)
 	m.configVersion.Add(1)
 	return nil
 }

@@ -14,11 +14,15 @@ import (
 // below the cap, so a clear is a rare full re-warm, not churn).
 const memoCostCap = 8192
 
+// memoTreeCap bounds the shared-tree terms cache the same way. The
+// engine's plan cache holds at most 512 trees at a time.
+const memoTreeCap = 1024
+
 // Memo caches what-if cost evaluations across the repeated GetCost and
 // ImplCost calls of one observer pass — and, because every cost is a
 // pure function of its key, across statements too.
 //
-// Two layers:
+// Three layers:
 //
 //   - a per-statement index-size snapshot: IndexPages/IndexBytes hit
 //     storage (or the width×rows estimator) once per index per
@@ -31,6 +35,10 @@ const memoCostCap = 8192
 //     recompute. Entries therefore survive BeginStatement; the map is
 //     cleared only on a physical-design or statistics epoch change (to
 //     stay bounded and drop dead keys), or at memoCostCap.
+//   - the Terms of request trees the engine's plan cache shares between
+//     statements, keyed by the tree itself: a statement carrying a tree
+//     seen before finds every number lines 2–8 of Figure 6 need without
+//     hashing a request. Cleared with the cost memo, or at memoTreeCap.
 //
 // Memo is NOT safe for concurrent use: it is owned by the tuner and
 // used only under the tuner's mutex.
@@ -42,6 +50,7 @@ type Memo struct {
 	pages map[string]float64 // index ID → page snapshot
 	bytes map[string]int64   // index ID → byte snapshot
 	costs map[memoKey]float64
+	trees map[*Node]*Terms
 
 	stats MemoStats
 }
@@ -53,11 +62,12 @@ type memoKey struct {
 
 // MemoStats are the memo's observability counters.
 type MemoStats struct {
-	Hits       int64
+	Hits       int64 // cost lookups served without computing: memo keys and Terms values
 	Misses     int64
 	SizeHits   int64 // index-size lookups served from the statement snapshot
 	SizeMisses int64 // index-size lookups that went to storage
 	Clears     int64 // cost-memo invalidations (epoch change or cap)
+	TreeHits   int64 // statements whose tree's Terms were still valid
 }
 
 // NewMemo returns an empty memo over the environment.
@@ -67,11 +77,9 @@ func NewMemo(env *Env) *Memo {
 		pages: make(map[string]float64),
 		bytes: make(map[string]int64),
 		costs: make(map[memoKey]float64),
+		trees: make(map[*Node]*Terms),
 	}
 }
-
-// Env returns the underlying what-if environment.
-func (m *Memo) Env() *Env { return m.env }
 
 // Stats returns a copy of the counters.
 func (m *Memo) Stats() MemoStats { return m.stats }
@@ -88,8 +96,12 @@ func (m *Memo) BeginStatement(cfgVersion, statsEpoch int64) {
 			m.stats.Clears++
 		}
 		clear(m.costs)
+		clear(m.trees)
 		m.cfgVersion = cfgVersion
 		m.statsEpoch = statsEpoch
+	}
+	if len(m.trees) >= memoTreeCap {
+		clear(m.trees)
 	}
 }
 
@@ -175,9 +187,8 @@ func (m *Memo) configSig(table string, config []*catalog.Index) uint64 {
 }
 
 // requestSig hashes every field of the request that getCost/implCost
-// read. CurrentCost, CurrentIndexID and Implemented are plan-side
-// annotations the cost functions never touch, so they are excluded to
-// maximize sharing.
+// read. CurrentCost and CurrentIndexID are plan-side annotations the
+// cost functions never touch, so they are excluded to maximize sharing.
 func requestSig(r *Request) uint64 {
 	h := sigString(fnv1a.Init, strings.ToLower(r.Table)).Byte(byte(r.Kind))
 	for i, c := range r.EqCols {

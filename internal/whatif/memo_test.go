@@ -244,6 +244,51 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 }
 
+// TestTermsFollowTableStamp: a shared tree's terms are reused while the
+// tables it names are untouched, and recomputed once a row change moves
+// a size they were computed from — even with the configuration version
+// and statistics epoch unchanged, as after a DELETE served from the plan
+// cache.
+func TestTermsFollowTableStamp(t *testing.T) {
+	env, ix := memoEnv(t, 500)
+	if _, err := env.Mgr.BuildIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	cand := (&catalog.Index{Name: "r_b", Table: "r", Columns: []string{"b", "a", "id"}}).Canonicalize()
+	cfg := func() []*catalog.Index { return []*catalog.Index{ix} }
+	tree := NewAnd(NewLeaf(memoRequests(ix, 500)[1]))
+	m := NewMemo(env)
+	costs := func() (o, n float64) {
+		m.BeginStatement(1, 1)
+		ts := m.Terms(tree, true)
+		return m.CandidateCosts(&ts.Reqs[0], cfg, cand)
+	}
+
+	o1, _ := costs()
+	o2, _ := costs()
+	if st := m.Stats(); st.TreeHits != 1 || o2 != o1 {
+		t.Fatalf("untouched table: o %v then %v, %+v; want one tree hit", o1, o2, st)
+	}
+	for i := 0; i < 5000; i++ {
+		if _, _, err := env.Mgr.Insert("r", datum.Row{
+			datum.NewInt(int64(10000 + i)), datum.NewInt(int64(i)), datum.NewInt(0),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o3, n3 := costs()
+	r := tree.Requests()[0]
+	if want := GetCost(env, r, cfg()); o3 != want || o3 == o1 {
+		t.Fatalf("after the table grew: o %v, direct %v (before %v)", o3, want, o1)
+	}
+	if want := GetCost(env, r, append(cfg(), cand)); n3 != want {
+		t.Fatalf("after the table grew: n %v, direct %v", n3, want)
+	}
+	if st := m.Stats(); st.TreeHits != 1 {
+		t.Fatalf("a moved table must not hit: %+v", st)
+	}
+}
+
 // TestMemoConfigOrderIndependence: GetCost is a min over alternatives,
 // so config order must not produce distinct memo entries.
 func TestMemoConfigOrderIndependence(t *testing.T) {

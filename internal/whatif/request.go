@@ -94,10 +94,6 @@ type Request struct {
 	CurrentCost    float64
 	CurrentIndexID string
 
-	// Implemented marks whether this request is realized in the final
-	// plan (false for discarded OR-alternatives, like the paper's ρ2).
-	Implemented bool
-
 	// UpdateRows is the number of rows changed (Update requests only).
 	UpdateRows float64
 
