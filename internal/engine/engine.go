@@ -148,6 +148,7 @@ func OpenConfig(cfg Config) *DB {
 	st := stats.NewStore()
 	env := whatif.NewEnv(cat, st, mgr)
 	ob := obs.New()
+	mgr.SetColumnMetrics(ob.Reg)
 	db := &DB{
 		Cat:              cat,
 		Mgr:              mgr,

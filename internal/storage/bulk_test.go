@@ -91,7 +91,8 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 }
 
 func TestHeapScanRangeCoversScan(t *testing.T) {
-	h := NewHeap()
+	_, m := newTestDB(t)
+	h := m.Heap("R")
 	for i := 0; i < 1000; i++ {
 		h.Insert(datum.Row{datum.NewInt(int64(i))})
 	}

@@ -144,7 +144,8 @@ func (m *Manager) CheckConsistency() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 
-	// Heap accounting: cached counters vs a recount.
+	// Heap accounting: cached counters and columns vs a recount.
+	var cached int64
 	for name, ts := range m.tables {
 		var count, bytes int64
 		ts.heap.Scan(func(rid RID, r datum.Row) bool {
@@ -161,6 +162,14 @@ func (m *Manager) CheckConsistency() error {
 		if ts.heap.Pages() != PagesFor(bytes) {
 			return fmt.Errorf("storage: heap %s pages %d != PagesFor(%d)", name, ts.heap.Pages(), bytes)
 		}
+		n, err := ts.heap.checkColumns()
+		if err != nil {
+			return fmt.Errorf("storage: heap %s: %w", name, err)
+		}
+		cached += n
+	}
+	if cached != m.cm.bytes.Value() {
+		return fmt.Errorf("storage: column cache holds %d bytes, gauge says %d", cached, m.cm.bytes.Value())
 	}
 
 	for id, pi := range m.indexes {
@@ -230,4 +239,30 @@ func (m *Manager) CheckConsistency() error {
 		}
 	}
 	return nil
+}
+
+// checkColumns compares every cached column, datum by datum, with its
+// chunk's live rows and returns the bytes the cache holds.
+func (h *Heap) checkColumns() (int64, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	var bytes int64
+	for k := range h.cols {
+		col := h.cols[k].Load()
+		if col == nil {
+			continue
+		}
+		c, slot := k/h.width, k%h.width
+		bytes += col.Bytes()
+		rows := h.chunkRowsLocked(c, nil)
+		stale := col.Len() != len(rows)
+		for i := 0; !stale && i < len(rows); i++ {
+			d := col.DatumAt(i)
+			stale = d.Kind() != rows[i][slot].Kind() || d.Compare(rows[i][slot]) != 0
+		}
+		if stale {
+			return 0, fmt.Errorf("chunk %d column %d does not match the chunk's rows", c, slot)
+		}
+	}
+	return bytes, nil
 }

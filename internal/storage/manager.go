@@ -11,6 +11,7 @@ import (
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/fault"
+	"onlinetuner/internal/obs"
 	"onlinetuner/internal/par"
 	"onlinetuner/internal/wal"
 )
@@ -171,6 +172,16 @@ type Manager struct {
 	// wal is the optional write-ahead log (see wal.go). Atomic so the
 	// DML hot path checks for it with one load; nil in in-memory mode.
 	wal atomic.Pointer[walRef]
+	// cm are the column-cache cells every heap created here counts into.
+	cm colMetrics
+}
+
+// SetColumnMetrics makes heaps created afterwards count their column
+// caches into reg: storage.colcache_hits, _builds and _bytes (a gauge).
+func (m *Manager) SetColumnMetrics(reg *obs.Registry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.cm = colMetrics{reg.Counter("storage.colcache_hits"), reg.Counter("storage.colcache_builds"), reg.Gauge("storage.colcache_bytes")}
 }
 
 // SetPool installs the worker pool index-build sorts draw slots from.
@@ -223,6 +234,7 @@ func NewManager(cat *catalog.Catalog) *Manager {
 		cat:     cat,
 		tables:  make(map[string]*tableStore),
 		indexes: make(map[string]*PhysicalIndex),
+		cm:      colMetrics{new(obs.Counter), new(obs.Counter), new(obs.Gauge)},
 	}
 	m.pool.Store(par.NewPool(0))
 	return m
@@ -291,7 +303,7 @@ func (m *Manager) CreateTable(name string) error {
 	if err := m.logLifecycleLocked(&wal.Record{Kind: wal.KindAlloc, Schema: tableDefFor(t)}); err != nil {
 		return err
 	}
-	m.tables[key] = &tableStore{def: t, heap: NewHeap()}
+	m.tables[key] = &tableStore{def: t, heap: &Heap{width: len(t.Columns), cm: m.cm}}
 	pi := &PhysicalIndex{Def: pk}
 	pi.tree.Store(m.newTreeLocked())
 	pi.setState(StateActive)

@@ -67,7 +67,6 @@ func Arith(op byte, a, b *Column, out *Column) error {
 		return nil
 	}
 	out.Kind = datum.KFloat
-	af, bf := a.floats(), b.floats()
 	for i := 0; i < n; i++ {
 		if a.nullAt(i) || b.nullAt(i) {
 			out.Nulls.set(i)
@@ -75,13 +74,14 @@ func Arith(op byte, a, b *Column, out *Column) error {
 			out.F = append(out.F, 0)
 			continue
 		}
+		af, bf := a.floatAt(i), b.floatAt(i)
 		switch op {
 		case '+':
-			out.F = append(out.F, af[i]+bf[i])
+			out.F = append(out.F, af+bf)
 		case '-':
-			out.F = append(out.F, af[i]-bf[i])
+			out.F = append(out.F, af-bf)
 		default:
-			out.F = append(out.F, af[i]*bf[i])
+			out.F = append(out.F, af*bf)
 		}
 	}
 	return nil

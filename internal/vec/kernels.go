@@ -87,7 +87,10 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 			// cmpFloat(v, NaN) = +1 for every non-NaN v; a NaN v ties.
 			return cmpConstNaNLit(c, op, out)
 		}
-		return cmpConstNum(c.floats(), x, op, c.Nulls, c.HasNulls, out)
+		if c.Kind == datum.KFloat {
+			return cmpConstNum(c.F, x, op, c.Nulls, c.HasNulls, out)
+		}
+		return cmpConstNum(c.I, x, op, c.Nulls, c.HasNulls, out)
 	case c.Kind == datum.KString && lk == datum.KString:
 		return cmpConstStr(c.S, lit.Str(), op, c.Nulls, c.HasNulls, out)
 	}
@@ -107,46 +110,46 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 	return appendNonNull(c, out)
 }
 
-// cmpConstNum is the shared integer/float compare loop. The six
-// formulas are written so that they are exact for BOTH element types
-// given a non-NaN x: for int64 the `v != v` terms are vacuously false,
-// and for float64 they reproduce cmpFloat's "NaN sorts first" placement
-// (NaN < x ⇒ LT/LE/NE hold, EQ/GT/GE fail).
-func cmpConstNum[T int64 | float64](vals []T, x T, op CmpOp, nulls Bitmap, hasNulls bool, out Sel) Sel {
+// cmpConstNum is the shared integer/float compare loop; X(v) promotes in a
+// register, so the column stays read-only. The six formulas are exact for
+// BOTH element types given a non-NaN x: for int64 the `w != w` terms are
+// vacuously false, and for float64 they reproduce cmpFloat's "NaN sorts
+// first" placement (NaN < x ⇒ LT/LE/NE hold, EQ/GT/GE fail).
+func cmpConstNum[T, X int64 | float64](vals []T, x X, op CmpOp, nulls Bitmap, hasNulls bool, out Sel) Sel {
 	switch op {
 	case EQ:
 		for i, v := range vals {
-			if v == x && !(hasNulls && nulls.Get(i)) {
+			if X(v) == x && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
 	case NE:
 		for i, v := range vals {
-			if v != x && !(hasNulls && nulls.Get(i)) {
+			if X(v) != x && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
 	case LT:
 		for i, v := range vals {
-			if (v < x || v != v) && !(hasNulls && nulls.Get(i)) {
+			if w := X(v); (w < x || w != w) && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
 	case LE:
 		for i, v := range vals {
-			if (v <= x || v != v) && !(hasNulls && nulls.Get(i)) {
+			if w := X(v); (w <= x || w != w) && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
 	case GT:
 		for i, v := range vals {
-			if v > x && !(hasNulls && nulls.Get(i)) {
+			if X(v) > x && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
 	case GE:
 		for i, v := range vals {
-			if v >= x && !(hasNulls && nulls.Get(i)) {
+			if X(v) >= x && !(hasNulls && nulls.Get(i)) {
 				out = append(out, int32(i))
 			}
 		}
@@ -157,13 +160,12 @@ func cmpConstNum[T int64 | float64](vals []T, x T, op CmpOp, nulls Bitmap, hasNu
 // cmpConstNaNLit handles a NaN literal: cmpFloat places every non-NaN
 // value after NaN (+1) and a NaN value ties (0).
 func cmpConstNaNLit(c *Column, op CmpOp, out Sel) Sel {
-	fs := c.floats()
-	for i, v := range fs {
+	for i := 0; i < c.n; i++ {
 		if c.HasNulls && c.Nulls.Get(i) {
 			continue
 		}
 		cc := 1
-		if v != v {
+		if v := c.floatAt(i); v != v {
 			cc = 0
 		}
 		if op.keep(cc) {
@@ -245,25 +247,15 @@ func BetweenConst(c *Column, lo, hi datum.Datum, out Sel) Sel {
 		return out
 	}
 	if c.Uniform && intClass(c.Kind) && lo.Kind() == c.Kind && hi.Kind() == c.Kind {
-		l, h := lo.Int(), hi.Int()
-		for i, v := range c.I {
-			if v >= l && v <= h && !(c.HasNulls && c.Nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+		return betweenNum(c.I, lo.Int(), hi.Int(), c.Nulls, c.HasNulls, out)
 	}
 	if c.Uniform && numeric(c.Kind) && numeric(lo.Kind()) && numeric(hi.Kind()) {
 		l, h := lo.Float(), hi.Float()
 		if !math.IsNaN(l) && !math.IsNaN(h) {
-			fs := c.floats()
-			for i, v := range fs {
-				// v >= l is false for NaN v, matching cmpFloat(NaN, l) = -1.
-				if v >= l && v <= h && !(c.HasNulls && c.Nulls.Get(i)) {
-					out = append(out, int32(i))
-				}
+			if c.Kind == datum.KFloat {
+				return betweenNum(c.F, l, h, c.Nulls, c.HasNulls, out)
 			}
-			return out
+			return betweenNum(c.I, l, h, c.Nulls, c.HasNulls, out)
 		}
 	}
 	if c.Uniform && c.Kind == datum.KString && lo.Kind() == datum.KString && hi.Kind() == datum.KString {
@@ -279,6 +271,18 @@ func BetweenConst(c *Column, lo, hi datum.Datum, out Sel) Sel {
 	for i := 0; i < c.n; i++ {
 		d := c.DatumAt(i)
 		if !d.IsNull() && d.Compare(lo) >= 0 && d.Compare(hi) <= 0 {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// betweenNum is BetweenConst's numeric loop, converting each value to
+// the bounds' type X like cmpConstNum. w >= l is false for a NaN w,
+// matching cmpFloat(NaN, l) = -1.
+func betweenNum[T, X int64 | float64](vals []T, l, h X, nulls Bitmap, hasNulls bool, out Sel) Sel {
+	for i, v := range vals {
+		if w := X(v); w >= l && w <= h && !(hasNulls && nulls.Get(i)) {
 			out = append(out, int32(i))
 		}
 	}

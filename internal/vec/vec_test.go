@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"onlinetuner/internal/datum"
@@ -350,6 +351,51 @@ func TestBroadcast(t *testing.T) {
 			if got := c.DatumAt(i); got.Kind() != d.Kind() || got.String() != d.String() {
 				t.Fatalf("Broadcast(%s): DatumAt(%d) = %s", d, i, got)
 			}
+		}
+	}
+}
+
+// TestSelectMatchesGather checks that copying a selection out of a
+// gathered column is interchangeable with gathering the selected rows:
+// the same datums position by position, and the same survivors from
+// every kernel, over every column shape.
+func TestSelectMatchesGather(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	like := NewLikeMatcher("a%")
+	for trial := 0; trial < 400; trial++ {
+		rows := randRows(r, 1+r.Intn(64), kindCases[trial%len(kindCases)])
+		sel := Sel{}
+		for i := range rows {
+			if r.Intn(3) > 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		var src, got, want Column
+		src.Gather(rows, 0, nil)
+		got.Select(&src, sel)
+		want.Gather(rows, 0, sel)
+		if got.Len() != want.Len() {
+			t.Fatalf("trial %d: Len %d, want %d", trial, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if g, w := got.DatumAt(i), want.DatumAt(i); g.Kind() != w.Kind() || g.String() != w.String() {
+				t.Fatalf("trial %d: DatumAt(%d) = %s, want %s", trial, i, g, w)
+			}
+		}
+		lit, lo, hi := randDatum(r), randDatum(r), randDatum(r)
+		same := func(what string, g, w Sel) {
+			if !slices.Equal(g, w) {
+				t.Fatalf("trial %d %s: %v, want %v", trial, what, g, w)
+			}
+		}
+		for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+			same("CmpConst", CmpConst(&got, op, lit, nil), CmpConst(&want, op, lit, nil))
+		}
+		same("BetweenConst", BetweenConst(&got, lo, hi, nil), BetweenConst(&want, lo, hi, nil))
+		same("InConst", InConst(&got, []datum.Datum{lit, lo}, nil), InConst(&want, []datum.Datum{lit, lo}, nil))
+		for _, not := range []bool{false, true} {
+			same("IsNullSel", IsNullSel(&got, not, nil), IsNullSel(&want, not, nil))
+			same("MatchLike", MatchLike(&got, like, not, nil), MatchLike(&want, like, not, nil))
 		}
 	}
 }
