@@ -3,6 +3,7 @@ package executor
 import (
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/plan"
+	"onlinetuner/internal/vec"
 )
 
 // hashSemiJoin filters the probe (left) stream against a build set of
@@ -41,7 +42,7 @@ func (e *run) hashSemiJoin(n *plan.HashSemiJoin, c *Collector) ([]datum.Row, err
 	rkeys := make([]joinKey, len(right))
 	err = runMorsels(e, "semijoin-build", chunkBounds(len(right)),
 		func(i int) (struct{}, error) {
-			lo := i * morselRows
+			lo := i * vec.MorselRows
 			rows := chunkOf(right, i)
 			if useVec {
 				w := getVecWork()

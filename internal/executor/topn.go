@@ -80,14 +80,14 @@ func (e *run) topN(n *plan.TopN, c *Collector) ([]datum.Row, error) {
 					// Evaluation fell back (mixed kinds); keep the morsel.
 					for j := range rows {
 						cand = append(cand, rows[j])
-						ords = append(ords, int64(i*morselRows+j))
+						ords = append(ords, int64(i*vec.MorselRows+j))
 					}
 					continue
 				}
 				sel = topk.Prune(col, sel)
 				for _, k := range sel {
 					cand = append(cand, rows[k])
-					ords = append(ords, int64(i*morselRows+int(k)))
+					ords = append(ords, int64(i*vec.MorselRows+int(k)))
 				}
 			}
 			putVecWork(w)
@@ -100,7 +100,7 @@ func (e *run) topN(n *plan.TopN, c *Collector) ([]datum.Row, error) {
 	ks := make([]topnKeyed, len(cand))
 	err = runMorsels(e, "topn-keys", chunkBounds(len(cand)),
 		func(i int) (struct{}, error) {
-			lo := i * morselRows
+			lo := i * vec.MorselRows
 			for j, r := range chunkOf(cand, i) {
 				keys := make(datum.Row, len(fns))
 				for k, f := range fns {
