@@ -226,33 +226,17 @@ func (d Datum) Hash() uint64 {
 	return h.Sum64()
 }
 
-// String renders the datum for plan/debug output.
+// String renders the datum as AppendKey does: plan and debug output,
+// the wire's result cells, and group and join keys are one rendering.
 func (d Datum) String() string {
-	switch d.kind {
-	case KNull:
-		return "NULL"
-	case KInt:
-		return strconv.FormatInt(d.i, 10)
-	case KFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
-	case KString:
-		return "'" + d.s + "'"
-	case KDate:
-		return fmt.Sprintf("DATE(%d)", d.i)
-	case KBool:
-		if d.i != 0 {
-			return "TRUE"
-		}
-		return "FALSE"
-	}
-	return "?"
+	var buf [32]byte
+	return string(d.AppendKey(buf[:0]))
 }
 
-// AppendKey appends the exact bytes of d.String() to buf. Grouping and
-// join keys are rendered from datum strings; AppendKey produces the
-// identical bytes without the fmt/Builder overhead, so the vectorized
-// key-rendering path groups exactly like the scalar one (int 5 and
-// float 5.0 both render "5" and share a group, as before).
+// AppendKey appends the datum's rendering to buf: NULL, an integer, a
+// float in shortest 'g' form, a quoted string, DATE(days), TRUE or
+// FALSE. Grouping and join keys are these bytes, so int 5 and float 5.0
+// both render "5" and share a group.
 func (d Datum) AppendKey(buf []byte) []byte {
 	switch d.kind {
 	case KNull:

@@ -753,9 +753,8 @@ func (e *run) distinct(n *plan.Distinct, c *Collector) ([]datum.Row, error) {
 	return out, nil
 }
 
-// rowKey builds a collision-free grouping key: each datum's String()
-// bytes (via AppendKey, which renders them without fmt overhead)
-// terminated by NUL. The vectorized key paths produce these exact
+// rowKey builds a collision-free grouping key: each datum's AppendKey
+// bytes (its String()) terminated by NUL. The vectorized key paths produce these exact
 // bytes, so both engines group and join identically.
 func rowKey(r datum.Row) string {
 	buf := make([]byte, 0, 16*len(r))

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -222,6 +223,7 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	var dec requestDecoder
+	var out []byte
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -232,9 +234,9 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 			switch {
 			case errors.As(err, &ne) && ne.Timeout():
 				s.idleCloses.Inc()
-				s.writeResp(bw, conn, respErr(0, CodeIdleTimeout, "session idle timeout"))
+				s.writeResp(bw, conn, &out, respErr(0, CodeIdleTimeout, "session idle timeout"))
 			case errors.Is(err, ErrFrameTooLarge), errors.Is(err, ErrFrameEmpty):
-				s.writeResp(bw, conn, respErr(0, CodeFrameTooLarge, err.Error()))
+				s.writeResp(bw, conn, &out, respErr(0, CodeFrameTooLarge, err.Error()))
 			}
 			return // EOF, net errors, protocol violations: the session ends
 		}
@@ -243,11 +245,11 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 			// The framing survived but the JSON is not a request; answer
 			// typed and close — there is no way to know what the client
 			// meant.
-			s.writeResp(bw, conn, respErr(0, CodeBadRequest, err.Error()))
+			s.writeResp(bw, conn, &out, respErr(0, CodeBadRequest, err.Error()))
 			return
 		}
 		resp := sess.handle(req)
-		if !s.writeResp(bw, conn, resp) {
+		if !s.writeResp(bw, conn, &out, resp) {
 			return
 		}
 		if req.Op == OpClose {
@@ -256,18 +258,23 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 	}
 }
 
-// writeResp writes one response frame, reporting whether the session
-// can continue.
-func (s *Server) writeResp(bw *bufio.Writer, conn net.Conn, resp *Response) bool {
-	body, err := EncodeResponse(resp)
-	if err != nil {
-		body, _ = EncodeResponse(respErr(resp.ID, CodeInternal, "response encoding failed"))
-		if body == nil {
-			return false
-		}
+// keptFrameBuf bounds the encode buffer a connection keeps between
+// responses; a larger one is dropped after its frame is written.
+const keptFrameBuf = 1 << 20
+
+// writeResp encodes one response frame into *buf, the connection's
+// encode buffer, and writes it, reporting whether the session can go on.
+func (s *Server) writeResp(bw *bufio.Writer, conn net.Conn, buf *[]byte, resp *Response) bool {
+	frame, err := appendResponse(append((*buf)[:0], 0, 0, 0, 0), resp)
+	if err != nil { // an error response has no cost to fail on
+		frame, _ = appendResponse(append(frame[:0], 0, 0, 0, 0), respErr(resp.ID, CodeInternal, "response encoding failed"))
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	if *buf = frame; cap(frame) > keptFrameBuf {
+		*buf = nil
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if err := WriteFrame(bw, body); err != nil {
+	if _, err := bw.Write(frame); err != nil {
 		return false
 	}
 	return bw.Flush() == nil

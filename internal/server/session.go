@@ -197,24 +197,49 @@ func (s *session) admit(id uint64) (release func(), resp *Response) {
 }
 
 // renderResult converts an executed statement's output to its wire
-// form, rows rendered with datum.String.
+// form, each cell rendered as datum.String renders it. Its allocations
+// do not grow with the rows: cells are substrings of an arena, and they
+// share one slab with the column names.
 func renderResult(rs *executor.ResultSet, info *engine.QueryInfo) *StmtResult {
 	out := &StmtResult{Affected: rs.Affected}
-	if len(rs.Columns) > 0 {
-		out.Columns = append([]string(nil), rs.Columns...)
-	}
-	if len(rs.Rows) > 0 {
-		out.Rows = make([][]string, len(rs.Rows))
-		for i, row := range rs.Rows {
-			r := make([]string, len(row))
-			for j, d := range row {
-				r[j] = d.String()
-			}
-			out.Rows[i] = r
-		}
-	}
 	if info != nil {
 		out.Cost = info.EstCost
+	}
+	nc, cells := len(rs.Columns), 0
+	for _, row := range rs.Rows {
+		cells += len(row)
+	}
+	slab := append(make([]string, 0, nc+cells), rs.Columns...)
+	if nc > 0 {
+		out.Columns = slab[:nc:nc]
+	}
+	if len(rs.Rows) == 0 {
+		return out
+	}
+	// A strings.Builder never rewrites bytes it holds, so a cell is cut
+	// from String() once written. An arena holds the cells left at the mean
+	// width so far (the first row's at first) plus an eighth.
+	var scratch [256]byte
+	var arena strings.Builder
+	written, done := 0, len(rs.Rows[0])
+	for _, d := range rs.Rows[0] {
+		written += len(d.AppendKey(scratch[:0]))
+	}
+	out.Rows = make([][]string, len(rs.Rows))
+	for i, row := range rs.Rows {
+		first := len(slab)
+		for _, d := range row {
+			key := d.AppendKey(scratch[:0])
+			if arena.Cap()-arena.Len() < len(key) {
+				need := (cap(slab) - len(slab)) * written / max(done, 1)
+				arena.Reset()
+				arena.Grow(need + need/8 + len(key))
+			}
+			arena.Write(key)
+			written, done = written+len(key), done+1
+			slab = append(slab, arena.String()[arena.Len()-len(key):])
+		}
+		out.Rows[i] = slab[first:len(slab):len(slab)]
 	}
 	return out
 }
