@@ -17,7 +17,6 @@ func TestParseCommand(t *testing.T) {
 		wantCmd   string
 		wantScale float64
 		wantOut   string
-		wantRules string
 		wantErr   bool
 	}{
 		{name: "no args", args: nil, wantCmd: "all", wantScale: 0.5},
@@ -27,10 +26,6 @@ func TestParseCommand(t *testing.T) {
 		{name: "flags both sides", args: []string{"-scale", "0.2", "tuners", "-out", "x.json"},
 			wantCmd: "tuners", wantScale: 0.2, wantOut: "x.json"},
 		{name: "only flags", args: []string{"-out", "y.json"}, wantCmd: "all", wantScale: 0.5, wantOut: "y.json"},
-		{name: "rules flag after subcommand", args: []string{"ablation", "-rules", "topn"},
-			wantCmd: "ablation", wantScale: 0.5, wantRules: "topn"},
-		{name: "rules flag before subcommand", args: []string{"-rules", "none", "fig8"},
-			wantCmd: "fig8", wantScale: 0.5, wantRules: "none"},
 		{name: "unknown flag", args: []string{"-bogus"}, wantErr: true},
 		{name: "unknown flag after subcommand", args: []string{"fig8", "-bogus"}, wantErr: true},
 	}
@@ -40,7 +35,6 @@ func TestParseCommand(t *testing.T) {
 			fs.SetOutput(io.Discard)
 			scale := fs.Float64("scale", 0.5, "")
 			out := fs.String("out", "", "")
-			rules := fs.String("rules", "", "")
 			cmd, err := parseCommand(fs, tc.args, "all")
 			if tc.wantErr {
 				if err == nil {
@@ -59,9 +53,6 @@ func TestParseCommand(t *testing.T) {
 			}
 			if *out != tc.wantOut {
 				t.Errorf("out = %q, want %q", *out, tc.wantOut)
-			}
-			if *rules != tc.wantRules {
-				t.Errorf("rules = %q, want %q", *rules, tc.wantRules)
 			}
 		})
 	}

@@ -20,8 +20,6 @@
 //	-batches number of TPC-H batches                  default 60
 //	-seed    workload seed                            default 1
 //	-updates disruptive update statements (fig7c/d)   default 40
-//	-engine  execution engine: auto|row|vector        default auto
-//	-rules   optimizer rule set (all|none|list)       default all
 //	-procs   override GOMAXPROCS (0 = leave as-is)    default 0
 package main
 
@@ -41,7 +39,6 @@ func main() {
 	batches := flag.Int("batches", 60, "number of TPC-H batches")
 	seed := flag.Int64("seed", 1, "workload seed")
 	updates := flag.Int("updates", 40, "disruptive update statements (fig7c/fig7d)")
-	engineMode := flag.String("engine", "auto", "execution engine: auto|row|vector")
 	procs := flag.Int("procs", 0, "override GOMAXPROCS for this run (0 = leave as-is)")
 	out := flag.String("out", "", "tuners: also write the race report as JSON to this file")
 	seeds := flag.String("seeds", "1,2", "tuners: comma-separated race seeds")
@@ -50,7 +47,6 @@ func main() {
 	statements := flag.Int("statements", 0, "tuners: cap each scenario's statement stream (0 = scenario default)")
 	verify := flag.String("verify", "", "tuners: verify an existing report file instead of racing")
 	expect := flag.Bool("expect", false, "tuners -verify: also check the headline expectations (full-scale artifacts only)")
-	rules := flag.String("rules", "all", "optimizer rule set: all|none|comma list (unnest,topn,minmax,prune,joindp)")
 	flag.Parse()
 
 	cmd, err := parseCommand(flag.CommandLine, flag.Args(), "all")
@@ -67,12 +63,9 @@ func main() {
 		NumBatches:     *batches,
 		DisruptCount:   *updates,
 		BudgetFraction: 1.0,
-		ExecEngine:     *engineMode,
-		Rules:          *rules,
 	}
 	tf := tunersFlags{
 		scale:      *scale,
-		engine:     *engineMode,
 		seeds:      *seeds,
 		scenarios:  *scenarios,
 		advisors:   *advisors,

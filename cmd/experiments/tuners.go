@@ -13,7 +13,6 @@ import (
 // tunersFlags bundles the tuner-race subcommand's flag values.
 type tunersFlags struct {
 	scale      float64
-	engine     string
 	seeds      string
 	scenarios  string
 	advisors   string
@@ -55,7 +54,6 @@ func tunersRace(f tunersFlags) error {
 		Seeds:      seeds,
 		Scenarios:  splitCSV(f.scenarios),
 		Advisors:   splitCSV(f.advisors),
-		ExecEngine: f.engine,
 		Log:        os.Stderr,
 	}
 	rep, err := bench.RunTuners(cfg)

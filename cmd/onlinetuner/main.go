@@ -64,11 +64,9 @@ func main() {
 	throttle := flag.Int("throttle", 1, "run the tuner's analysis every N statements")
 	workloadFile := flag.String("f", "", "replay a workload file (one statement per line, # comments) and exit")
 	stateFile := flag.String("state", "", "load tuner evidence from this file at startup and save it on exit")
-	engineMode := flag.String("engine", "auto", "execution engine: auto|row|vector")
-	rules := flag.String("rules", "all", "optimizer rule set: all|none|comma list (unnest,topn,minmax,prune,joindp)")
 	flag.Parse()
 
-	db := engine.OpenConfig(engine.Config{ExecEngine: *engineMode, Rules: *rules})
+	db := engine.Open()
 	if *demo {
 		loadDemo(db)
 		fmt.Println("loaded demo schema: R(id,a,b,c,d,e), S(id,a,b,c,d,e), 3000 rows each")

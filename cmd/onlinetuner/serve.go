@@ -33,8 +33,6 @@ func serveMain(args []string) {
 	budget := fs.Int64("budget", 0, "secondary-index storage budget in bytes (0 = unlimited)")
 	suspend := fs.Bool("suspend", false, "suspend indexes instead of dropping")
 	throttle := fs.Int("throttle", 1, "run the tuner's analysis every N statements")
-	engineMode := fs.String("engine", "auto", "execution engine: auto|row|vector")
-	rules := fs.String("rules", "all", "optimizer rule set: all|none|comma list (unnest,topn,minmax,prune,joindp)")
 	notuner := fs.Bool("notuner", false, "serve without the online tuner attached")
 	maxConns := fs.Int("max-conns", 0, "connection limit (0 = server default)")
 	admitSlots := fs.Int("admit-slots", 0, "concurrently executing statements (0 = 2x exec workers)")
@@ -45,7 +43,7 @@ func serveMain(args []string) {
 	var err error
 	recovered := false
 	if *dir != "" {
-		db, err = engine.OpenDurable(engine.Config{Dir: *dir, ExecEngine: *engineMode, Rules: *rules})
+		db, err = engine.OpenDurable(engine.Config{Dir: *dir})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "open durable:", err)
 			os.Exit(1)
@@ -56,7 +54,7 @@ func serveMain(args []string) {
 				*dir, rec.SnapshotSeq, rec.ReplayedRecords, rec.Duration)
 		}
 	} else {
-		db = engine.OpenConfig(engine.Config{ExecEngine: *engineMode, Rules: *rules})
+		db = engine.Open()
 	}
 	// Preloads only seed a fresh database; a recovered directory
 	// already holds its schema and data (and re-running the DDL would

@@ -36,8 +36,6 @@ func ablationVariants() []struct {
 	asyncOpt.Async = true
 	suspend := def
 	suspend.UseSuspend = true
-	noStats := def
-	noStats.StatsTriggerFraction = 0
 	return []struct {
 		name string
 		opts core.Options
@@ -49,7 +47,6 @@ func ablationVariants() []struct {
 		{"throttle-10", throttled},
 		{"async-builds", asyncOpt},
 		{"suspend-mode", suspend},
-		{"no-stats-trigger", noStats},
 	}
 }
 

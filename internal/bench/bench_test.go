@@ -298,8 +298,8 @@ func TestAblationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("variants = %d, want 8", len(rows))
+	if len(rows) != 7 {
+		t.Fatalf("variants = %d, want 7", len(rows))
 	}
 	byName := map[string]AblationRow{}
 	for _, r := range rows {

@@ -68,9 +68,8 @@ type TunersConfig struct {
 	Statements int
 	Seeds      []int64
 	// Advisors/Scenarios restrict the matrix (nil = full canonical sets).
-	Advisors   []string
-	Scenarios  []string
-	ExecEngine string
+	Advisors  []string
+	Scenarios []string
 	// Log, if set, receives per-cell progress lines.
 	Log io.Writer
 }
@@ -112,7 +111,6 @@ func RunTuners(cfg TunersConfig) (*TunersReport, error) {
 					Scale:      cfg.Scale,
 					Seed:       seed,
 					Statements: cfg.Statements,
-					ExecEngine: cfg.ExecEngine,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("bench: tuners %s/%s/seed=%d: %w", sc, adv, seed, err)

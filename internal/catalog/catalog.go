@@ -91,15 +91,6 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// ColumnNames returns the names of all columns in ordinal order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // RowWidth returns the estimated accounted width of a full row.
 func (t *Table) RowWidth() int {
 	w := 0

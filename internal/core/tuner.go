@@ -40,10 +40,6 @@ type Options struct {
 	// UseSuspend replaces drops with suspends; suspended indexes restart
 	// (cheaper than a rebuild) when they become beneficial again.
 	UseSuspend bool
-	// StatsTriggerFraction triggers asynchronous statistics creation on a
-	// candidate's leading column once Δ−Δmin exceeds this fraction of
-	// B_I^s. Zero disables.
-	StatsTriggerFraction float64
 	// MaxCandidates caps |H|; the lowest-benefit candidates are evicted.
 	MaxCandidates int
 	// CooldownQueries pauses the analysis phase for this many statements
@@ -58,14 +54,13 @@ type Options struct {
 
 // DefaultOptions mirror the paper's evaluated configuration: synchronous
 // changes applied before the next query, merging on (throttled per the
-// paper's own advice), statistics triggering at 0.8.
+// paper's own advice).
 func DefaultOptions() Options {
 	return Options{
-		ThrottleEvery:        1,
-		MergeEvery:           4, // the paper's own throttle: merge "a fraction of the executions"
-		StatsTriggerFraction: 0.8,
-		MaxCandidates:        128,
-		CooldownQueries:      15,
+		ThrottleEvery:   1,
+		MergeEvery:      4, // the paper's own throttle: merge "a fraction of the executions"
+		MaxCandidates:   128,
+		CooldownQueries: 15,
 	}
 }
 
@@ -462,9 +457,7 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	if t.opts.Async {
 		t.progressBuild(info.EstCost)
 	}
-	if t.opts.StatsTriggerFraction > 0 {
-		t.maybeBuildStats()
-	}
+	t.maybeBuildStats()
 	t.evictCandidates()
 
 	// Lines 9–21: throttled, and paused while a recent physical change
@@ -1063,16 +1056,21 @@ func (t *Tuner) Close() {
 	t.subs = nil
 }
 
+// statsTriggerFraction is the share of a candidate's build cost B_I^s
+// its evidence Δ−Δmin must pass before statistics are built on its
+// leading column.
+const statsTriggerFraction = 0.8
+
 // statsStaleFraction is the relative table-size change beyond which
 // existing statistics are considered stale and rebuilt on the next
 // trigger check.
 const statsStaleFraction = 0.3
 
 // maybeBuildStats implements the "supporting statistics" policy: once a
-// candidate's evidence crosses the configured fraction of its build
-// cost, statistics for its leading column are created — or refreshed,
-// when the table has grown or shrunk enough since they were built that
-// the histogram no longer reflects it.
+// candidate's evidence crosses statsTriggerFraction of its build cost,
+// statistics for its leading column are created — or refreshed, when
+// the table has grown or shrunk enough since they were built that the
+// histogram no longer reflects it.
 func (t *Tuner) maybeBuildStats() {
 	for id, st := range t.tracked {
 		if t.inConfig[id] || st.Creating {
@@ -1097,7 +1095,7 @@ func (t *Tuner) maybeBuildStats() {
 			continue
 		}
 		b := t.buildCostFor(st.Ix)
-		if st.Delta()-st.DeltaMin > t.opts.StatsTriggerFraction*b {
+		if st.Delta()-st.DeltaMin > statsTriggerFraction*b {
 			t.buildColumnStats(st.Ix.Table, lead)
 		}
 	}

@@ -140,12 +140,6 @@ func (m Model) HashJoin(buildRows, probeRows float64) float64 {
 	return buildRows*m.HashTup + probeRows*m.HashTup
 }
 
-// NestedLoop is the cost of a naive nested-loop join re-scanning the
-// inner for every outer row.
-func (m Model) NestedLoop(outerRows, innerCost float64) float64 {
-	return outerRows * innerCost
-}
-
 // MergeJoinExtra is the per-row merge cost once both inputs are sorted.
 func (m Model) MergeJoinExtra(leftRows, rightRows float64) float64 {
 	return (leftRows + rightRows) * m.CPUTuple

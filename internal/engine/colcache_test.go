@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"onlinetuner/internal/executor"
 	"onlinetuner/internal/fault"
 	"onlinetuner/internal/vec"
 	"onlinetuner/internal/wal"
@@ -42,13 +43,9 @@ func TestScanColumnsFollowWrites(t *testing.T) {
 		t.Helper()
 		for _, q := range queries {
 			got := db.MustExec(q)
-			if err := db.SetExecEngine("row"); err != nil {
-				t.Fatal(err)
-			}
+			db.Exe.SetEngineMode(executor.EngineRow)
 			want := db.MustExec(q)
-			if err := db.SetExecEngine("auto"); err != nil {
-				t.Fatal(err)
-			}
+			db.Exe.SetEngineMode(executor.EngineAuto)
 			sameResult(t, label+": "+q, got, want)
 		}
 		if err := db.Mgr.CheckConsistency(); err != nil {

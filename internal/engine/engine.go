@@ -117,10 +117,9 @@ type Config struct {
 	ExecEngine string
 
 	// Rules selects the optimizer's cost-based rewrite rules: "all"
-	// (default, also the empty string), "none", or a comma list of
-	// unnest,topn,minmax,prune,joindp. Every rule is result-preserving;
-	// toggling changes plan shape and cost, never statement output.
-	// Invalid values fall back to "all".
+	// (default, also the empty string) or "none". Every rule is
+	// result-preserving; toggling changes plan shape and cost, never
+	// statement output. Invalid values fall back to "all".
 	Rules string
 
 	// Dir is the durable directory holding WAL segments and checkpoint
@@ -194,38 +193,6 @@ func (db *DB) SetExecWorkers(n int) {
 
 // ExecWorkers returns the current intra-query worker budget.
 func (db *DB) ExecWorkers() int { return db.Exe.Workers() }
-
-// SetExecEngine reconfigures the execution engine at runtime:
-// "auto" | "row" | "vector". In-flight statements finish on the mode
-// they started with.
-func (db *DB) SetExecEngine(mode string) error {
-	m, err := executor.ParseEngineMode(mode)
-	if err != nil {
-		return err
-	}
-	db.Exe.SetEngineMode(m)
-	return nil
-}
-
-// ExecEngine returns the configured execution engine mode.
-func (db *DB) ExecEngine() string { return db.Exe.Engine().String() }
-
-// SetRules reconfigures the optimizer's rewrite-rule set at runtime:
-// "all", "none", or a comma list of unnest,topn,minmax,prune,joindp.
-// The rule set participates in the plan-cache key, so cached plans from
-// the previous setting are never served after a toggle. In-flight
-// statements finish on the rules they resolved at start.
-func (db *DB) SetRules(s string) error {
-	r, err := optimizer.ParseRules(s)
-	if err != nil {
-		return err
-	}
-	db.Opt.SetRules(r)
-	return nil
-}
-
-// Rules returns the configured optimizer rule set.
-func (db *DB) Rules() string { return db.Opt.Rules().String() }
 
 // SetFaults installs a fault injector on the storage layer; the engine,
 // executor and WAL writer consult the same injector. Pass nil to remove

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"onlinetuner/internal/plan"
+	"onlinetuner/internal/sql"
 	"onlinetuner/internal/whatif"
 )
 
@@ -591,5 +593,29 @@ func TestMergeJoinChosenForSortedInputs(t *testing.T) {
 	expl := plan.Explain(info.Result.Plan)
 	if !strings.Contains(expl, "MergeJoin") {
 		t.Logf("merge join not chosen (acceptable if another strategy is cheaper):\n%s", expl)
+	}
+}
+
+// TestSubqueryTablesAreLocked requires a statement to read-lock the
+// tables its subqueries read: the optimizer unnests them into semi-joins
+// that scan those tables, and an index scan racing a writer on its table
+// walks a tree that is changing under it.
+func TestSubqueryTablesAreLocked(t *testing.T) {
+	db := Open()
+	for q, want := range map[string]string{
+		"SELECT id FROM R WHERE a IN (SELECT x FROM S WHERE y > 3)":                     "r s",
+		"SELECT id FROM R WHERE b = 1 AND NOT EXISTS (SELECT * FROM T WHERE T.k = R.a)": "r t",
+		"INSERT INTO U SELECT id FROM R WHERE NOT a IN (SELECT x FROM S)":               "r s",
+	} {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads, _ := db.lockTablesFor(stmt)
+		slices.Sort(reads)
+		got := strings.ToLower(strings.Join(reads, " "))
+		if got != want {
+			t.Errorf("%q read-locks %q, want %q", q, got, want)
+		}
 	}
 }

@@ -38,9 +38,7 @@ func FuzzRewrite(f *testing.F) {
 	}
 	dbOn := openRS(f, 300)
 	dbOff := openRS(f, 300)
-	if err := dbOff.SetRules("none"); err != nil {
-		f.Fatal(err)
-	}
+	dbOff.Opt.SetRules(0)
 	f.Fuzz(func(t *testing.T, text string) {
 		stmt, err := sql.Parse(text)
 		if err != nil {

@@ -198,11 +198,29 @@ func (db *DB) lockTablesFor(stmt sql.Statement) (reads, writes []string) {
 	return nil, nil
 }
 
-// selectTables lists every table referenced by a SELECT.
+// selectTables lists every table referenced by a SELECT, including those
+// of its WHERE clause's subqueries: the optimizer unnests them into
+// semi-joins that scan those tables, and an index scan must not run
+// under a concurrent writer.
 func selectTables(s *sql.Select) []string {
 	out := []string{s.From.Table}
 	for _, j := range s.Joins {
 		out = append(out, j.Right.Table)
 	}
+	var walk func(sql.Expr)
+	walk = func(e sql.Expr) {
+		switch x := e.(type) {
+		case *sql.BinaryExpr:
+			walk(x.Left)
+			walk(x.Right)
+		case *sql.NotExpr:
+			walk(x.Inner)
+		case *sql.InSubquery:
+			out = append(out, selectTables(x.Query)...)
+		case *sql.ExistsExpr:
+			out = append(out, selectTables(x.Query)...)
+		}
+	}
+	walk(s.Where)
 	return out
 }

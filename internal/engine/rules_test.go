@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"onlinetuner/internal/optimizer"
 )
 
 // TestRulesExplainProvenance: an applied rule announces itself as a
@@ -25,9 +27,7 @@ func TestRulesExplainProvenance(t *testing.T) {
 	}
 	rowsOn := db.MustExec(q)
 
-	if err := db.SetRules("none"); err != nil {
-		t.Fatal(err)
-	}
+	db.Opt.SetRules(0)
 	off, err := db.ExplainString(q)
 	if err != nil {
 		t.Fatal(err)
@@ -57,47 +57,37 @@ func TestRulesPartOfPlanCacheKey(t *testing.T) {
 	wantMarker(t, db, q, "-- plan: cached (exact)")
 
 	before := db.PlanCacheStats()
-	if err := db.SetRules("none"); err != nil {
-		t.Fatal(err)
-	}
+	db.Opt.SetRules(0)
 	wantMarker(t, db, q, "-- plan: fresh")
 	if s := db.PlanCacheStats(); s.Invalidations <= before.Invalidations {
 		t.Fatalf("rule change did not invalidate: %+v -> %+v", before, s)
 	}
 	wantMarker(t, db, q, "-- plan: cached (exact)")
 
-	if err := db.SetRules("all"); err != nil {
-		t.Fatal(err)
-	}
+	db.Opt.SetRules(optimizer.DefaultRules)
 	wantMarker(t, db, q, "-- plan: fresh")
 	wantMarker(t, db, q, "-- plan: cached (exact)")
 }
 
-// TestRulesConfigRoundTrip: the Rules accessor reflects SetRules and
-// the Config field, and invalid specs are rejected without changing
-// the active set.
+// TestRulesConfigRoundTrip: Config.Rules "none" turns every rule off;
+// the empty string, "all" and any value it does not know (a per-rule
+// list among them) leave every rule on.
 func TestRulesConfigRoundTrip(t *testing.T) {
-	db := openRS(t, 10)
-	if got := db.Rules(); got != "all" {
-		t.Fatalf("default rules = %q, want all", got)
-	}
-	if err := db.SetRules("topn,minmax"); err != nil {
-		t.Fatal(err)
-	}
-	got := db.Rules()
-	if !strings.Contains(got, "topn") || !strings.Contains(got, "minmax") || strings.Contains(got, "unnest") {
-		t.Fatalf("rules after SetRules(topn,minmax) = %q", got)
-	}
-	if err := db.SetRules("bogus-rule"); err == nil {
-		t.Fatal("invalid rule spec accepted")
-	}
-	if db.Rules() != got {
-		t.Fatalf("failed SetRules changed active set to %q", db.Rules())
-	}
-	db2 := OpenConfig(Config{Rules: "none"})
-	defer db2.Close()
-	if got := db2.Rules(); got != "none" {
-		t.Fatalf("Config.Rules=none → %q", got)
+	for _, tc := range []struct {
+		spec string
+		want optimizer.Rules
+	}{
+		{"", optimizer.DefaultRules},
+		{"all", optimizer.DefaultRules},
+		{"none", 0},
+		{"topn,minmax", optimizer.DefaultRules},
+		{"bogus-rule", optimizer.DefaultRules},
+	} {
+		db := OpenConfig(Config{Rules: tc.spec})
+		if got := db.Opt.Rules(); got != tc.want {
+			t.Errorf("Config.Rules=%q → %#x, want %#x", tc.spec, got, tc.want)
+		}
+		db.Close()
 	}
 }
 
@@ -134,36 +124,35 @@ func TestEachRuleAloneLowersCost(t *testing.T) {
 	db.MustExec("CREATE INDEX s_y ON S (y, x)")
 
 	cases := []struct {
-		rule, canon, query string
+		name, canon, query string
+		rule               optimizer.Rules
 	}{
-		{"unnest", "subquery-unnest", "SELECT id, a FROM R WHERE a IN (SELECT x FROM S WHERE y = 3)"},
-		{"topn", "topn-pushdown", "SELECT id, a FROM R ORDER BY a DESC, id LIMIT 10"},
-		{"minmax", "minmax-endpoint", "SELECT MAX(id) AS hi FROM R"},
+		{"unnest", "subquery-unnest", "SELECT id, a FROM R WHERE a IN (SELECT x FROM S WHERE y = 3)", optimizer.RuleUnnest},
+		{"topn", "topn-pushdown", "SELECT id, a FROM R ORDER BY a DESC, id LIMIT 10", optimizer.RuleTopN},
+		{"minmax", "minmax-endpoint", "SELECT MAX(id) AS hi FROM R", optimizer.RuleMinMax},
 		// Only R.id is needed above the join: five columns pruned.
-		{"prune", "column-prune", "SELECT S.x FROM R, S WHERE R.id = S.id AND S.y = 7"},
+		{"prune", "column-prune", "SELECT S.x FROM R, S WHERE R.id = S.id AND S.y = 7", optimizer.RulePrune},
 		// The MAX items keep enough columns live that pruning saves nothing.
 		{"joindp", "join-dp", "SELECT COUNT(*) AS n, MAX(Q.id) AS q, MAX(P.id) AS p FROM V, P, Q, W " +
-			"WHERE V.id = P.v AND P.id = Q.p AND Q.w = W.id AND W.f = 3"},
+			"WHERE V.id = P.v AND P.id = Q.p AND Q.w = W.id AND W.f = 3", optimizer.RuleJoinDP},
 	}
 	for _, tc := range cases {
-		t.Run(tc.rule, func(t *testing.T) {
-			run := func(rules string) (rows string, cost float64, applied []string, explain string) {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(rules optimizer.Rules) (rows string, cost float64, applied []string, explain string) {
 				t.Helper()
-				if err := db.SetRules(rules); err != nil {
-					t.Fatal(err)
-				}
+				db.Opt.SetRules(rules)
 				rs, info, err := db.Exec(tc.query)
 				if err != nil {
-					t.Fatalf("rules %s: %v", rules, err)
+					t.Fatalf("rules %#x: %v", rules, err)
 				}
 				if explain, err = db.ExplainString(tc.query); err != nil {
 					t.Fatal(err)
 				}
 				return fmt.Sprint(rs.Rows), info.EstCost, info.Result.RulesApplied, explain
 			}
-			rowsOff, costOff, _, explainOff := run("none")
+			rowsOff, costOff, _, explainOff := run(0)
 			rowsOn, costOn, _, explainOn := run(tc.rule)
-			_, _, appliedAll, _ := run("all")
+			_, _, appliedAll, _ := run(optimizer.DefaultRules)
 			if rowsOn != rowsOff {
 				t.Errorf("rule changed the rows:\non:  %s\noff: %s", rowsOn, rowsOff)
 			}

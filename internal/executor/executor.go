@@ -72,9 +72,6 @@ func (e *Executor) Workers() int { return e.pool.Load().Workers() }
 // its speed change.
 func (e *Executor) SetEngineMode(m EngineMode) { e.engineMode.Store(int32(m)) }
 
-// Engine returns the configured engine mode.
-func (e *Executor) Engine() EngineMode { return EngineMode(e.engineMode.Load()) }
-
 // SetParallelMetrics installs the engine's metric adders: morsels
 // receives the morsel count of each parallel region, busy the delta of
 // extra workers entering (+) and leaving (-) parallel regions.

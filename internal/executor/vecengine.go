@@ -49,17 +49,6 @@ func ParseEngineMode(s string) (EngineMode, error) {
 	return EngineAuto, fmt.Errorf("executor: unknown engine mode %q (want auto|row|vector)", s)
 }
 
-// String renders the mode.
-func (m EngineMode) String() string {
-	switch m {
-	case EngineRow:
-		return "row"
-	case EngineVector:
-		return "vector"
-	}
-	return "auto"
-}
-
 // vecMinRows is the EngineAuto threshold: below this many input units
 // the column gather costs more than it saves, so auto mode keeps the
 // row path. The decision depends only on input size (which is

@@ -14,6 +14,7 @@ import (
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/engine"
 	"onlinetuner/internal/obs"
+	"onlinetuner/internal/optimizer"
 	"onlinetuner/internal/tpch"
 )
 
@@ -292,9 +293,10 @@ func TestDifferentialVectorized(t *testing.T) {
 
 // replayRules is replayAt with an explicit optimizer rule set and the
 // count of statements on which at least one rewrite rule fired.
-func replayRules(t *testing.T, workers int, rules string, stmts []string) ([]string, []obs.Decision, int) {
+func replayRules(t *testing.T, workers int, rules optimizer.Rules, stmts []string) ([]string, []obs.Decision, int) {
 	t.Helper()
-	db := engine.OpenConfig(engine.Config{ExecWorkers: workers, Rules: rules})
+	db := engine.OpenConfig(engine.Config{ExecWorkers: workers})
+	db.Opt.SetRules(rules)
 	db.BypassPlanCache()
 	if err := tpch.NewGenerator(scale, dataSeed).Load(db); err != nil {
 		t.Fatal(err)
@@ -305,7 +307,7 @@ func replayRules(t *testing.T, workers int, rules string, stmts []string) ([]str
 	for i, s := range stmts {
 		rs, info, err := db.Exec(s)
 		if err != nil {
-			t.Fatalf("rules %s stmt %d %q: %v", rules, i, s, err)
+			t.Fatalf("rules %#x stmt %d %q: %v", rules, i, s, err)
 		}
 		if info.Result != nil && len(info.Result.RulesApplied) > 0 {
 			applied++
@@ -332,17 +334,17 @@ func TestDifferentialRules(t *testing.T) {
 		stmts = append(stmts, g.RefreshInsert(2)...)
 	}
 
-	refRes, _, refApplied := replayRules(t, 1, "none", stmts)
+	refRes, _, refApplied := replayRules(t, 1, 0, stmts)
 	if refApplied != 0 {
 		t.Fatalf("rules=none still applied rewrites on %d statements", refApplied)
 	}
 	for _, c := range []struct {
 		workers int
-		rules   string
+		rules   optimizer.Rules
 	}{
-		{1, "all"}, {4, "all"}, {4, "none"}, {1, "topn,minmax"},
+		{1, optimizer.DefaultRules}, {4, optimizer.DefaultRules}, {4, 0}, {1, optimizer.RuleTopN | optimizer.RuleMinMax},
 	} {
-		name := fmt.Sprintf("rules=%s workers=%d", c.rules, c.workers)
+		name := fmt.Sprintf("rules=%#x workers=%d", c.rules, c.workers)
 		res, _, applied := replayRules(t, c.workers, c.rules, stmts)
 		for i := range stmts {
 			if res[i] != refRes[i] {
@@ -351,7 +353,7 @@ func TestDifferentialRules(t *testing.T) {
 			}
 		}
 		// The comparison only means something if the pack actually fired.
-		if c.rules == "all" && applied == 0 {
+		if c.rules == optimizer.DefaultRules && applied == 0 {
 			t.Errorf("%s: no statement had a rewrite rule applied", name)
 		}
 	}

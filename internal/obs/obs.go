@@ -59,13 +59,6 @@ func (o *Obs) EnableTracing(ringSize, stride int) {
 	o.enabled.Store(true)
 }
 
-// DisableTracing turns statement tracing off; retained traces stay
-// readable.
-func (o *Obs) DisableTracing() { o.enabled.Store(false) }
-
-// TracingEnabled reports whether statement tracing is on.
-func (o *Obs) TracingEnabled() bool { return o.enabled.Load() }
-
 // StartStatementTrace returns a new trace for the statement when
 // tracing is on and the sampler selects it, else nil. The nil check is
 // the entire disabled-path cost.

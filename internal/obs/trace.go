@@ -157,9 +157,6 @@ func (t *Trace) Finish() {
 	t.fin = true
 }
 
-// Finished reports whether Finish has run.
-func (t *Trace) Finished() bool { return t.fin }
-
 // Total returns the root span's duration.
 func (t *Trace) Total() time.Duration { return t.spans[0].End }
 

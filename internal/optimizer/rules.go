@@ -1,9 +1,6 @@
 package optimizer
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Rules is the bitset of cost-based rewrite rules the optimizer may
 // apply. Every rule is result-preserving by construction: toggling a
@@ -14,8 +11,8 @@ import (
 // serve a stale plan.
 type Rules uint32
 
-// Rule bits, in canonical order. RulesApplied provenance and ParseRules
-// names follow this order.
+// Rule bits, in canonical order. RulesApplied provenance follows this
+// order.
 const (
 	// RuleUnnest flattens IN (SELECT ...) / EXISTS (SELECT ...) into
 	// hash semi-joins with an index-aware inner access path.
@@ -40,106 +37,33 @@ const (
 // DefaultRules enables every rule.
 const DefaultRules = ruleEnd - 1
 
-// ruleNames maps each bit to its canonical name (EXPLAIN provenance,
-// ParseRules spelling).
-var ruleNames = []struct {
-	bit  Rules
-	name string
-}{
-	{RuleUnnest, "subquery-unnest"},
-	{RuleTopN, "topn-pushdown"},
-	{RuleMinMax, "minmax-endpoint"},
-	{RulePrune, "column-prune"},
-	{RuleJoinDP, "join-dp"},
-}
-
-// shortNames are the flag spellings accepted by ParseRules.
-var shortNames = map[string]Rules{
-	"unnest": RuleUnnest,
-	"topn":   RuleTopN,
-	"minmax": RuleMinMax,
-	"prune":  RulePrune,
-	"joindp": RuleJoinDP,
-}
+// ruleNames holds each rule's canonical name (EXPLAIN provenance), in
+// bit order.
+var ruleNames = []string{"subquery-unnest", "topn-pushdown", "minmax-endpoint", "column-prune", "join-dp"}
 
 // Has reports whether the bit is set.
 func (r Rules) Has(bit Rules) bool { return r&bit != 0 }
-
-// String renders the set as a comma list of short names, or "all"/"none".
-func (r Rules) String() string {
-	if r == DefaultRules {
-		return "all"
-	}
-	if r == 0 {
-		return "none"
-	}
-	var parts []string
-	for _, rn := range ruleNames {
-		if r.Has(rn.bit) {
-			for short, bit := range shortNames {
-				if bit == rn.bit {
-					parts = append(parts, short)
-				}
-			}
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// Names returns the canonical names of the enabled rules in bit order.
-func (r Rules) Names() []string {
-	var out []string
-	for _, rn := range ruleNames {
-		if r.Has(rn.bit) {
-			out = append(out, rn.name)
-		}
-	}
-	return out
-}
 
 // appliedNames returns the canonical names present in the applied set,
 // in canonical bit order.
 func appliedNames(applied map[string]bool) []string {
 	var out []string
-	for _, rn := range ruleNames {
-		if applied[rn.name] {
-			out = append(out, rn.name)
+	for _, name := range ruleNames {
+		if applied[name] {
+			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// ParseRules parses a -rules flag value: "all", "none", or a comma list
-// of short names (unnest,topn,minmax,prune,joindp) or canonical names.
-// The empty string means "all" (rules on is the default).
+// ParseRules parses engine.Config's Rules value: "all" (also the empty
+// string) or "none". Subsets are set as bits through Optimizer.SetRules.
 func ParseRules(s string) (Rules, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "all", "default":
+	switch s {
+	case "", "all":
 		return DefaultRules, nil
-	case "none", "off":
+	case "none":
 		return 0, nil
 	}
-	var r Rules
-	for _, part := range strings.Split(s, ",") {
-		part = strings.ToLower(strings.TrimSpace(part))
-		if part == "" {
-			continue
-		}
-		if bit, ok := shortNames[part]; ok {
-			r |= bit
-			continue
-		}
-		found := false
-		for _, rn := range ruleNames {
-			if rn.name == part {
-				r |= rn.bit
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, fmt.Errorf("optimizer: unknown rule %q (want all, none, or a comma list of unnest,topn,minmax,prune,joindp)", part)
-		}
-	}
-	return r, nil
+	return 0, fmt.Errorf("optimizer: unknown rule set %q (want all|none)", s)
 }

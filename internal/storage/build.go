@@ -64,9 +64,6 @@ type Build struct {
 // Def returns the definition of the index being built.
 func (b *Build) Def() *catalog.Index { return b.ix }
 
-// SnapshotRows returns how many rows the build snapshot captured.
-func (b *Build) SnapshotRows() int { return len(b.snap) }
-
 // StartBuild begins an online build of a secondary index: it registers
 // the index in StateBuilding, starts delta logging, and captures the row
 // snapshot, all in one critical section. The returned handle's Run must

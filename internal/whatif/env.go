@@ -361,6 +361,3 @@ func BuildCost(e *Env, ix *catalog.Index) float64 {
 	}
 	return e.Model.BuildIndex(sourcePages, rows, newPages, sorted)
 }
-
-// DropCost is the (negligible) cost of dropping an index.
-func DropCost() float64 { return 0 }

@@ -34,10 +34,6 @@ type ScenarioOptions struct {
 	// BudgetFraction sets the index budget as a fraction of loaded data
 	// bytes (0 = 2.0).
 	BudgetFraction float64
-	// ExecEngine selects the replay execution engine ("" = auto).
-	ExecEngine string
-	// Rules selects the optimizer rewrite-rule set ("" = all).
-	Rules string
 }
 
 func (o ScenarioOptions) withDefaults() ScenarioOptions {
@@ -115,7 +111,7 @@ func BuildScenario(name string, o ScenarioOptions) (*Workload, error) {
 // index budget — identical for every advisor racing in the cell.
 func scenarioDB(o ScenarioOptions) func() *engine.DB {
 	return func() *engine.DB {
-		db := engine.OpenConfig(engine.Config{ExecEngine: o.ExecEngine, Rules: o.Rules})
+		db := engine.Open()
 		if err := tpch.NewGenerator(o.Scale, o.Seed).Load(db); err != nil {
 			panic(err)
 		}

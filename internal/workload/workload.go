@@ -166,13 +166,6 @@ type TPCHOptions struct {
 	// data size (the paper's "1 GB database with an additional 1 GB" is
 	// fraction 1.0).
 	BudgetFraction float64
-	// ExecEngine selects the execution engine for replay databases:
-	// "auto" (default), "row", or "vector". Results are byte-identical
-	// under every mode.
-	ExecEngine string
-	// Rules selects the optimizer rewrite-rule set for replay databases
-	// ("" = all). Like ExecEngine, toggling it never changes results.
-	Rules string
 }
 
 // DefaultTPCH matches the Figure 7(a)/(b) setup at laptop scale. The
@@ -207,7 +200,7 @@ func TPCH(o TPCHOptions) *Workload {
 		w.Statements = append(w.Statements, b...)
 	}
 	w.NewDB = func() *engine.DB {
-		db := engine.OpenConfig(engine.Config{ExecEngine: o.ExecEngine, Rules: o.Rules})
+		db := engine.Open()
 		loader := tpch.NewGenerator(o.Scale, o.Seed)
 		if err := loader.Load(db); err != nil {
 			panic(err)
