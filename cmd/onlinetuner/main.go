@@ -20,7 +20,7 @@
 // Shell commands besides SQL:
 //
 //	\config   show the current physical configuration
-//	\cands    show the top candidate indexes and their evidence
+//	\cands    show the top candidate indexes, their evidence and the alerter bound
 //	\events   show the physical change log
 //	\metrics  show tuner overhead counters
 //	\explain SELECT ...   show the plan without executing

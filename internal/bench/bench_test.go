@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -331,26 +332,44 @@ func TestAblationSuite(t *testing.T) {
 	}
 }
 
-func TestAblationNoDampingOscillates(t *testing.T) {
-	// The headline ablation claim: removing the damping rule makes the
-	// one-index-budget interleaved workload thrash.
-	w := workload.W2(workload.BudgetOne4Col, "one-index budget")
-	def, err := RunOnline(w, core.DefaultOptions())
+// TestAblationTableColumns pins the ablation's scale-independent
+// columns — W2 under both budgets and W3, every variant — to the totals
+// and change counts EXPERIMENTS.md prints. The no-damping row carries
+// the headline claim: without damping the one-index W2 thrashes (19
+// changes instead of 3) and costs more. The async-builds and
+// suspend-mode rows run the tuner's background-build, suspend and
+// restart paths end to end.
+func TestAblationTableColumns(t *testing.T) {
+	t.Parallel()
+	want := map[string][3]string{
+		"default":      {"15387.26 (3)", "7589.75 (3)", "27811.26 (4)"},
+		"no-merging":   {"15387.26 (3)", "15387.26 (3)", "27811.26 (4)"},
+		"no-damping":   {"19505.42 (19)", "11375.71 (15)", "27811.26 (4)"},
+		"no-cooldown":  {"15387.26 (3)", "7640.47 (3)", "27811.26 (4)"},
+		"throttle-10":  {"15473.04 (3)", "15473.04 (3)", "28948.32 (4)"},
+		"async-builds": {"15578.13 (3)", "8080.71 (3)", "28129.62 (4)"},
+		"suspend-mode": {"22918.00 (3)", "22986.00 (3)", "27811.26 (4)"},
+	}
+	ws := AblationWorkloads(workload.TPCHOptions{Scale: 0.01, NumBatches: 1})[:3]
+	rows, err := Ablation(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultOptions()
-	opts.DisableDamping = true
-	noDamp, err := RunOnline(w, opts)
-	if err != nil {
-		t.Fatal(err)
+	got := map[string][3]string{}
+	for i, r := range rows {
+		cells := got[r.Variant]
+		cells[i/len(ablationVariants())] = fmt.Sprintf("%.2f (%d)", r.Total, r.Changes)
+		got[r.Variant] = cells
 	}
-	if len(noDamp.Events) <= len(def.Events) {
-		t.Errorf("no-damping should thrash: %d vs %d changes",
-			len(noDamp.Events), len(def.Events))
+	for variant, w := range want {
+		for c, col := range []string{"W2 one-index", "W2 merged", "W3"} {
+			if got[variant][c] != w[c] {
+				t.Errorf("%s on %s: %s, want %s", variant, col, got[variant][c], w[c])
+			}
+		}
 	}
-	if noDamp.Total <= def.Total {
-		t.Errorf("no-damping should cost more: %g vs %g", noDamp.Total, def.Total)
+	if len(got) != len(want) {
+		t.Errorf("variants = %d, want %d", len(got), len(want))
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 // Deterministic unit tests for asynchronous background index creation,
-// driven entirely through the tuner's event surface: every assertion
-// keys off a received Event, never off sleeps or wall-clock timing. The
-// workload is replayed single-threaded, so event order is exact; the
+// driven entirely through the tuner's decision log: every assertion keys
+// off a logged decision, never off sleeps or wall-clock timing. The
+// workload is replayed single-threaded, so decision order is exact; the
 // background build goroutine is synchronized by the publish gate (the
 // tuner waits on its completion channel when the accounted B_I^s cost
 // has elapsed), which keeps even the physical build deterministic.
@@ -12,50 +12,38 @@ import (
 	"testing"
 
 	"onlinetuner/internal/engine"
+	"onlinetuner/internal/obs"
 	"onlinetuner/internal/storage"
 )
 
-// drain empties the subscriber channel, appending to got.
-func drain(ev <-chan Event, got *[]Event) {
-	for {
-		select {
-		case e := <-ev:
-			*got = append(*got, e)
-		default:
-			return
+// firstDecision returns the earliest logged decision of the given kind
+// at or after position from, and its position (-1 if there is none).
+func firstDecision(tn *Tuner, kind string, from int) (obs.Decision, int) {
+	ds := tn.Decisions()
+	for i := from; i < len(ds); i++ {
+		if ds[i].Kind == kind {
+			return ds[i], i
 		}
 	}
+	return obs.Decision{}, -1
 }
 
-// runUntil replays statement q until pred sees a matching event or the
-// budget of executions runs out; it returns whether pred matched.
-func runUntil(t *testing.T, db *engine.DB, ev <-chan Event, q string, budget int, got *[]Event, pred func(Event) bool) bool {
+// runUntil replays statement q until the decision log holds a record of
+// the given kind, or the budget of executions runs out; it returns that
+// record and whether it appeared.
+func runUntil(t *testing.T, db *engine.DB, tn *Tuner, q string, budget int, kind string) (obs.Decision, bool) {
 	t.Helper()
-	matched := func() bool {
-		for _, e := range *got {
-			if pred(e) {
-				return true
-			}
+	for i := 0; ; i++ {
+		if d, at := firstDecision(tn, kind, 0); at >= 0 {
+			return d, true
 		}
-		return false
-	}
-	if matched() {
-		return true
-	}
-	for i := 0; i < budget; i++ {
+		if i == budget {
+			return obs.Decision{}, false
+		}
 		if _, _, err := db.Exec(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		drain(ev, got)
-		if matched() {
-			return true
-		}
 	}
-	return false
-}
-
-func isKind(k EventKind) func(Event) bool {
-	return func(e Event) bool { return e.Kind == k }
 }
 
 func TestAsyncBuildCompletesThroughEvents(t *testing.T) {
@@ -64,42 +52,35 @@ func TestAsyncBuildCompletesThroughEvents(t *testing.T) {
 	opts.Async = true
 	tn := Attach(db, opts)
 	defer tn.Close()
-	ev := tn.Subscribe(256)
 
-	var got []Event
-	if !runUntil(t, db, ev, q1, 300, &got, isKind(EvCreate)) {
-		t.Fatalf("async build never completed; events = %v", got)
+	created, ok := runUntil(t, db, tn, q1, 300, "create")
+	if !ok {
+		t.Fatalf("async build never completed; decisions = %v", tn.Decisions())
 	}
 
 	// The build must have been announced before it was published, for
 	// the same index.
-	startAt, createAt := -1, -1
-	var built Event
-	for i, e := range got {
-		if e.Kind == EvBuildStart && startAt < 0 {
-			startAt = i
-			built = e
-		}
-		if e.Kind == EvCreate && createAt < 0 {
-			createAt = i
-		}
+	started, startAt := firstDecision(tn, "build-start", 0)
+	_, createAt := firstDecision(tn, "create", 0)
+	if startAt < 0 || startAt > createAt {
+		t.Fatalf("bad decision order: build-start at %d, create at %d (%v)", startAt, createAt, tn.Decisions())
 	}
-	if startAt < 0 || createAt < 0 || startAt > createAt {
-		t.Fatalf("bad event order: build-start at %d, create at %d (%v)", startAt, createAt, got)
+	if started.Index != created.Index {
+		t.Errorf("build-start index %s != created index %s", started.Index, created.Index)
 	}
-	if got[createAt].Index.ID() != built.Index.ID() {
-		t.Errorf("build-start index %v != created index %v", built.Index, got[createAt].Index)
+	if created.Reason != "published" {
+		t.Errorf("create reason = %q, want published", created.Reason)
 	}
 
 	// The published structure is real, active, and complete.
-	pi := db.Mgr.Index(built.Index.ID())
+	pi := db.Mgr.Index(created.Index)
 	if pi == nil || pi.State() != storage.StateActive {
-		t.Fatalf("published index %v not active", built.Index)
+		t.Fatalf("published index %s not active", created.Index)
 	}
 	if got, want := pi.Tree().Len(), db.Mgr.Heap("R").Len(); got != want {
 		t.Errorf("index entries = %d, rows = %d", got, want)
 	}
-	if db.Cat.IndexByID(built.Index.ID()) == nil {
+	if db.Cat.IndexByID(created.Index) == nil {
 		t.Error("published index missing from catalog")
 	}
 
@@ -115,36 +96,32 @@ func TestAsyncBuildAbortsOnErosion(t *testing.T) {
 	opts.Async = true
 	tn := Attach(db, opts)
 	defer tn.Close()
-	ev := tn.Subscribe(256)
 
-	var got []Event
-	if !runUntil(t, db, ev, q1, 300, &got, isKind(EvBuildStart)) {
+	started, ok := runUntil(t, db, tn, q1, 300, "build-start")
+	if !ok {
 		t.Fatal("no build ever started")
 	}
 	if len(tn.Events()) > 0 {
 		t.Skipf("build completed before updates could erode it: %v", tn.Events())
 	}
-	var started Event
-	for _, e := range got {
-		if e.Kind == EvBuildStart {
-			started = e
-			break
-		}
-	}
 
 	// Full-table updates erode the candidate's benefit; the paper's rule
 	// cancels the build once the erosion exceeds B_I^s.
 	up := "UPDATE R SET b = b + 1, c = c + 1, d = d + 1, e = e + 1 WHERE id >= 0"
-	if !runUntil(t, db, ev, up, 100, &got, isKind(EvAbort)) {
-		t.Fatalf("build never aborted under update burst; events = %v", got)
+	aborted, ok := runUntil(t, db, tn, up, 100, "abort")
+	if !ok {
+		t.Fatalf("build never aborted under update burst; decisions = %v", tn.Decisions())
+	}
+	if aborted.Index != started.Index || aborted.Reason != "erosion" {
+		t.Errorf("abort %+v does not match build-start %+v", aborted, started)
 	}
 
 	// The half-built structure must be discarded entirely: no physical
 	// index, no catalog entry, no pending build.
-	if pi := db.Mgr.Index(started.Index.ID()); pi != nil {
+	if pi := db.Mgr.Index(started.Index); pi != nil {
 		t.Errorf("aborted build left physical index in state %v", pi.State())
 	}
-	if db.Cat.IndexByID(started.Index.ID()) != nil {
+	if db.Cat.IndexByID(started.Index) != nil {
 		t.Error("aborted build left catalog entry")
 	}
 	if tn.pending != nil {
@@ -163,37 +140,29 @@ func TestAsyncSuspendThenRestart(t *testing.T) {
 	opts.CooldownQueries = 5
 	tn := Attach(db, opts)
 	defer tn.Close()
-	ev := tn.Subscribe(1024)
 
 	// Phase 1: reads until an index is built and published.
-	var got []Event
-	if !runUntil(t, db, ev, q1, 300, &got, isKind(EvCreate)) {
-		t.Fatalf("no index created; events = %v", got)
-	}
-	var created Event
-	for _, e := range got {
-		if e.Kind == EvCreate {
-			created = e
-			break
-		}
+	created, ok := runUntil(t, db, tn, q1, 300, "create")
+	if !ok {
+		t.Fatalf("no index created; decisions = %v", tn.Decisions())
 	}
 
 	// Phase 2: update-only workload until the index is suspended (drops
 	// are replaced by suspends under UseSuspend).
 	up := "UPDATE R SET b = b + 1, c = c + 1, d = d + 1, e = e + 1 WHERE id >= 0"
-	if !runUntil(t, db, ev, up, 200, &got, isKind(EvSuspend)) {
-		t.Fatalf("index never suspended; events = %v", got)
+	if _, ok := runUntil(t, db, tn, up, 200, "suspend"); !ok {
+		t.Fatalf("index never suspended; decisions = %v", tn.Decisions())
 	}
-	pi := db.Mgr.Index(created.Index.ID())
+	pi := db.Mgr.Index(created.Index)
 	if pi == nil || pi.State() != storage.StateSuspended {
-		t.Fatalf("expected %v suspended", created.Index)
+		t.Fatalf("expected %s suspended", created.Index)
 	}
 
 	// Phase 3: reads again until the suspended structure restarts. A
 	// restart is an asynchronous creation without a physical rebuild —
 	// the existing structure replays its missed changes at publish time.
-	if !runUntil(t, db, ev, q1, 400, &got, isKind(EvRestart)) {
-		t.Fatalf("index never restarted; events = %v", got)
+	if _, ok := runUntil(t, db, tn, q1, 400, "restart"); !ok {
+		t.Fatalf("index never restarted; decisions = %v", tn.Decisions())
 	}
 	if pi.State() != storage.StateActive {
 		t.Fatalf("restarted index is %v", pi.State())
@@ -202,21 +171,13 @@ func TestAsyncSuspendThenRestart(t *testing.T) {
 		t.Errorf("restarted index entries = %d, rows = %d", got, want)
 	}
 
-	// The restart must have been announced like any other build, and
-	// must not have run a snapshot build (pendingBuild.build stays nil on
-	// the restart path — asserted via the drained event costs: restart
-	// events charge the replay cost, which is below a fresh B_I^s).
-	sawRestartStart := false
-	for i, e := range got {
-		if e.Kind == EvBuildStart && i > 0 && e.Index.ID() == created.Index.ID() {
-			for _, later := range got[i:] {
-				if later.Kind == EvRestart {
-					sawRestartStart = true
-				}
-			}
-		}
-	}
-	if !sawRestartStart {
-		t.Errorf("no build-start announcement for the restart; events = %v", got)
+	// The restart must have been announced like any other build: a
+	// build-start for the same index after the suspend, before the
+	// restart.
+	_, suspendAt := firstDecision(tn, "suspend", 0)
+	restartStart, at := firstDecision(tn, "build-start", suspendAt)
+	_, restartAt := firstDecision(tn, "restart", 0)
+	if at < 0 || at > restartAt || restartStart.Index != created.Index {
+		t.Errorf("no build-start announcement for the restart; decisions = %v", tn.Decisions())
 	}
 }

@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: the online
 // physical design tuning algorithm OnlinePT (Figure 6), built on the
 // per-index Δ bookkeeping of Section 3.2.1 (eight cost aggregates split
-// by usage level, Δmin/Δmax tracking, shared-OR fractions), the
+// by usage level, Δmin/Δmax tracking), the
 // usefulness-level interaction adjustments, the storage-constrained
 // residual/benefit machinery of Section 3.2.2 with its oscillation
 // damping, and the refinements of Section 3.3 (throttling, asynchronous
@@ -59,8 +59,8 @@ func UsageLevel(r *whatif.Request) int {
 }
 
 // IndexStats is the constant-size per-index bookkeeping of Section
-// 3.2.1: the eight aggregates (O^0,O^1,O^2,O^U and N^0,N^1,N^2,N^U), the
-// Δmin/Δmax trackers of Online-SI, and the shared-OR fraction of ΣN.
+// 3.2.1: the eight aggregates (O^0,O^1,O^2,O^U and N^0,N^1,N^2,N^U) and
+// the Δmin/Δmax trackers of Online-SI.
 type IndexStats struct {
 	Ix *catalog.Index
 
@@ -72,10 +72,6 @@ type IndexStats struct {
 	// DeltaMin/DeltaMax implement the Online-SI trackers.
 	DeltaMin float64
 	DeltaMax float64
-
-	// orN is the portion of ΣN contributed by requests under shared OR
-	// nodes; used when OR siblings are invalidated by a creation.
-	orN float64
 
 	// Derived marks a lazily generated merged candidate whose aggregates
 	// are re-inferred from its constituents on every analysis round
@@ -111,18 +107,14 @@ func (s *IndexStats) Delta() float64 {
 func (s *IndexStats) SumN() float64 { return s.N[0] + s.N[1] + s.N[2] + s.N[3] }
 
 // Add records one request observation at the given level with original
-// cost o (index absent) and new cost n (index present). sharedOR marks
-// requests under an OR node with other alternatives. It returns the Δ
-// increment.
-func (s *IndexStats) Add(level int, o, n float64, sharedOR bool) float64 {
+// cost o (index absent) and new cost n (index present). It returns the
+// Δ increment.
+func (s *IndexStats) Add(level int, o, n float64) float64 {
 	if level < 0 || level > LevelU {
 		level = Level0
 	}
 	s.O[level] += o
 	s.N[level] += n
-	if sharedOR {
-		s.orN += n
-	}
 	d := s.Delta()
 	if d < s.DeltaMin {
 		s.DeltaMin = d
@@ -274,26 +266,6 @@ func (s *IndexStats) AdjustAfterDrop(dropped *catalog.Index, beta [3]float64) {
 	}
 	for l := 0; l <= lj && l <= Level2; l++ {
 		s.O[l] *= beta[l]
-	}
-	s.clampTrackers()
-}
-
-// InvalidateSharedOR collapses the accumulated benefit of this index
-// after an OR-sibling alternative (an index over the same table with no
-// containment relationship) was created: only one alternative of an OR
-// group can be implemented, so the historical shared-OR evidence no
-// longer argues for this index. The O aggregates move toward N by the
-// shared-OR fraction of ΣN.
-func (s *IndexStats) InvalidateSharedOR() {
-	sumN := s.SumN()
-	if sumN <= 0 || s.orN <= 0 {
-		return
-	}
-	f := math.Min(1, s.orN/sumN)
-	for l := 0; l <= Level2; l++ {
-		if s.O[l] > s.N[l] {
-			s.O[l] = s.N[l] + (s.O[l]-s.N[l])*(1-f)
-		}
 	}
 	s.clampTrackers()
 }

@@ -40,7 +40,7 @@ func TestAddAndDelta(t *testing.T) {
 	if s.Delta() != 0 || s.DeltaMin != 0 || s.DeltaMax != 0 {
 		t.Fatal("fresh stats not zeroed")
 	}
-	d := s.Add(Level1, 10, 3, false)
+	d := s.Add(Level1, 10, 3)
 	if d != 7 || s.Delta() != 7 {
 		t.Fatalf("delta = %g", s.Delta())
 	}
@@ -48,7 +48,7 @@ func TestAddAndDelta(t *testing.T) {
 		t.Fatalf("trackers = %g %g", s.DeltaMin, s.DeltaMax)
 	}
 	// Update penalty drives Δ down.
-	s.Add(LevelU, 0, 20, false)
+	s.Add(LevelU, 0, 20)
 	if s.Delta() != -13 || s.DeltaMin != -13 || s.DeltaMax != 7 {
 		t.Fatalf("after penalty: Δ=%g min=%g max=%g", s.Delta(), s.DeltaMin, s.DeltaMax)
 	}
@@ -56,7 +56,7 @@ func TestAddAndDelta(t *testing.T) {
 
 func TestBenefitAndResidual(t *testing.T) {
 	s := NewIndexStats(ix("a"))
-	s.Add(Level1, 10, 2, false) // Δ = 8
+	s.Add(Level1, 10, 2) // Δ = 8
 	B := 5.0
 	if got := s.Benefit(B); got != 3 {
 		t.Errorf("benefit = %g, want 3", got)
@@ -65,7 +65,7 @@ func TestBenefitAndResidual(t *testing.T) {
 		t.Errorf("residual = %g, want 5", got)
 	}
 	// Penalties push residual toward negative.
-	s.Add(LevelU, 0, 10, false) // Δ = -2, Δmax = 8
+	s.Add(LevelU, 0, 10) // Δ = -2, Δmax = 8
 	if got := s.Residual(B); got != -5 {
 		t.Errorf("residual = %g, want -5", got)
 	}
@@ -82,7 +82,7 @@ func TestResidualUpperBoundedByB(t *testing.T) {
 		B := 4.0
 		for _, o := range obs {
 			v := math.Mod(math.Abs(o), 10)
-			s.Add(Level0, v, v/2, false)
+			s.Add(Level0, v, v/2)
 			if s.Residual(B) > B+1e-9 {
 				return false
 			}
@@ -96,11 +96,11 @@ func TestResidualUpperBoundedByB(t *testing.T) {
 
 func TestAtPeakAndOnCreatedDropped(t *testing.T) {
 	s := NewIndexStats(ix("a"))
-	s.Add(Level1, 5, 1, false)
+	s.Add(Level1, 5, 1)
 	if !s.AtPeak() {
 		t.Error("should be at peak after monotone gains")
 	}
-	s.Add(LevelU, 0, 2, false)
+	s.Add(LevelU, 0, 2)
 	if s.AtPeak() {
 		t.Error("should be off peak after a penalty")
 	}
@@ -117,7 +117,7 @@ func TestAtPeakAndOnCreatedDropped(t *testing.T) {
 func TestDecayBenefit(t *testing.T) {
 	const B = 3.0
 	s := NewIndexStats(ix("a"))
-	s.Add(Level1, 10, 2, false) // Δ=8, benefit(B=3) = 5
+	s.Add(Level1, 10, 2) // Δ=8, benefit(B=3) = 5
 	s.DecayBenefit(3, B)
 	if math.Abs(s.Benefit(B)-2) > 1e-9 {
 		t.Errorf("benefit after decay = %g, want 2", s.Benefit(B))
@@ -196,35 +196,14 @@ func TestAdjustAfterDrop(t *testing.T) {
 	}
 }
 
-func TestInvalidateSharedOR(t *testing.T) {
-	s := NewIndexStats(ix("a"))
-	s.Add(Level1, 10, 2, true) // all N from shared OR
-	before := s.Delta()
-	s.InvalidateSharedOR()
-	if s.Delta() >= before {
-		t.Errorf("shared-OR invalidation did not reduce Δ: %g → %g", before, s.Delta())
-	}
-	if s.Delta() > 1e-9 {
-		t.Errorf("fully-shared index should collapse to ~0 benefit, Δ=%g", s.Delta())
-	}
-	// Without shared contributions it is a no-op.
-	s2 := NewIndexStats(ix("b"))
-	s2.Add(Level1, 10, 2, false)
-	d := s2.Delta()
-	s2.InvalidateSharedOR()
-	if s2.Delta() != d {
-		t.Error("non-shared index changed")
-	}
-}
-
 func TestInferFromSubOptimal(t *testing.T) {
 	// Tracked: I2=(a,b,c,id) with benefit, I4=(a,d,e,id) with benefit and
 	// update penalty. Merged M=(a,b,c,id,d,e) should inherit both.
 	i2 := NewIndexStats(ix("a", "b", "c", "id"))
-	i2.Add(Level1, 10, 2, false)
+	i2.Add(Level1, 10, 2)
 	i4 := NewIndexStats(ix("a", "d", "e", "id"))
-	i4.Add(Level1, 8, 2, false)
-	i4.Add(LevelU, 0, 1, false)
+	i4.Add(Level1, 8, 2)
+	i4.Add(LevelU, 0, 1)
 	m, err := catalog.Merge(i2.Ix, i4.Ix)
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +226,8 @@ func TestInferFromSubOptimal(t *testing.T) {
 
 func TestAddClampsBadLevel(t *testing.T) {
 	s := NewIndexStats(ix("a"))
-	s.Add(-5, 3, 1, false)
-	s.Add(99, 3, 1, false)
+	s.Add(-5, 3, 1)
+	s.Add(99, 3, 1)
 	if s.O[Level0] != 6 {
 		t.Errorf("out-of-range levels should fold to level 0: %v", s.O)
 	}
@@ -256,8 +235,8 @@ func TestAddClampsBadLevel(t *testing.T) {
 
 func TestSumNAndClampTrackers(t *testing.T) {
 	s := NewIndexStats(ix("a"))
-	s.Add(Level0, 4, 1, false)
-	s.Add(LevelU, 0, 2, false)
+	s.Add(Level0, 4, 1)
+	s.Add(LevelU, 0, 2)
 	if s.SumN() != 3 {
 		t.Errorf("SumN = %g", s.SumN())
 	}

@@ -30,9 +30,11 @@ func Example() {
 	// create t(k,v)
 }
 
-// ExampleNewAlerter shows the observe-only deployment: the alerter never
-// touches the physical design, it only reports guaranteed improvements.
-func ExampleNewAlerter() {
+// ExampleTuner_Report shows the observe-only deployment, the alerter of
+// the paper's reference [6]: a tuner whose analysis phase never runs
+// keeps the evidence, never touches the physical design, and reports a
+// guaranteed improvement with the indexes that realize it.
+func ExampleTuner_Report() {
 	db := engine.Open()
 	db.MustExec("CREATE TABLE t (id INT, k INT, v INT, PRIMARY KEY (id))")
 	for i := 0; i < 4000; i++ {
@@ -41,16 +43,20 @@ func ExampleNewAlerter() {
 	if err := db.Analyze("t"); err != nil {
 		panic(err)
 	}
-	alerter := core.NewAlerter(db, 0.2)
-	db.SetObserver(alerter)
+	opts := core.DefaultOptions()
+	opts.ThrottleEvery = 1 << 30 // observe only: the analysis phase never runs
+	tuner := core.Attach(db, opts)
 
 	for i := 0; i < 60; i++ {
 		db.MustExec("SELECT v FROM t WHERE k = 7")
 	}
-	fmt.Println("alerts:", len(alerter.Alerts()) > 0)
+	r := tuner.Report(0)
+	fmt.Println("bound positive:", r.LowerBound > 0)
+	fmt.Println("via:", r.BoundBy)
 	fmt.Println("indexes created:", len(db.Configuration()))
 	// Output:
-	// alerts: true
+	// bound positive: true
+	// via: [t(k,v)]
 	// indexes created: 0
 }
 

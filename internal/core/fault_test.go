@@ -35,7 +35,7 @@ func TestBuildFailureBookkeeping(t *testing.T) {
 	tn := NewTuner(db, DefaultOptions())
 	ix := &catalog.Index{Table: "R", Name: "ix_a", Columns: []string{"a"}}
 	st := NewIndexStats(ix)
-	st.Add(Level1, 100, 10, false) // Δ = 90
+	st.Add(Level1, 100, 10) // Δ = 90
 	st.Creating = true
 	tn.tracked[ix.ID()] = st
 
@@ -203,11 +203,10 @@ func TestCrashReplayMidBuild(t *testing.T) {
 			savedStats[id] = [2]float64{st.Delta(), st.DeltaMin}
 		}
 	}
+	tn.mu.Unlock()
 	if err := tn.SaveState(&buf); err != nil {
-		tn.mu.Unlock()
 		t.Fatal(err)
 	}
-	tn.mu.Unlock()
 	db.SetObserver(nil)
 	tn.Close() // aborts the in-flight build, like a restart
 
@@ -255,24 +254,24 @@ func TestSaveLoadPropertyRoundTrip(t *testing.T) {
 		tn := NewTuner(db, DefaultOptions())
 		cols := []string{"a", "b", "c", "d", "e"}
 		type snap struct {
-			o, n            [4]float64
-			dmin, dmax, orN float64
-			derived         bool
-			streak          int
+			o, n       [4]float64
+			dmin, dmax float64
+			derived    bool
+			streak     int
 		}
 		want := map[string]snap{}
 		for i := 0; i < 1+rng.Intn(len(cols)); i++ {
 			ix := &catalog.Index{Table: "R", Name: "rt_" + cols[i], Columns: cols[:i+1]}
 			st := NewIndexStats(ix)
 			for l := 0; l <= LevelU; l++ {
-				st.Add(l, rng.Float64()*100, rng.Float64()*50, rng.Intn(2) == 0)
+				st.Add(l, rng.Float64()*100, rng.Float64()*50)
 			}
 			st.Derived = rng.Intn(3) == 0
 			st.FailStreak = rng.Intn(5)
 			tn.tracked[ix.ID()] = st
 			want[ix.ID()] = snap{
 				o: st.O, n: st.N, dmin: st.DeltaMin, dmax: st.DeltaMax,
-				orN: st.orN, derived: st.Derived, streak: st.FailStreak,
+				derived: st.Derived, streak: st.FailStreak,
 			}
 		}
 		tn.queries = rng.Int63n(10000)
@@ -297,7 +296,7 @@ func TestSaveLoadPropertyRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: %s lost", seed, id)
 			}
 			if st.O != w.o || st.N != w.n || st.DeltaMin != w.dmin || st.DeltaMax != w.dmax ||
-				st.orN != w.orN || st.Derived != w.derived || st.FailStreak != w.streak {
+				st.Derived != w.derived || st.FailStreak != w.streak {
 				t.Errorf("seed %d: %s round-trip mismatch:\ngot  %+v\nwant %+v", seed, id, st, w)
 			}
 		}

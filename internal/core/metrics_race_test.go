@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,6 +43,39 @@ func TestMetricsConcurrentWithAsyncBuilds(t *testing.T) {
 
 	if tn.Metrics().Queries != 300 {
 		t.Errorf("Queries = %d, want 300", tn.Metrics().Queries)
+	}
+}
+
+// TestReportWhileObserving is the -race regression test for the readers
+// that walk the tuner's bookkeeping: Report (which also fills the build
+// cost cache) and SaveState run from another goroutine while statements
+// are observed and the tuner creates and drops indexes.
+func TestReportWhileObserving(t *testing.T) {
+	db := paperDB(t, 2000)
+	tn := Attach(db, DefaultOptions())
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if r := tn.Report(0); r.LowerBound < 0 {
+				t.Errorf("negative bound %v", r.LowerBound)
+				return
+			}
+			if err := tn.SaveState(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	runN(t, db, q1, 100)
+	runN(t, db, q2, 100)
+	stop.Store(true)
+	wg.Wait()
+	if len(tn.Events()) == 0 {
+		t.Error("the tuner never changed the design; nothing raced")
 	}
 }
 

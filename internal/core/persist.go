@@ -28,7 +28,6 @@ type savedIndexState struct {
 	N        [4]float64 `json:"n"`
 	DeltaMin float64    `json:"delta_min"`
 	DeltaMax float64    `json:"delta_max"`
-	OrN      float64    `json:"or_n"`
 	InConfig bool       `json:"in_config"`
 	Derived  bool       `json:"derived,omitempty"`
 	// FailStreak carries build-failure backoff across restarts, so a
@@ -44,6 +43,8 @@ const stateVersion = 1
 // configuration bookkeeping) as JSON. In-flight asynchronous builds are
 // not saved: a restart aborts them, like a server restart would.
 func (t *Tuner) SaveState(w io.Writer) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	st := savedState{Version: stateVersion, Queries: t.queries}
 	for id, s := range t.tracked {
 		if s.Creating {
@@ -57,7 +58,6 @@ func (t *Tuner) SaveState(w io.Writer) error {
 			N:          s.N,
 			DeltaMin:   s.DeltaMin,
 			DeltaMax:   s.DeltaMax,
-			OrN:        s.orN,
 			InConfig:   t.inConfig[id],
 			Derived:    s.Derived,
 			FailStreak: s.FailStreak,
@@ -73,8 +73,11 @@ func (t *Tuner) SaveState(w io.Writer) error {
 // whose index is no longer active is demoted to a candidate (its
 // evidence kept), and entries for tables that no longer exist are
 // dropped. Loading into a tuner that has already observed queries is an
-// error — state belongs at startup.
+// error — state belongs at startup. Fields this version no longer keeps
+// (such as an older file's "or_n") are ignored.
 func (t *Tuner) LoadState(r io.Reader) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.queries > 0 {
 		return fmt.Errorf("core: LoadState after %d observed queries; load at startup", t.queries)
 	}
@@ -95,7 +98,6 @@ func (t *Tuner) LoadState(r io.Reader) error {
 		s := NewIndexStats(ix)
 		s.O, s.N = e.O, e.N
 		s.DeltaMin, s.DeltaMax = e.DeltaMin, e.DeltaMax
-		s.orN = e.OrN
 		s.Derived = e.Derived
 		s.FailStreak = e.FailStreak
 		id := ix.ID()

@@ -21,6 +21,18 @@ type Report struct {
 
 	Config     []ConfigEntry
 	Candidates []CandidateEntry
+
+	// LowerBound is the alerter's guarantee (Bruno & Chaudhuri, "To Tune
+	// or not to Tune?", VLDB 2006 — the paper's reference [6]): a cost the
+	// observed workload would have saved had the BoundBy indexes existed
+	// from the start, net of building them. Per table it takes the single
+	// candidate with the largest positive Benefit, so no request's saving
+	// is counted twice, and sums over tables. Merged and building
+	// candidates are left out: their evidence is inferred or already
+	// being acted on. It is computed over every candidate, before the
+	// topK cut.
+	LowerBound float64
+	BoundBy    []*catalog.Index
 }
 
 // ConfigEntry describes one configuration member.
@@ -51,8 +63,11 @@ type CandidateEntry struct {
 }
 
 // Report captures the tuner's current state. Candidates are sorted by
-// evidence descending and capped at topK (0 = all).
+// evidence descending and capped at topK (0 = all). It is safe to call
+// while statements execute.
 func (t *Tuner) Report(topK int) Report {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := Report{
 		Queries:        t.queries,
 		TransitionCost: t.mTransitionCost.Value(),
@@ -96,6 +111,23 @@ func (t *Tuner) Report(topK int) Report {
 		}
 		return r.Candidates[i].Index.ID() < r.Candidates[j].Index.ID()
 	})
+	bestPerTable := map[string]CandidateEntry{}
+	for _, c := range r.Candidates {
+		if c.Derived || c.Creating || c.Benefit <= 0 {
+			continue
+		}
+		key := strings.ToLower(c.Index.Table)
+		if best, ok := bestPerTable[key]; !ok || c.Benefit > best.Benefit {
+			bestPerTable[key] = c
+		}
+	}
+	for _, c := range bestPerTable {
+		r.BoundBy = append(r.BoundBy, c.Index)
+	}
+	sort.Slice(r.BoundBy, func(i, j int) bool { return r.BoundBy[i].ID() < r.BoundBy[j].ID() })
+	for _, ix := range r.BoundBy {
+		r.LowerBound += bestPerTable[strings.ToLower(ix.Table)].Benefit
+	}
 	if topK > 0 && len(r.Candidates) > topK {
 		r.Candidates = r.Candidates[:topK]
 	}
@@ -127,5 +159,6 @@ func (r Report) String() string {
 		fmt.Fprintf(&sb, "  %-55s %9d B  evidence %8.2f / B %8.2f%s\n",
 			c.Index, c.Bytes, c.Evidence, c.BuildCost, tag)
 	}
+	fmt.Fprintf(&sb, "tuning would save at least %.2f via %v\n", r.LowerBound, r.BoundBy)
 	return sb.String()
 }

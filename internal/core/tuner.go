@@ -74,10 +74,6 @@ const (
 	EvSuspend
 	EvRestart
 	EvAbort
-	// EvBuildStart marks the start of an asynchronous background build.
-	// It is delivered to subscribers but not part of the change schedule
-	// (the schedule records completed physical changes only).
-	EvBuildStart
 	// EvFail marks a build that failed (storage error, injected fault)
 	// rather than being aborted by the erosion rule. The candidate's
 	// evidence is reset and its build cost is penalized exponentially,
@@ -97,8 +93,6 @@ func (k EventKind) String() string {
 		return "restart"
 	case EvAbort:
 		return "abort"
-	case EvBuildStart:
-		return "build-start"
 	case EvFail:
 		return "build-failed"
 	}
@@ -124,8 +118,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("S(%s)", e.Index)
 	case EvAbort:
 		return fmt.Sprintf("A(%s)[%.2f]", e.Index, e.Cost)
-	case EvBuildStart:
-		return fmt.Sprintf("B(%s)[%.2f]", e.Index, e.Cost)
 	case EvFail:
 		return fmt.Sprintf("F(%s)[%.2f]", e.Index, e.Cost)
 	}
@@ -183,7 +175,6 @@ type Tuner struct {
 
 	mu     sync.Mutex
 	closed bool
-	subs   []chan Event
 
 	// tracked holds bookkeeping for every index under consideration: the
 	// candidate set H plus the current configuration members.
@@ -341,36 +332,6 @@ func (t *Tuner) Stats(id string) *IndexStats {
 	return t.tracked[id]
 }
 
-// Subscribe registers an event channel with the given buffer and returns
-// it. Every subsequent tuner event — including EvBuildStart, which never
-// enters the Events() schedule — is delivered to each subscriber; a full
-// channel drops the event, so size the buffer for the expected volume.
-// Channels are closed by Close.
-func (t *Tuner) Subscribe(buf int) <-chan Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ch := make(chan Event, buf)
-	t.subs = append(t.subs, ch)
-	return ch
-}
-
-// notify fans an event out to subscribers (caller holds the mutex).
-func (t *Tuner) notify(e Event) {
-	for _, ch := range t.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-}
-
-// record appends a completed physical change to the schedule and
-// notifies subscribers (caller holds the mutex).
-func (t *Tuner) record(e Event) {
-	t.events = append(t.events, e)
-	t.notify(e)
-}
-
 // Candidates returns the current candidate set H (tracked indexes not in
 // the configuration).
 func (t *Tuner) Candidates() []*IndexStats {
@@ -495,7 +456,7 @@ func (t *Tuner) noteCandidate(rt *whatif.ReqTerms, config func() []*catalog.Inde
 		t.tracked[id] = st
 	}
 	o, n := t.memo.CandidateCosts(rt, config, st.Ix)
-	if st.Add(UsageLevel(rt.Req), o, n, rt.Shared) > 0 {
+	if st.Add(UsageLevel(rt.Req), o, n) > 0 {
 		return id
 	}
 	return ""
@@ -529,7 +490,7 @@ func (t *Tuner) noteUsed(rt *whatif.ReqTerms, config func() []*catalog.Index, ga
 		o = n
 	}
 	wasAtPeak := st.AtPeak()
-	d := st.Add(UsageLevel(r), o, n, rt.Shared)
+	d := st.Add(UsageLevel(r), o, n)
 	// Oscillation damping (Section 3.2.2): while a configuration index
 	// keeps proving useful at its peak, decay outside candidates'
 	// benefit by the same δ — but never below zero benefit (the paper's
@@ -559,7 +520,7 @@ func (t *Tuner) noteUpdate(rt *whatif.ReqTerms) {
 		if !strings.EqualFold(st.Ix.Table, rt.Req.Table) || st.Ix.Primary {
 			continue
 		}
-		st.Add(LevelU, 0, maint, false)
+		st.Add(LevelU, 0, maint)
 		// Abort an in-flight build whose benefit collapsed (Section 3.3).
 		if st.Creating && t.pending != nil && t.pending.st == st {
 			if st.deltaAtCreateStart-st.Delta() > t.pending.buildCost {
@@ -615,7 +576,7 @@ func (t *Tuner) noteBuildFailure(st *IndexStats, buildCost float64, err error) {
 		reason = fmt.Sprintf("build-failed: %v", err)
 	}
 	t.decide(EvFail.String(), st.Ix, st.Delta(), st.DeltaMin, buildCost, reason)
-	t.record(Event{Kind: EvFail, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
+	t.events = append(t.events, Event{Kind: EvFail, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
 }
 
 // dropBadIndexes implements line 9: drop (or suspend) every
@@ -635,26 +596,25 @@ func (t *Tuner) dropBadIndexes() {
 		}
 		b := t.buildCostFor(st.Ix)
 		if st.Residual(b) < 0 {
-			t.removeIndex(st, "residual")
+			t.removeIndex(st, "residual", t.opts.UseSuspend)
 		}
 	}
 }
 
-// removeIndex drops or suspends a configuration index and applies the
-// Section 3.2.1 drop adjustments to the remaining tracked indexes.
-func (t *Tuner) removeIndex(st *IndexStats, reason string) {
+// removeIndex drops (or, with suspend, suspends) a configuration index
+// and applies the Section 3.2.1 drop adjustments to the remaining tracked
+// indexes. A storage error leaves the tuner's state untouched.
+func (t *Tuner) removeIndex(st *IndexStats, reason string, suspend bool) error {
 	id := st.Ix.ID()
 	b := t.buildCostFor(st.Ix) // captured before the drop bumps the config version
 	kind := EvDrop
-	if t.opts.UseSuspend {
+	if suspend {
 		if err := t.env.Mgr.SuspendIndex(id); err != nil {
-			return
+			return err
 		}
 		kind = EvSuspend
-	} else {
-		if err := t.db.DropIndex(st.Ix); err != nil {
-			return
-		}
+	} else if err := t.db.DropIndex(st.Ix); err != nil {
+		return err
 	}
 	t.decide(kind.String(), st.Ix, st.Delta(), st.DeltaMin, b, reason)
 	delete(t.inConfig, id)
@@ -666,7 +626,8 @@ func (t *Tuner) removeIndex(st *IndexStats, reason string) {
 		}
 		other.AdjustAfterDrop(st.Ix, beta)
 	}
-	t.record(Event{Kind: kind, Index: st.Ix, AtQuery: t.queries})
+	t.events = append(t.events, Event{Kind: kind, Index: st.Ix, AtQuery: t.queries})
+	return nil
 }
 
 // analyzeAndCreate implements lines 10–21: evaluate candidates (and
@@ -751,7 +712,7 @@ func (t *Tuner) analyzeAndCreate() {
 	}
 	// Lines 19–21: make room, then create.
 	for _, m := range best.sPrime {
-		t.removeIndex(m, "swap")
+		t.removeIndex(m, "swap", t.opts.UseSuspend)
 	}
 	t.createIndex(best.st, best.bCost)
 }
@@ -879,9 +840,11 @@ func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
 		// A synchronous creation is a build that starts and completes
 		// within the statement, so it moves both counters at once.
 		t.mBuildsStarted.Inc()
-		if t.finishCreate(st, buildCost, nil, "benefit") {
-			t.mBuildsCompleted.Inc()
+		if err := t.finishCreate(st, buildCost, nil, "benefit"); err != nil {
+			t.noteBuildFailure(st, buildCost, err)
+			return
 		}
+		t.mBuildsCompleted.Inc()
 		return
 	}
 	pb := &pendingBuild{st: st, buildCost: buildCost, remaining: buildCost}
@@ -916,23 +879,23 @@ func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
 	st.deltaAtCreateStart = st.Delta()
 	t.pending = pb
 	t.mBuildsStarted.Inc()
-	t.decide(EvBuildStart.String(), st.Ix, st.Delta(), st.DeltaMin, buildCost, "benefit")
-	t.notify(Event{Kind: EvBuildStart, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
+	t.decide("build-start", st.Ix, st.Delta(), st.DeltaMin, buildCost, "benefit")
 }
 
 // finishCreate materializes the index and applies the Section 3.2.1
-// create adjustments plus the shared-OR invalidation. For asynchronous
-// creations b carries the finished background build to publish;
-// synchronous creations and suspended restarts pass nil. reason names
-// the decision-log rule ("benefit" for synchronous creations,
-// "published" for asynchronous ones).
-func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build, reason string) bool {
+// create adjustments. For asynchronous creations b carries the finished
+// background build to publish; synchronous creations, suspended restarts
+// and manual creations pass nil. reason names the decision-log rule
+// ("benefit" for synchronous creations, "published" for asynchronous
+// ones, "manual" for a DBA's). A storage error (budget race, fault)
+// leaves the configuration untouched; the automatic callers then reset
+// the candidate's evidence with noteBuildFailure.
+func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build, reason string) error {
 	id := st.Ix.ID()
 	kind := EvCreate
 	if pi := t.env.Mgr.Index(id); b == nil && pi != nil && pi.State() == storage.StateSuspended {
 		if _, err := t.env.Mgr.RestartIndex(id); err != nil {
-			t.noteBuildFailure(st, buildCost, err)
-			return false
+			return err
 		}
 		kind = EvRestart
 	} else {
@@ -947,17 +910,14 @@ func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build
 			err = t.db.CreateIndex(st.Ix)
 		}
 		if err != nil {
-			// Budget race or storage fault: reset the candidate's evidence
-			// and penalize its next attempt so it does not retry every query.
-			t.noteBuildFailure(st, buildCost, err)
-			return false
+			return err
 		}
 	}
 	t.decide(kind.String(), st.Ix, st.Delta(), st.DeltaMin, buildCost, reason)
 	t.inConfig[id] = true
 	st.OnCreated()
 	t.mTransitionCost.Add(buildCost)
-	t.record(Event{Kind: kind, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
+	t.events = append(t.events, Event{Kind: kind, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
 
 	sizeCreated := t.env.IndexBytes(st.Ix)
 	for oid, other := range t.tracked {
@@ -971,7 +931,7 @@ func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build
 		other.AdjustAfterCreate(st.Ix, t.env.IndexBytes(other.Ix), sizeCreated)
 	}
 	st.Derived = false
-	return true
+	return nil
 }
 
 // progressBuild advances the asynchronous build's accounting by the cost
@@ -1002,58 +962,54 @@ func (t *Tuner) progressBuild(queryCost float64) {
 			return
 		}
 	}
-	if t.finishCreate(pb.st, pb.buildCost, pb.build, "published") {
-		t.mBuildsCompleted.Inc()
-	}
-}
-
-// abortBuild cancels the in-flight asynchronous creation: the background
-// goroutine is cancelled, the half-built structure discarded, and the
-// work already accounted is charged as wasted transition cost.
-func (t *Tuner) abortBuild() {
-	if t.pending == nil {
+	if err := t.finishCreate(pb.st, pb.buildCost, pb.build, "published"); err != nil {
+		t.noteBuildFailure(pb.st, pb.buildCost, err)
 		return
 	}
+	t.mBuildsCompleted.Inc()
+}
+
+// cancelBuild cancels the in-flight asynchronous creation, if any: the
+// background goroutine is cancelled and joined, and the half-built
+// structure discarded. It returns the cancelled build, or nil.
+func (t *Tuner) cancelBuild() *pendingBuild {
 	pb := t.pending
+	if pb == nil {
+		return nil
+	}
 	t.pending = nil
 	if pb.build != nil {
 		pb.cancel()
 		<-pb.done
 		t.env.Mgr.AbortBuild(pb.build)
 	}
+	pb.st.Creating = false
+	return pb
+}
+
+// abortBuild cancels the in-flight asynchronous creation and charges the
+// work already accounted as wasted transition cost.
+func (t *Tuner) abortBuild() {
+	pb := t.cancelBuild()
+	if pb == nil {
+		return
+	}
 	st := pb.st
 	wasted := pb.buildCost - pb.remaining
-	st.Creating = false
 	t.mTransitionCost.Add(wasted)
 	t.mBuildsAborted.Inc()
 	t.decide(EvAbort.String(), st.Ix, st.Delta(), st.DeltaMin, pb.buildCost, "erosion")
-	t.record(Event{Kind: EvAbort, Index: st.Ix, Cost: wasted, AtQuery: t.queries})
+	t.events = append(t.events, Event{Kind: EvAbort, Index: st.Ix, Cost: wasted, AtQuery: t.queries})
 }
 
 // Close shuts the tuner down cleanly: an in-flight background build is
-// cancelled and discarded (without charging the schedule) and subscriber
-// channels are closed. Statements may still execute afterwards; their
-// observations are ignored.
+// cancelled and discarded without charging the schedule. Statements may
+// still execute afterwards; their observations are ignored.
 func (t *Tuner) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
 	t.closed = true
-	if pb := t.pending; pb != nil {
-		t.pending = nil
-		if pb.build != nil {
-			pb.cancel()
-			<-pb.done
-			t.env.Mgr.AbortBuild(pb.build)
-		}
-		pb.st.Creating = false
-	}
-	for _, ch := range t.subs {
-		close(ch)
-	}
-	t.subs = nil
+	t.cancelBuild()
 }
 
 // statsTriggerFraction is the share of a candidate's build cost B_I^s
@@ -1152,31 +1108,26 @@ func (t *Tuner) evictCandidates() {
 
 // ManualCreate lets a DBA create an index through the tuner so the Δ
 // adjustments of Section 3.2.1 are applied exactly as for automatic
-// changes (Section 3.3 "manual intervention").
+// changes (Section 3.3 "manual intervention"). The index keeps the DBA's
+// name and definition: a clash is an error, not a rename.
 func (t *Tuner) ManualCreate(ix *catalog.Index) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := t.buildCostFor(ix)
-	if err := t.db.CreateIndex(ix); err != nil {
+	if err := t.env.Cat.CheckIndex(ix); err != nil {
 		return err
 	}
 	id := ix.ID()
 	st := t.tracked[id]
 	if st == nil {
 		st = NewIndexStats(ix)
-		t.tracked[id] = st
 	}
-	t.decide(EvCreate.String(), ix, st.Delta(), st.DeltaMin, b, "manual")
-	t.inConfig[id] = true
-	st.OnCreated()
-	t.mTransitionCost.Add(b)
-	t.record(Event{Kind: EvCreate, Index: ix, Cost: b, AtQuery: t.queries})
-	sizeCreated := t.env.IndexBytes(ix)
-	for oid, other := range t.tracked {
-		if oid != id {
-			other.AdjustAfterCreate(ix, t.env.IndexBytes(other.Ix), sizeCreated)
-		}
+	cand := st.Ix
+	st.Ix = ix
+	if err := t.finishCreate(st, t.buildCostFor(ix), nil, "manual"); err != nil {
+		st.Ix = cand
+		return err
 	}
+	t.tracked[id] = st
 	return nil
 }
 
@@ -1189,23 +1140,10 @@ func (t *Tuner) ManualDrop(name string) error {
 	if ix == nil {
 		return fmt.Errorf("core: unknown index %s", name)
 	}
-	id := ix.ID()
-	st := t.tracked[id]
+	st := t.tracked[ix.ID()]
 	if st == nil {
 		st = NewIndexStats(ix)
 	}
-	if err := t.db.DropIndex(ix); err != nil {
-		return err
-	}
-	t.decide(EvDrop.String(), ix, st.Delta(), st.DeltaMin, t.buildCostFor(ix), "manual")
-	delete(t.inConfig, id)
-	beta := st.BetaFor()
-	st.OnDropped()
-	for oid, other := range t.tracked {
-		if oid != id {
-			other.AdjustAfterDrop(ix, beta)
-		}
-	}
-	t.record(Event{Kind: EvDrop, Index: ix, AtQuery: t.queries})
-	return nil
+	st.Ix = ix
+	return t.removeIndex(st, "manual", false)
 }

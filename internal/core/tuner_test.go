@@ -356,6 +356,70 @@ func TestTunerManualIntervention(t *testing.T) {
 	}
 }
 
+// TestManualChangesOverTrackedCandidate: a manual create of an index the
+// tuner already tracks as a candidate goes through the automatic create
+// path but keeps the DBA's definition and name; a failed attempt leaves
+// the candidate as it was, a name clash is refused rather than renamed,
+// and a manual drop goes through the automatic drop path.
+func TestManualChangesOverTrackedCandidate(t *testing.T) {
+	db := paperDB(t, 2000)
+	tn := observeOnly(db)
+	runN(t, db, q1, 40)
+	ixm := idx(db, "R", "a", "b", "c", "id")
+	ixm.Name = "dba_abc"
+	cand := tn.Stats(ixm.ID())
+	if cand == nil || cand.Ix == ixm {
+		t.Fatalf("no tracked candidate for %v", ixm)
+	}
+	candIx := cand.Ix
+
+	db.Mgr.SetBudget(100)
+	if err := tn.ManualCreate(ixm); err == nil {
+		t.Fatal("over-budget manual create accepted")
+	}
+	if st := tn.Stats(ixm.ID()); st != cand || st.Ix != candIx {
+		t.Fatalf("failed manual create replaced the candidate: %v", st)
+	}
+	db.Mgr.SetBudget(0)
+
+	if err := tn.ManualCreate(ixm); err != nil {
+		t.Fatal(err)
+	}
+	if st := tn.Stats(ixm.ID()); st != cand || st.Ix != ixm || !tn.inConfig[ixm.ID()] {
+		t.Fatalf("manual create did not adopt the candidate with the DBA's index: %v", st)
+	}
+	if cand.DeltaMax != cand.Delta() {
+		t.Errorf("creation trackers not reset: %v", cand)
+	}
+	if got := db.Cat.IndexByID(ixm.ID()); got == nil || got.Name != "dba_abc" {
+		t.Fatalf("catalog holds %v, want dba_abc", got)
+	}
+	d := tn.Decisions()
+	if last := d[len(d)-1]; last.Kind != "create" || last.Reason != "manual" || last.Index != ixm.ID() {
+		t.Errorf("last decision = %+v", last)
+	}
+
+	clash := idx(db, "R", "d", "e")
+	clash.Name = "dba_abc"
+	if err := tn.ManualCreate(clash); err == nil {
+		t.Fatal("name clash accepted")
+	}
+	if db.Cat.IndexByID(clash.ID()) != nil || db.Cat.Index("dba_abc_40") != nil {
+		t.Error("name clash created an index")
+	}
+
+	if err := tn.ManualDrop("dba_abc"); err != nil {
+		t.Fatal(err)
+	}
+	if db.Cat.Index("dba_abc") != nil || db.Mgr.Index(ixm.ID()) != nil || tn.inConfig[ixm.ID()] {
+		t.Error("manual drop left the index behind")
+	}
+	evs := tn.Events()
+	if len(evs) != 2 || evs[0].Kind != EvCreate || evs[1].Kind != EvDrop || evs[1].Index != ixm {
+		t.Errorf("events = %v", evs)
+	}
+}
+
 func TestTunerStatisticsTrigger(t *testing.T) {
 	db := engine.Open()
 	db.MustExec("CREATE TABLE R (id INT, a INT, b INT, c INT, d INT, e INT, PRIMARY KEY (id))")

@@ -347,12 +347,13 @@ func TestConcurrentAnalyze(t *testing.T) {
 }
 
 // TestTunerCloseMidBuild shuts the tuner down while statements are still
-// flowing: Close must cancel any in-flight background build and close
-// subscriber channels exactly once.
+// flowing and a background build is in flight: Close must cancel and join
+// the build, leave no half-built structure behind, and be safe to call
+// twice. The other sessions run cheap primary-key lookups, so the build's
+// cost gate stays open for several of the driving session's scans.
 func TestTunerCloseMidBuild(t *testing.T) {
 	db := newStressDB(t, 50, 300)
 	tn := core.Attach(db, core.Options{ThrottleEvery: 1, Async: true, CooldownQueries: 1})
-	ev := tn.Subscribe(256)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -367,21 +368,33 @@ func TestTunerCloseMidBuild(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = db.Query(fmt.Sprintf("SELECT v FROM evt WHERE k = %d", rng.Intn(50)))
+				_, _ = db.Query(fmt.Sprintf("SELECT v FROM evt WHERE id = %d", rng.Intn(300)))
 			}
 		}(int64(w))
 	}
-	// Let some observations accumulate, then close the tuner underneath
-	// the running statements.
-	for i := 0; i < 50; i++ {
+	// Accumulate evidence until a build is in flight, then close the tuner
+	// underneath the running statements.
+	inFlight := func() bool {
+		m := tn.Metrics()
+		return m.BuildsStarted > m.BuildsCompleted+m.BuildsAborted+m.BuildsFailed
+	}
+	for i := 0; i < 300 && !inFlight(); i++ {
 		db.MustExec(fmt.Sprintf("SELECT v FROM evt WHERE k = %d", i%50))
+	}
+	if !inFlight() {
+		t.Fatalf("no build in flight to close: %+v", tn.Metrics())
 	}
 	tn.Close()
 	tn.Close() // idempotent
 	close(stop)
 	wg.Wait()
 
-	// The event channel must be closed (drain whatever was buffered).
-	for range ev {
+	for _, pi := range db.Mgr.TableIndexes("evt") {
+		if pi.State() != storage.StateActive {
+			t.Errorf("Close left %v in state %v", pi.Def, pi.State())
+		}
+	}
+	if err := db.Mgr.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

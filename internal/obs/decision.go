@@ -16,8 +16,9 @@ type Decision struct {
 	Seq int64 `json:"seq"`
 	// AtQuery is the 1-based statement count when the decision was made.
 	AtQuery int64 `json:"at_query"`
-	// Kind is the change kind: create, drop, suspend, restart, abort or
-	// build-start.
+	// Kind is the change kind: create, drop, suspend, restart, abort,
+	// build-start or build-failed (or, adopted from crash recovery,
+	// recovery-resume and recovery-abandon).
 	Kind string `json:"kind"`
 	// Index is the catalog index ID the decision concerns.
 	Index string `json:"index"`
@@ -32,7 +33,8 @@ type Decision struct {
 	BuildCost float64 `json:"build_cost"`
 	// Reason names the rule that fired: "benefit" (Δ−Δmin > B_I),
 	// "residual" (line 9 drop), "swap" (evicted to make room),
-	// "erosion" (async-build abort), "manual", or "published".
+	// "erosion" (async-build abort), "manual", "published", or
+	// "build-failed" (with the storage error appended after a colon).
 	Reason string `json:"reason"`
 }
 
