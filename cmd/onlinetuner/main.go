@@ -16,11 +16,16 @@
 //	-suspend       suspend indexes instead of dropping them
 //	-async         simulate asynchronous (online) index builds
 //	-throttle N    run the tuner's analysis every N statements
+//	-f FILE        replay a workload file (one statement per line, #
+//	               comments) and exit
+//	-state FILE    load tuner evidence from FILE at startup and save it
+//	               on exit
 //
 // Shell commands besides SQL:
 //
 //	\config   show the current physical configuration
-//	\cands    show the top candidate indexes, their evidence and the alerter bound
+//	\cands    show the top candidate indexes, their evidence and a lower bound
+//	          on what tuning would save
 //	\events   show the physical change log
 //	\metrics  show tuner overhead counters
 //	\explain SELECT ...   show the plan without executing

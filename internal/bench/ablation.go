@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"onlinetuner/internal/core"
+	"onlinetuner/internal/tuner"
 	"onlinetuner/internal/workload"
 )
 
@@ -56,7 +57,7 @@ func Ablation(workloads []*workload.Workload) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, w := range workloads {
 		for _, v := range ablationVariants() {
-			r, err := RunOnline(w, v.opts)
+			r, err := Replay(w, tuner.NewOnlinePT(v.opts))
 			if err != nil {
 				return nil, fmt.Errorf("ablation %s on %s: %w", v.name, w.Name, err)
 			}

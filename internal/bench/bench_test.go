@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"onlinetuner/internal/core"
+	"onlinetuner/internal/tuner"
 	"onlinetuner/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func smallTPCH() workload.TPCHOptions {
 
 func TestRunOnlineProducesSchedule(t *testing.T) {
 	w := workload.W1()
-	r, err := RunOnline(w, core.DefaultOptions())
+	r, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestRunOnlineProducesSchedule(t *testing.T) {
 
 func TestRunNoTuningBaseline(t *testing.T) {
 	w := workload.W1()
-	nt, err := RunNoTuning(w)
+	nt, err := Replay(w, &tuner.NoTuner{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunOnline(w, core.DefaultOptions())
+	on, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestRunNoTuningBaseline(t *testing.T) {
 
 func TestRunOfflineSetAndSeq(t *testing.T) {
 	w := workload.W1()
-	set, err := RunOfflineSet(w, 12)
+	set, err := Replay(w, tuner.NewOfflineSet(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := RunOfflineSeq(w, 12)
+	seq, err := Replay(w, tuner.NewOmniscient(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +96,24 @@ func TestRunOfflineSetAndSeq(t *testing.T) {
 }
 
 // TestPaperOrderingSimple checks the Figure 8 ordering on the simple
-// workloads: Offline-Seq ≤ OnlinePT ≤ NoTuning (with small tolerance for
-// the seq approximation).
+// workloads — Offline-Seq ≤ OnlinePT ≤ NoTuning (with small tolerance
+// for the seq approximation) — and pins all four techniques' totals,
+// which are independent of the TPC-H scale.
 func TestPaperOrderingSimple(t *testing.T) {
 	t.Parallel()
+	want := map[string][4]string{ // OnlinePT, Offline-Set, Offline-Seq, NoTuning
+		"W1 (250 q1; 250 q2, one-index budget)":           {"8364.21", "14861.58", "6739.70", "23053.00"},
+		"W2 (250 interleaved q1;q2, one-index budget)":    {"15387.26", "14861.58", "14861.58", "23053.00"},
+		"W2 (250 interleaved q1;q2, merged-index budget)": {"7589.75", "6640.83", "6640.83", "23053.00"},
+		"W2 (250 interleaved q1;q2, roomy budget)":        {"8177.57", "6640.83", "6640.83", "23053.00"},
+		"W3 (100 q1; 100 q3 inserts)":                     {"27811.26", "29034.60", "26059.13", "29034.60"},
+	}
+	seen := 0
 	for _, r := range smallFigure8(t) {
 		if strings.HasPrefix(r.Workload, "TPC-H") {
 			continue
 		}
+		seen++
 		on, seq, nt := r.Totals["OnlinePT"], r.Totals["Offline-Seq"], r.Totals["NoTuning"]
 		if seq > on*1.05 {
 			t.Errorf("%s: seq (%g) should not lose to online (%g)", r.Workload, seq, on)
@@ -110,6 +121,14 @@ func TestPaperOrderingSimple(t *testing.T) {
 		if on > nt {
 			t.Errorf("%s: online (%g) worse than no tuning (%g)", r.Workload, on, nt)
 		}
+		for i, tech := range []string{"OnlinePT", "Offline-Set", "Offline-Seq", "NoTuning"} {
+			if got := fmt.Sprintf("%.2f", r.Totals[tech]); got != want[r.Workload][i] {
+				t.Errorf("%s: %s total %s, want %s", r.Workload, tech, got, want[r.Workload][i])
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("simple workloads = %d, want %d", seen, len(want))
 	}
 }
 
@@ -290,6 +309,19 @@ func TestTable1Smoke(t *testing.T) {
 			t.Errorf("Table1 output missing %q", want)
 		}
 	}
+	// Cost_opt is Offline-Seq with 16 candidates, not Figure 8's 24.
+	for _, pair := range [][2]float64{
+		{8364.21, 6739.70},
+		{15387.26, 14861.58},
+		{7589.75, 6640.83},
+		{8177.57, 6640.83},
+		{27811.26, 26059.13},
+	} {
+		want := fmt.Sprintf("Cost_online=%9.2f  [Cost_opt=%9.2f]", pair[0], pair[1])
+		if !strings.Contains(s, want) {
+			t.Errorf("Table1 output missing %q", want)
+		}
+	}
 }
 
 func TestAblationRuns(t *testing.T) {
@@ -420,7 +452,7 @@ func TestStabilization(t *testing.T) {
 	// converge — by batch 45 the last third is near-quiescent).
 	o.NumBatches = 45
 	w := workload.TPCH(o)
-	on, err := RunOnline(w, core.DefaultOptions())
+	on, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +491,7 @@ func TestOnlineRunsAreDeterministic(t *testing.T) {
 	o := smallTPCH()
 	o.NumBatches = 5
 	run := func() ([]core.Event, float64) {
-		r, err := RunOnline(workload.TPCH(o), core.DefaultOptions())
+		r, err := Replay(workload.TPCH(o), tuner.NewOnlinePT(core.DefaultOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"onlinetuner/internal/core"
+	"onlinetuner/internal/tuner"
 	"onlinetuner/internal/workload"
 )
 
@@ -140,16 +141,12 @@ func Table1() (string, error) {
 	sb.WriteString("Table 1: configuration schedules for simple workloads\n")
 	sb.WriteString(strings.Repeat("-", 100) + "\n")
 	for _, w := range workload.SimpleWorkloads() {
-		on, err := RunOnline(w, core.DefaultOptions())
+		rs, err := replayAll(w, tuner.NewOnlinePT(core.DefaultOptions()), tuner.NewOmniscient(16))
 		if err != nil {
 			return "", err
 		}
-		seq, err := RunOfflineSeq(w, 16)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "%-45s Cost_online=%9.2f  [Cost_opt=%9.2f]\n", w.Name, on.Total, seq.Total)
-		fmt.Fprintf(&sb, "  schedule: %s\n", scheduleString(on))
+		fmt.Fprintf(&sb, "%-45s Cost_online=%9.2f  [Cost_opt=%9.2f]\n", w.Name, rs[0].Total, rs[1].Total)
+		fmt.Fprintf(&sb, "  schedule: %s\n", scheduleString(rs[0]))
 	}
 	return sb.String(), nil
 }
@@ -236,7 +233,7 @@ func tpchWorkload(disrupt bool, o workload.TPCHOptions) *workload.Workload {
 // per-batch cost series (Figure 7(a)).
 func Figure7a(o workload.TPCHOptions) (*workload.Workload, []Series, *Result, error) {
 	w := tpchWorkload(false, o)
-	on, err := RunOnline(w, core.DefaultOptions())
+	on, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -252,7 +249,7 @@ func Figure7b(o workload.TPCHOptions) (*workload.Workload, []Series, error) {
 // Figure7c is Figure 7(a) with the disruptive updates (Figure 7(c)).
 func Figure7c(o workload.TPCHOptions) (*workload.Workload, []Series, *Result, error) {
 	w := tpchWorkload(true, o)
-	on, err := RunOnline(w, core.DefaultOptions())
+	on, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -267,23 +264,28 @@ func Figure7d(o workload.TPCHOptions) (*workload.Workload, []Series, error) {
 }
 
 func compareAll(w *workload.Workload) (*workload.Workload, []Series, error) {
-	on, err := RunOnline(w, core.DefaultOptions())
+	rs, err := replayAll(w, tuner.NewOnlinePT(core.DefaultOptions()), tuner.NewOfflineSet(24), tuner.NewOmniscient(24))
 	if err != nil {
 		return nil, nil, err
 	}
-	set, err := RunOfflineSet(w, 24)
-	if err != nil {
-		return nil, nil, err
+	series := make([]Series, len(rs))
+	for i, r := range rs {
+		series[i] = Series{Name: r.Technique, PerBatch: w.Batches(r.PerStatement)}
 	}
-	seq, err := RunOfflineSeq(w, 24)
-	if err != nil {
-		return nil, nil, err
+	return w, series, nil
+}
+
+// replayAll replays each advisor over the workload in turn.
+func replayAll(w *workload.Workload, advisors ...tuner.Advisor) ([]*Result, error) {
+	rs := make([]*Result, len(advisors))
+	for i, a := range advisors {
+		r, err := Replay(w, a)
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = r
 	}
-	return w, []Series{
-		{Name: "OnlinePT", PerBatch: w.Batches(on.PerStatement)},
-		{Name: "Offline-Set", PerBatch: w.Batches(set.PerStatement)},
-		{Name: "Offline-Seq", PerBatch: w.Batches(seq.PerStatement)},
-	}, nil
+	return rs, nil
 }
 
 // Figure8Row is one workload's totals across techniques.
@@ -297,27 +299,14 @@ type Figure8Row struct {
 func Figure8(o workload.TPCHOptions) ([]Figure8Row, error) {
 	var rows []Figure8Row
 	run := func(name string, w *workload.Workload) error {
+		rs, err := replayAll(w, tuner.NewOnlinePT(core.DefaultOptions()), tuner.NewOfflineSet(24), tuner.NewOmniscient(24), &tuner.NoTuner{})
+		if err != nil {
+			return err
+		}
 		row := Figure8Row{Workload: name, Totals: map[string]float64{}}
-		on, err := RunOnline(w, core.DefaultOptions())
-		if err != nil {
-			return err
+		for i, r := range rs {
+			row.Totals[figure8Techniques[i]] = r.Total
 		}
-		row.Totals["OnlinePT"] = on.Total
-		set, err := RunOfflineSet(w, 24)
-		if err != nil {
-			return err
-		}
-		row.Totals["Offline-Set"] = set.Total
-		seq, err := RunOfflineSeq(w, 24)
-		if err != nil {
-			return err
-		}
-		row.Totals["Offline-Seq"] = seq.Total
-		no, err := RunNoTuning(w)
-		if err != nil {
-			return err
-		}
-		row.Totals["NoTuning"] = no.Total
 		rows = append(rows, row)
 		return nil
 	}
@@ -335,19 +324,22 @@ func Figure8(o workload.TPCHOptions) ([]Figure8Row, error) {
 	return rows, nil
 }
 
+// figure8Techniques are Figure 8's columns, in the order Figure8 replays
+// them.
+var figure8Techniques = []string{"OnlinePT", "Offline-Set", "Offline-Seq", "NoTuning"}
+
 // FormatFigure8 renders the Figure 8 rows.
 func FormatFigure8(rows []Figure8Row) string {
-	techs := []string{"OnlinePT", "Offline-Set", "Offline-Seq", "NoTuning"}
 	var sb strings.Builder
 	sb.WriteString("Figure 8: overall cost by technique\n")
 	fmt.Fprintf(&sb, "%-50s", "workload")
-	for _, t := range techs {
+	for _, t := range figure8Techniques {
 		fmt.Fprintf(&sb, " %14s", t)
 	}
 	sb.WriteString("\n")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-50s", r.Workload)
-		for _, t := range techs {
+		for _, t := range figure8Techniques {
 			fmt.Fprintf(&sb, " %14.2f", r.Totals[t])
 		}
 		sb.WriteString("\n")
@@ -369,7 +361,7 @@ type OverheadRow struct {
 func Figure9() (map[string][]OverheadRow, error) {
 	out := map[string][]OverheadRow{}
 	measure := func(name string, w *workload.Workload) error {
-		r, err := RunOnline(w, core.DefaultOptions())
+		r, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
 		if err != nil {
 			return err
 		}

@@ -1,19 +1,19 @@
-// Package bench is the experiment harness: it runs each tuning technique
-// (OnlinePT, Offline-Set, Offline-Seq, NoTuning) over a workload with
-// physical replay — every technique gets its own freshly loaded database
-// and its index changes are actually materialized — and regenerates the
-// paper's Table 1 and Figures 7, 8 and 9.
+// Package bench is the experiment harness. Every tuning technique runs
+// as a tuner.Advisor through one replay loop, Replay: each run gets its
+// own freshly loaded database, its index changes are actually
+// materialized, and each statement is charged its estimated cost plus
+// the transition cost the advisor paid around it. Table 1, Figures 7, 8
+// and 9, the ablation and the tuner race are all built from Replay's
+// results.
 package bench
 
 import (
 	"fmt"
 	"time"
 
-	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/core"
 	"onlinetuner/internal/engine"
-	"onlinetuner/internal/tuner/offline"
-	"onlinetuner/internal/whatif"
+	"onlinetuner/internal/tuner"
 	"onlinetuner/internal/workload"
 )
 
@@ -24,11 +24,18 @@ type Result struct {
 	// transition costs paid at that point.
 	PerStatement []float64
 	Total        float64
-	// Events is the physical change log (online runs only).
+	// Query is Σ estimated execution cost; Transition is Σ transition
+	// cost. Their sum equals Total up to summation order.
+	Query      float64
+	Transition float64
+	// Events is the physical change log (OnlinePT runs only).
 	Events []core.Event
-	// Metrics is the tuner overhead accounting (online runs only).
+	// Metrics is the tuner overhead accounting (OnlinePT runs only).
 	Metrics core.Metrics
-	// QueryProcessing is the wall-clock spent optimizing+executing.
+	// Counters is the advisor's own accounting.
+	Counters tuner.Counters
+	// QueryProcessing is the wall-clock spent optimizing+executing,
+	// without the online tuner's own time.
 	QueryProcessing time.Duration
 	// FinalConfig lists the secondary indexes at workload end.
 	FinalConfig []string
@@ -37,146 +44,45 @@ type Result struct {
 	StatementSQL []string
 }
 
-// RunOnline replays the workload with OnlinePT attached.
-func RunOnline(w *workload.Workload, opts core.Options) (*Result, error) {
+// Replay runs advisor a over workload w on a freshly loaded database:
+// Start, then BeforeStatement, Exec and AfterStatement for each
+// statement. It closes the advisor and the database before returning.
+func Replay(w *workload.Workload, a tuner.Advisor) (*Result, error) {
 	db := w.NewDB()
-	tn := core.Attach(db, opts)
-	res := &Result{Technique: "OnlinePT", StatementSQL: w.Statements}
-	prevTransitions := 0.0
-	for _, stmt := range w.Statements {
+	defer db.Close()
+	defer a.Close()
+	if err := a.Start(db, w); err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", a.Name(), err)
+	}
+	res := &Result{Technique: a.Name(), StatementSQL: w.Statements}
+	for i, stmt := range w.Statements {
+		pre, err := a.BeforeStatement(i)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: statement %d: %w", a.Name(), i, err)
+		}
 		start := time.Now()
 		_, info, err := db.Exec(stmt)
 		if err != nil {
-			return nil, fmt.Errorf("bench: online: %q: %w", stmt, err)
+			return nil, fmt.Errorf("bench: %s: statement %d %q: %w", a.Name(), i, stmt, err)
 		}
 		res.QueryProcessing += time.Since(start)
-		cost := info.EstCost
-		m := tn.Metrics()
-		cost += m.TransitionCost - prevTransitions
-		prevTransitions = m.TransitionCost
+		post, err := a.AfterStatement(i, info)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: statement %d: %w", a.Name(), i, err)
+		}
+		cost := info.EstCost + pre + post
 		res.PerStatement = append(res.PerStatement, cost)
 		res.Total += cost
+		res.Query += info.EstCost
+		res.Transition += pre + post
 	}
-	res.QueryProcessing -= tn.Metrics().Total // tuner time accounted separately
-	res.Events = tn.Events()
-	res.Metrics = tn.Metrics()
+	res.Counters = a.Counters()
 	res.FinalConfig = configNames(db)
-	return res, nil
-}
-
-// RunNoTuning replays the workload untouched.
-func RunNoTuning(w *workload.Workload) (*Result, error) {
-	db := w.NewDB()
-	res := &Result{Technique: "NoTuning", StatementSQL: w.Statements}
-	for _, stmt := range w.Statements {
-		start := time.Now()
-		_, info, err := db.Exec(stmt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: notuning: %q: %w", stmt, err)
-		}
-		res.QueryProcessing += time.Since(start)
-		res.PerStatement = append(res.PerStatement, info.EstCost)
-		res.Total += info.EstCost
+	if on, ok := a.(*tuner.OnlinePT); ok {
+		res.Events = on.Events()
+		res.Metrics = on.Metrics()
+		res.QueryProcessing -= res.Metrics.Total // tuner time accounted separately
 	}
-	return res, nil
-}
-
-// profile replays the workload once on a fresh database to capture
-// requests for the offline advisors.
-func profile(w *workload.Workload) (*offline.Profile, error) {
-	return offline.ProfileWorkload(w.NewDB(), w.Statements)
-}
-
-// RunOfflineSet profiles the workload, runs the set-based advisor, then
-// physically replays with the recommended indexes created up front. The
-// creation cost lands on the first statement.
-func RunOfflineSet(w *workload.Workload, maxCandidates int) (*Result, error) {
-	p, err := profile(w)
-	if err != nil {
-		return nil, err
-	}
-	rec := offline.SetBased(p, maxCandidates)
-
-	db := w.NewDB()
-	res := &Result{Technique: "Offline-Set", StatementSQL: w.Statements}
-	upfront := 0.0
-	for i, ix := range rec.Indexes {
-		clone := &catalog.Index{Name: fmt.Sprintf("set_%d", i), Table: ix.Table, Columns: ix.Columns}
-		upfront += whatif.BuildCost(db.WhatIfEnv(), clone)
-		if err := db.CreateIndex(clone); err != nil {
-			return nil, fmt.Errorf("bench: offline-set create %v: %w", clone, err)
-		}
-	}
-	for i, stmt := range w.Statements {
-		start := time.Now()
-		_, info, err := db.Exec(stmt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: offline-set: %q: %w", stmt, err)
-		}
-		res.QueryProcessing += time.Since(start)
-		cost := info.EstCost
-		if i == 0 {
-			cost += upfront
-		}
-		res.PerStatement = append(res.PerStatement, cost)
-		res.Total += cost
-	}
-	res.FinalConfig = configNames(db)
-	return res, nil
-}
-
-// RunOfflineSeq profiles the workload, computes the sequence-based
-// schedule, and physically replays it, applying creates/drops at their
-// scheduled positions and charging build costs as transitions.
-func RunOfflineSeq(w *workload.Workload, maxCandidates int) (*Result, error) {
-	p, err := profile(w)
-	if err != nil {
-		return nil, err
-	}
-	sched := offline.SeqBased(p, maxCandidates)
-
-	db := w.NewDB()
-	res := &Result{Technique: "Offline-Seq", StatementSQL: w.Statements}
-	live := map[string]*catalog.Index{} // id → created clone
-	n := 0
-	for i, stmt := range w.Statements {
-		// Transition into the scheduled configuration for statement i.
-		want := map[string]*catalog.Index{}
-		if i < len(sched.Active) {
-			for _, ix := range sched.Active[i] {
-				want[ix.ID()] = ix
-			}
-		}
-		transition := 0.0
-		for id, ix := range live {
-			if want[id] == nil {
-				if err := db.DropIndex(ix); err != nil {
-					return nil, fmt.Errorf("bench: offline-seq drop: %w", err)
-				}
-				delete(live, id)
-			}
-		}
-		for id, ix := range want {
-			if live[id] == nil {
-				clone := &catalog.Index{Name: fmt.Sprintf("seq_%d", n), Table: ix.Table, Columns: ix.Columns}
-				n++
-				transition += whatif.BuildCost(db.WhatIfEnv(), clone)
-				if err := db.CreateIndex(clone); err != nil {
-					return nil, fmt.Errorf("bench: offline-seq create %v: %w", clone, err)
-				}
-				live[id] = clone
-			}
-		}
-		start := time.Now()
-		_, info, err := db.Exec(stmt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: offline-seq: %q: %w", stmt, err)
-		}
-		res.QueryProcessing += time.Since(start)
-		res.PerStatement = append(res.PerStatement, info.EstCost+transition)
-		res.Total += info.EstCost + transition
-	}
-	res.FinalConfig = configNames(db)
 	return res, nil
 }
 

@@ -149,39 +149,20 @@ func runTunerCell(advisorName, scenarioName string, o workload.ScenarioOptions) 
 	if err != nil {
 		return nil, err
 	}
-	db := w.NewDB()
-	defer db.Close()
-	if err := a.Start(db, w); err != nil {
+	r, err := Replay(w, a)
+	if err != nil {
 		return nil, err
 	}
-	var query, transition float64
-	for i, stmt := range w.Statements {
-		pre, err := a.BeforeStatement(i)
-		if err != nil {
-			return nil, err
-		}
-		_, info, err := db.Exec(stmt)
-		if err != nil {
-			return nil, fmt.Errorf("statement %d %q: %w", i, stmt, err)
-		}
-		post, err := a.AfterStatement(i, info)
-		if err != nil {
-			return nil, err
-		}
-		query += info.EstCost
-		transition += pre + post
-	}
-	a.Close()
 	return &TunerCell{
 		Scenario:       scenarioName,
-		Advisor:        a.Name(),
+		Advisor:        r.Technique,
 		Seed:           o.Seed,
 		Statements:     len(w.Statements),
-		QueryCost:      round3(query),
-		TransitionCost: round3(transition),
-		TotalCost:      round3(query + transition),
-		Counters:       a.Counters(),
-		FinalIndexes:   configNames(db),
+		QueryCost:      round3(r.Query),
+		TransitionCost: round3(r.Transition),
+		TotalCost:      round3(r.Query + r.Transition),
+		Counters:       r.Counters,
+		FinalIndexes:   r.FinalConfig,
 	}, nil
 }
 

@@ -1,11 +1,12 @@
-// Package tuner defines the Advisor interface the racing harness drives:
-// a uniform shell over competing physical-design tuners — the paper's
-// OnlinePT, a bandit-style tuner with a safety budget (DBA bandits,
-// Perera et al.), the offline sequence advisor as the omniscient
-// baseline (CoPhy-shaped), and no-tuner / manual-DBA controls. Every
-// advisor races on an identical statement stream; the driver charges
-// each statement its estimated execution cost plus whatever transition
-// cost the advisor paid around it.
+// Package tuner defines the Advisor interface every tuning technique
+// runs behind: a uniform shell over the paper's OnlinePT, the offline
+// set and sequence advisors (the latter the CoPhy-shaped omniscient
+// baseline), a bandit-style tuner with a safety budget (DBA bandits,
+// Perera et al.), and no-tuner / manual-DBA controls. One loop,
+// bench.Replay, runs them all — for Table 1, Figures 7–9, the ablation
+// and the tuner race — on identical statement streams, charging each
+// statement its estimated execution cost plus whatever transition cost
+// the advisor paid around it.
 package tuner
 
 import (
@@ -179,7 +180,7 @@ func (o *OnlinePT) Counters() Counters {
 		BuildsAborted:   m.BuildsAborted,
 		BuildsFailed:    m.BuildsFailed,
 	}
-	for _, e := range o.tn.Events() {
+	for _, e := range o.Events() {
 		switch e.Kind {
 		case core.EvCreate:
 			c.IndexesCreated++
@@ -188,6 +189,14 @@ func (o *OnlinePT) Counters() Counters {
 		}
 	}
 	return c
+}
+
+// Events exposes the wrapped tuner's physical change log.
+func (o *OnlinePT) Events() []core.Event {
+	if o.tn == nil {
+		return nil
+	}
+	return o.tn.Events()
 }
 
 // Decisions exposes the wrapped tuner's structured decision log for the
@@ -199,7 +208,7 @@ func (o *OnlinePT) Decisions() []obs.Decision {
 	return o.tn.Decisions()
 }
 
-// Metrics exposes the wrapped tuner's metrics for the differential test.
+// Metrics exposes the wrapped tuner's metrics.
 func (o *OnlinePT) Metrics() core.Metrics {
 	if o.tn == nil {
 		return core.Metrics{}

@@ -11,17 +11,20 @@ import (
 	"onlinetuner/internal/workload"
 )
 
-// Omniscient wraps the offline sequence advisor (the CoPhy-shaped
-// baseline) behind the Advisor shell: at Start it profiles the ENTIRE
-// statement stream on a throwaway copy of the database — knowledge no
-// online policy has — and commits to the resulting create/drop schedule,
-// replayed position-by-position through BeforeStatement. Race cells use
-// its realized total as the reference the regret column is anchored
-// against.
+// Omniscient replays an offline advisor's plan behind the Advisor
+// shell: at Start it profiles the ENTIRE statement stream on a throwaway
+// copy of the database — knowledge no online policy has — and commits to
+// the configuration the plan wants at each statement, transitioning into
+// it through BeforeStatement. As Offline-Seq (the CoPhy-shaped baseline)
+// its realized total is the reference race cells anchor regret against
+// and Table 1's Cost_opt; as Offline-Set it creates one fixed set of
+// indexes before statement 0.
 type Omniscient struct {
+	name          string
 	maxCandidates int
+	plan          func(p *offline.Profile, maxCandidates int) [][]*catalog.Index
 	db            *engine.DB
-	sched         *offline.Schedule
+	active        [][]*catalog.Index
 	live          map[string]*catalog.Index
 	liveOrder     []string
 	creates       int
@@ -31,17 +34,37 @@ type Omniscient struct {
 // NewOmniscient wraps the offline sequence advisor; maxCandidates ≤ 0
 // selects the offline package's default sizing.
 func NewOmniscient(maxCandidates int) *Omniscient {
+	return newOmniscient("Offline-Seq", maxCandidates, func(p *offline.Profile, n int) [][]*catalog.Index {
+		return offline.SeqBased(p, n).Active
+	})
+}
+
+// NewOfflineSet wraps the offline set advisor: its recommended indexes
+// are wanted at every statement, so they are all created, and charged,
+// before statement 0.
+func NewOfflineSet(maxCandidates int) *Omniscient {
+	return newOmniscient("Offline-Set", maxCandidates, func(p *offline.Profile, n int) [][]*catalog.Index {
+		set := offline.SetBased(p, n).Indexes
+		active := make([][]*catalog.Index, len(p.Queries))
+		for i := range active {
+			active[i] = set
+		}
+		return active
+	})
+}
+
+func newOmniscient(name string, maxCandidates int, plan func(*offline.Profile, int) [][]*catalog.Index) *Omniscient {
 	if maxCandidates <= 0 {
 		maxCandidates = 32
 	}
-	return &Omniscient{maxCandidates: maxCandidates, live: map[string]*catalog.Index{}}
+	return &Omniscient{name: name, maxCandidates: maxCandidates, plan: plan, live: map[string]*catalog.Index{}}
 }
 
-func (o *Omniscient) Name() string { return "Offline-Seq" }
+func (o *Omniscient) Name() string { return o.name }
 
 // Start profiles the full workload on a fresh database instance (the
 // race cell's own database must not see the profiling replay) and
-// computes the schedule.
+// computes the plan.
 func (o *Omniscient) Start(db *engine.DB, w *workload.Workload) error {
 	o.db = db
 	profDB := w.NewDB()
@@ -50,18 +73,18 @@ func (o *Omniscient) Start(db *engine.DB, w *workload.Workload) error {
 	if err != nil {
 		return fmt.Errorf("tuner: omniscient profile: %w", err)
 	}
-	o.sched = offline.SeqBased(p, o.maxCandidates)
+	o.active = o.plan(p, o.maxCandidates)
 	return nil
 }
 
-// BeforeStatement transitions into the scheduled configuration for
+// BeforeStatement transitions into the planned configuration for
 // statement i, charging build costs; drops are free, as in the paper's
 // cost model. Iteration is over sorted ids so the transition order — and
 // with it the decision log and index names — is deterministic.
 func (o *Omniscient) BeforeStatement(i int) (float64, error) {
 	want := map[string]*catalog.Index{}
-	if o.sched != nil && i < len(o.sched.Active) {
-		for _, ix := range o.sched.Active[i] {
+	if i < len(o.active) {
+		for _, ix := range o.active[i] {
 			want[ix.ID()] = ix
 		}
 	}
