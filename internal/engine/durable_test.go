@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/storage"
+	"onlinetuner/internal/vec"
 	"onlinetuner/internal/wal"
 )
 
@@ -155,6 +157,75 @@ func TestDurableReplaysSingleRecordIndexCreate(t *testing.T) {
 	if pi := db2.Mgr.Index(ix.ID()); pi == nil || pi.State() != storage.StateActive || pi.Tree().Len() != 31 {
 		t.Fatalf("replayed index is not an active tree over all 31 rows: %+v", pi)
 	}
+}
+
+// TestDurableRecoveryBuildsKeySlabs recovers an index over a column
+// uncorrelated with RID order twice — by replaying its build from the
+// log, then by restoring it from a checkpoint — and checks that each
+// recovered tree keeps its keys in key-ordered slabs (cap == len, each
+// key right after its predecessor within a slab of vec.MorselRows
+// entries) and stays consistent under later DML.
+func TestDurableRecoveryBuildsKeySlabs(t *testing.T) {
+	const n = 2*vec.MorselRows + 100
+	dir := t.TempDir()
+	db, err := OpenDurable(Config{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE R (id INT, a INT, PRIMARY KEY (id))")
+	var vals []string
+	for i := 0; i < n; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, (i*7919)%n))
+		if len(vals) == 500 || i == n-1 {
+			db.MustExec("INSERT INTO R VALUES " + strings.Join(vals, ", "))
+			vals = vals[:0]
+		}
+	}
+	db.MustExec("CREATE INDEX R_a ON R (a)")
+	db.Crash()
+
+	slabs := func(label string, db *DB) {
+		t.Helper()
+		tree := db.Mgr.Index("r(a)").Tree()
+		var prev datum.Row
+		i := 0
+		for it := tree.Scan(); it.Valid(); it.Next() {
+			k := it.Entry().Key
+			if len(k) != 1 || cap(k) != 1 {
+				t.Fatalf("%s: entry %d key len %d cap %d, want 1", label, i, len(k), cap(k))
+			}
+			if i%vec.MorselRows != 0 && unsafe.Pointer(&k[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), unsafe.Sizeof(k[0])) {
+				t.Fatalf("%s: entry %d's key is not stored right after entry %d's", label, i, i-1)
+			}
+			prev = k
+			i++
+		}
+		if i != n {
+			t.Fatalf("%s: tree holds %d entries, want %d", label, i, n)
+		}
+	}
+	db, err = OpenDurable(Config{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slabs("log replay", db)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+
+	db, err = OpenDurable(Config{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Recovery().SnapshotSeq == 0 {
+		t.Fatal("recovery ignored the snapshot")
+	}
+	slabs("snapshot restore", db)
+	db.MustExec("DELETE FROM R WHERE a < 300")
+	db.MustExec("INSERT INTO R VALUES (-1, 5), (-2, 100000)")
+	checkConsistent(t, db)
 }
 
 func TestDurableCrashRecovery(t *testing.T) {

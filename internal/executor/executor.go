@@ -1248,34 +1248,40 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	markEngine(c, n, useVec)
 	// Parallel partial aggregation, split at the only safe seam: workers
 	// do the pure per-row work (group-key rendering and argument
-	// evaluation) over disjoint chunks — columnar when the expressions
-	// compile to kernels — and the coordinator folds rows into groups
-	// sequentially in the original input order. Folding in input order
-	// keeps float accumulation (SUM/AVG) and group first-appearance
-	// order bit-identical to the sequential executor.
-	evald := make([]aggEvalRow, len(in))
+	// evaluation) over disjoint morsels — columnar when the expressions
+	// compile to kernels — and hand back morsel-local group ids; the
+	// coordinator maps each morsel's keys to global groups and folds
+	// rows into them sequentially in the original input order. Folding
+	// in input order keeps float accumulation (SUM/AVG) and group
+	// first-appearance order bit-identical to the sequential executor.
+	na := len(n.Aggs)
+	gids := map[string]int32{} // group key -> id, ids in first-appearance order
+	var states []aggState      // na per group, group-major
+	var local []int32          // one morsel's local group id -> global id
 	err = runMorsels(e, "hashagg-eval", chunkBounds(len(in)),
-		func(i int) (struct{}, error) {
-			lo := i * vec.MorselRows
+		func(i int) (aggMorsel, error) {
 			rows := chunkOf(in, i)
+			am := newAggMorsel(len(rows), na)
 			if useVec {
 				w := getVecWork()
-				ok := hashAggEvalVec(groupVes, argVes, rows, evald[lo:lo+len(rows)], &w.m)
+				ok := hashAggEvalVec(groupVes, argVes, rows, &am, &w.m)
 				putVecWork(w)
 				if ok {
-					return struct{}{}, nil
+					return am, nil
 				}
 			}
+			var buf []byte
 			for j, r := range rows {
-				gkey := make(datum.Row, len(groupFns))
-				for k, f := range groupFns {
+				buf = buf[:0]
+				for _, f := range groupFns {
 					v, ferr := f(r)
 					if ferr != nil {
-						return struct{}{}, ferr
+						return aggMorsel{}, ferr
 					}
-					gkey[k] = v
+					buf = v.AppendKey(buf)
+					buf = append(buf, '\x00')
 				}
-				vals := make([]datum.Datum, len(n.Aggs))
+				vals := am.row(j)
 				for k, a := range n.Aggs {
 					if a.Star {
 						vals[k] = datum.NewInt(1)
@@ -1283,60 +1289,107 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 					}
 					v, ferr := argFns[k](r)
 					if ferr != nil {
-						return struct{}{}, ferr
+						return aggMorsel{}, ferr
 					}
 					vals[k] = v
 				}
-				evald[lo+j] = aggEvalRow{gkey: rowKey(gkey), vals: vals}
+				am.gid[j] = am.groupID(buf)
 			}
-			return struct{}{}, nil
+			return am, nil
 		},
-		func(int, struct{}) error { return nil })
+		func(_ int, am aggMorsel) error {
+			local = local[:0]
+			for _, k := range am.keys {
+				g, ok := gids[k]
+				if !ok {
+					g = int32(len(gids))
+					gids[k] = g
+					states = append(states, make([]aggState, na)...)
+				}
+				local = append(local, g)
+			}
+			for j, id := range am.gid {
+				st := states[int(local[id])*na:]
+				for k, v := range am.row(j) {
+					st[k].add(v)
+				}
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	type group struct {
-		states []*aggState
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, er := range evald {
-		g, ok := groups[er.gkey]
-		if !ok {
-			g = &group{states: make([]*aggState, len(n.Aggs))}
-			for i := range g.states {
-				g.states[i] = &aggState{}
-			}
-			groups[er.gkey] = g
-			order = append(order, er.gkey)
-		}
-		for i := range n.Aggs {
-			g.states[i].add(er.vals[i])
-		}
-	}
 	// A global aggregate over zero rows still yields one row.
-	if len(groups) == 0 && len(n.GroupBy) == 0 {
-		row := make(datum.Row, len(n.Aggs))
+	if len(gids) == 0 && len(n.GroupBy) == 0 {
+		row := make(datum.Row, na)
 		empty := &aggState{}
 		for i, a := range n.Aggs {
 			row[i] = empty.result(a.Func)
 		}
 		return []datum.Row{row}, nil
 	}
-	out := make([]datum.Row, 0, len(groups))
-	for _, k := range order {
-		g := groups[k]
-		row := make(datum.Row, len(n.Aggs))
+	out := make([]datum.Row, 0, len(gids))
+	for g := range len(gids) {
+		row := make(datum.Row, na)
 		for i, a := range n.Aggs {
 			fn := a.Func
 			if a.Star {
 				fn = "COUNT"
 			}
-			row[i] = g.states[i].result(fn)
+			row[i] = states[g*na+i].result(fn)
 		}
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// aggMorsel is one morsel after the aggregate eval stage: each row's
+// morsel-local group id, the morsel's distinct rendered group keys in
+// first-appearance order (gid indexes keys), and every row's evaluated
+// aggregate arguments in one rows × aggs slab. A key string is made
+// once per group per morsel, not once per row.
+type aggMorsel struct {
+	gid  []int32
+	keys []string
+	vals []datum.Datum
+	na   int
+	ids  map[string]int32 // key -> id, from the morsel's second key on
+}
+
+func newAggMorsel(rows, aggs int) aggMorsel {
+	return aggMorsel{
+		gid:  make([]int32, rows),
+		vals: make([]datum.Datum, rows*aggs),
+		na:   aggs,
+	}
+}
+
+// row returns row j's argument slots.
+func (am *aggMorsel) row(j int) []datum.Datum {
+	return am.vals[j*am.na : (j+1)*am.na : (j+1)*am.na]
+}
+
+// groupID returns the morsel-local id of the rendered key in buf. The
+// lookup converts buf without allocating; the key string is allocated
+// only the first time this morsel sees it. The map is made only when a
+// second key shows up, so a global aggregate's morsel never makes one.
+func (am *aggMorsel) groupID(buf []byte) int32 {
+	if id, ok := am.ids[string(buf)]; ok {
+		return id
+	}
+	if am.ids == nil && len(am.keys) == 1 {
+		if am.keys[0] == string(buf) {
+			return 0
+		}
+		am.ids = map[string]int32{am.keys[0]: 0}
+	}
+	id := int32(len(am.keys))
+	k := string(buf)
+	if am.ids != nil {
+		am.ids[k] = id
+	}
+	am.keys = append(am.keys, k)
+	return id
 }
 
 func (e *run) runInsert(n *plan.InsertNode, c *Collector) (*ResultSet, error) {

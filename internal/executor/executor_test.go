@@ -100,6 +100,36 @@ func TestIndexSeekCoveringAndBounds(t *testing.T) {
 	}
 }
 
+// TestCoveringSeekRowsAppendSafe appends to every row a covering seek
+// returns — the rows are the index's own keys — and checks that no
+// other returned row changed: a built tree's keys share slabs, so each
+// must have no spare capacity to append into.
+func TestCoveringSeekRowsAppendSafe(t *testing.T) {
+	_, _, ex, ix := fixture(t, 100, true)
+	lo, hi := datum.NewInt(3), datum.NewInt(5)
+	n := &plan.IndexSeek{Index: ix, Alias: "R", Lo: &lo, Hi: &hi, LoInc: true, HiInc: true}
+	n.Out = plan.IndexSchema(ix, "R")
+	rows, err := ex.exec(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 30 {
+		t.Fatalf("seek 3 <= a <= 5 rows = %d, want 30", len(rows))
+	}
+	want := make([]datum.Row, len(rows))
+	for i, r := range rows {
+		want[i] = r.Clone()
+	}
+	for _, r := range rows {
+		_ = append(r, datum.NewInt(-1), datum.NewInt(-1))
+	}
+	for i, r := range rows {
+		if r.Compare(want[i]) != 0 {
+			t.Fatalf("row %d changed to %v after appending to its neighbour, want %v", i, r, want[i])
+		}
+	}
+}
+
 func TestIndexSeekFetch(t *testing.T) {
 	cat, _, ex, ix := fixture(t, 100, true)
 	eq := datum.NewInt(7)

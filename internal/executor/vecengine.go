@@ -552,19 +552,13 @@ func projectVec(ves []vecExpr, rows []datum.Row, b *datum.Batch, m *vecMorsel) b
 	return true
 }
 
-// aggEvalRow is one input row after the aggregate eval stage: rendered
-// group key plus evaluated aggregate arguments. The coordinator folds
-// these into groups sequentially in input order.
-type aggEvalRow struct {
-	gkey string
-	vals []datum.Datum
-}
-
 // hashAggEvalVec runs the aggregate eval stage columnar over one
 // morsel: group keys render through datum.AppendKey (the exact bytes
-// rowKey produces, so vectorized and scalar runs group identically) and
-// aggregate arguments come from gathered columns.
-func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, out []aggEvalRow, m *vecMorsel) bool {
+// the scalar path renders, so vectorized and scalar runs group
+// identically) and aggregate arguments come from gathered columns. It
+// writes nothing into am on fallback, so the caller's scalar retry
+// starts from an empty morsel.
+func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, am *aggMorsel, m *vecMorsel) bool {
 	m.reset(rows, nil)
 	gcols, ok := evalVecCols(groupVes, m)
 	if !ok {
@@ -574,10 +568,6 @@ func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, out []aggEvalR
 	if !ok {
 		return false
 	}
-	// One slab for the whole morsel's argument datums instead of one
-	// allocation per row; the carved slices escape into out, the slab
-	// does not get reused.
-	slab := make([]datum.Datum, len(rows)*len(acols))
 	var buf []byte
 	for j := range rows {
 		buf = buf[:0]
@@ -585,11 +575,11 @@ func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, out []aggEvalR
 			buf = c.DatumAt(j).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
-		vals := slab[j*len(acols) : (j+1)*len(acols) : (j+1)*len(acols)]
+		am.gid[j] = am.groupID(buf)
+		vals := am.row(j)
 		for k, c := range acols {
 			vals[k] = c.DatumAt(j)
 		}
-		out[j] = aggEvalRow{gkey: string(buf), vals: vals}
 	}
 	return true
 }

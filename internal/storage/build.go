@@ -6,7 +6,9 @@ import (
 	"strings"
 
 	"onlinetuner/internal/catalog"
+	"onlinetuner/internal/datum"
 	"onlinetuner/internal/fault"
+	"onlinetuner/internal/vec"
 	"onlinetuner/internal/wal"
 )
 
@@ -143,8 +145,17 @@ func (b *Build) Run(ctx context.Context) error {
 // cancelled. Every tree the manager builds from table rows — online
 // build, restart of a suspended index, recovery restore — comes from
 // here.
+//
+// Keys are cut from one RID-order slab during extraction and, once
+// sorted, copied into key-ordered slabs of vec.MorselRows entries each,
+// so a range seek over the built tree reads its keys from consecutive
+// memory instead of one scattered allocation per entry. Every key is a
+// full slice expression (cap == len): an append on a key handed to the
+// executor reallocates and never overwrites its neighbour.
 func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, ords []int, inj *fault.Injector) (*BTree, error) {
 	const cancelCheckEvery = 256
+	w := len(ords)
+	ridOrder := make([]datum.Datum, len(rows)*w)
 	entries := make([]Entry, 0, len(rows))
 	for i, hr := range rows {
 		if i%cancelCheckEvery == 0 && ctx.Err() != nil {
@@ -153,11 +164,24 @@ func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, ords []int, inj 
 		if err := inj.Hit(fault.BuildStep); err != nil {
 			return nil, err
 		}
-		entries = append(entries, Entry{Key: keyFor(ords, hr.Row), RID: hr.RID})
+		key := ridOrder[i*w : (i+1)*w : (i+1)*w]
+		for k, o := range ords {
+			key[k] = hr.Row[o]
+		}
+		entries = append(entries, Entry{Key: key, RID: hr.RID})
 	}
 	SortEntriesPooled(entries, m.Pool())
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
+	}
+	for lo := 0; lo < len(entries); lo += vec.MorselRows {
+		run := entries[lo:min(lo+vec.MorselRows, len(entries))]
+		slab := make([]datum.Datum, len(run)*w)
+		for j := range run {
+			key := slab[j*w : (j+1)*w : (j+1)*w]
+			copy(key, run[j].Key)
+			run[j].Key = key
+		}
 	}
 	return BulkLoad(entries)
 }

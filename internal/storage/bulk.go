@@ -32,7 +32,9 @@ func SortEntriesPooled(entries []Entry, p *par.Pool) {
 // left-to-right pass and stacks internal levels on top, so loading n
 // entries is O(n) instead of the O(n log n) tree-insert path. An exact
 // duplicate (same key and RID) is rejected with the same error Insert
-// produces. The entry slice is not retained; keys are shared.
+// produces. The entry slice is not retained, but the keys are: the tree
+// holds the callers' key slices as they are, so a loader that lays keys
+// out in key order (loadTree's slabs) keeps that layout in the leaves.
 func BulkLoad(entries []Entry) (*BTree, error) {
 	t := NewBTree()
 	if len(entries) == 0 {
