@@ -263,97 +263,6 @@ func take(sink ridSink, rid storage.RID) {
 	}
 }
 
-func (e *run) seqScan(n *plan.SeqScan, c *Collector, rids ridSink) ([]datum.Row, error) {
-	h := e.mgr.Heap(n.Table)
-	if h == nil {
-		return nil, fmt.Errorf("executor: table %s not materialized", n.Table)
-	}
-	// One unkeyed draw per scan, on the coordinator in plan order — the
-	// same stream the sequential executor consumed. Its ordinal then keys
-	// the per-morsel draws, so the same morsels fault at every worker
-	// count and interleaving.
-	ord, err := e.faults.HitOrd(fault.PageRead)
-	if err != nil {
-		return nil, fmt.Errorf("executor: scan of %s: %w", n.Table, err)
-	}
-	slots := h.Slots()
-	vf, vok := compileVecFilter(n.Preds, n.Schema())
-	useVec := vok && rids == nil && e.vecOn(slots)
-	markEngine(c, n, useVec)
-	var pred func(datum.Row) (bool, error)
-	if !useVec {
-		if pred, err = compilePreds(n.Preds, n.Schema()); err != nil {
-			return nil, err
-		}
-	}
-	var scanned atomic.Int64
-	work := func(i int) (*datum.Batch, error) {
-		if ferr := e.faults.HitKeyed(fault.PageRead, morselKey(ord, i)); ferr != nil {
-			return nil, fmt.Errorf("executor: scan of %s: %w", n.Table, ferr)
-		}
-		b := datum.NewBatch(0)
-		if useVec {
-			// Columnar emission: pull the whole morsel's live rows in
-			// one lock round, then filter them with the predicate
-			// kernels over the chunk's cached columns.
-			w := getVecWork()
-			rows, ch := h.ScanChunk(i, w.rows[:0])
-			scanned.Add(int64(len(rows)))
-			for _, k := range vf.vecApply(&w.s, rows, &ch) {
-				b.Append(rows[k])
-			}
-			// The batch copied the surviving row headers; only the
-			// buffer (not the rows it points at) is recycled.
-			w.rows = rows
-			putVecWork(w)
-			return b, nil
-		}
-		var sc int64
-		var werr error
-		h.ScanRange(storage.RID(i*vec.MorselRows), storage.RID((i+1)*vec.MorselRows),
-			func(rid storage.RID, r datum.Row) bool {
-				sc++
-				ok, perr := pred(r)
-				if perr != nil {
-					werr = perr
-					return false
-				}
-				if ok {
-					b.Append(r)
-					take(rids, rid)
-				}
-				return true
-			})
-		scanned.Add(sc)
-		return b, werr
-	}
-	chunks := chunkBounds(slots)
-	visited := chunks
-	var out []datum.Row
-	if n.Stop > 0 || rids != nil {
-		out, visited, err = e.runStopped(chunks, n.Stop, work)
-	} else {
-		err = runMorsels(e, "seqscan "+n.Table, chunks, work,
-			func(_ int, b *datum.Batch) error {
-				out = append(out, b.Rows()...)
-				return nil
-			})
-	}
-	if c != nil {
-		st := c.at(n)
-		st.addScanned(scanned.Load())
-		pages := h.Pages() // a full scan reads the whole heap
-		if visited < chunks && chunks > 0 {
-			pages = pages * int64(visited) / int64(chunks)
-		}
-		st.addPages(pages)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // markEngine records an operator's resolved evaluation strategy for
 // EXPLAIN ANALYZE provenance.
 func markEngine(c *Collector, n plan.Node, vectorized bool) {
@@ -402,7 +311,8 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector, rids ridSink) ([]datum.
 				rows = append(rows, it.Entry().Key)
 				it.Next()
 			}
-			for _, k := range vf.vecApply(&w.s, rows, nil) {
+			w.m.reset(rows)
+			for _, k := range vf.vecApply(&w.s, &w.m) {
 				b.Append(rows[k])
 			}
 			scanned.Add(int64(shards[i].N))
@@ -559,7 +469,8 @@ func (e *run) filter(n *plan.Filter, c *Collector) ([]datum.Row, error) {
 			rows := chunkOf(in, i)
 			if useVec {
 				w := getVecWork()
-				for _, k := range vf.vecApply(&w.s, rows, nil) {
+				w.m.reset(rows)
+				for _, k := range vf.vecApply(&w.s, &w.m) {
 					b.Append(rows[k])
 				}
 				putVecWork(w)
@@ -587,10 +498,6 @@ func (e *run) filter(n *plan.Filter, c *Collector) ([]datum.Row, error) {
 }
 
 func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
-	in, err := e.exec(n.Child, c)
-	if err != nil {
-		return nil, err
-	}
 	fns := make([]evalFunc, len(n.Exprs))
 	for i, ex := range n.Exprs {
 		f, err := compile(ex, n.Child.Schema())
@@ -600,33 +507,41 @@ func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
 		fns[i] = f
 	}
 	ves, vok := compileVecExprs(n.Exprs, n.Child.Schema())
-	useVec := vok && e.vecOn(len(in))
+	src, err := e.source(n.Child, c, vok, ves)
+	if err != nil {
+		return nil, err
+	}
+	useVec := vok && e.vecOn(src.units)
 	markEngine(c, n, useVec)
-	out := make([]datum.Row, 0, len(in))
-	err = runMorsels(e, "project", chunkBounds(len(in)),
+	out := make([]datum.Row, 0, len(src.rows))
+	err = runMorsels(e, "project", src.n,
 		func(i int) (*datum.Batch, error) {
-			rows := chunkOf(in, i)
+			w := getVecWork()
+			defer putVecWork(w)
+			if err := src.load(i, w); err != nil {
+				return nil, err
+			}
+			m := &w.m
 			// Output rows are carved from the batch's arena slab instead of
 			// one allocation per row.
-			b := datum.NewBatch(len(rows))
+			b := datum.NewBatch(m.n())
 			if useVec {
-				w := getVecWork()
-				ok := projectVec(ves, rows, b, &w.m)
-				putVecWork(w)
-				if ok {
+				if projectVec(ves, b, m) {
 					return b, nil
 				}
+				src.needRows(i, w)
 			}
 			// Scalar path, also the per-morsel kernel fallback (mixed-kind
 			// columns, non-numeric arithmetic that must error in row order).
-			for _, r := range rows {
+			for j := range m.n() {
+				r := m.row(j)
 				row := b.Alloc(len(fns))
-				for j, f := range fns {
+				for k, f := range fns {
 					v, ferr := f(r)
 					if ferr != nil {
 						return nil, ferr
 					}
-					row[j] = v
+					row[k] = v
 				}
 			}
 			return b, nil
@@ -635,6 +550,7 @@ func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
 			out = append(out, b.Rows()...)
 			return nil
 		})
+	src.finish(c)
 	if err != nil {
 		return nil, err
 	}
@@ -1205,11 +1121,8 @@ func (a *aggState) result(fn string) datum.Datum {
 }
 
 func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
-	in, err := e.exec(n.Child, c)
-	if err != nil {
-		return nil, err
-	}
 	schema := n.Child.Schema()
+	var err error
 	groupFns := make([]evalFunc, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		if groupFns[i], err = compile(g, schema); err != nil {
@@ -1244,7 +1157,11 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 			argVes[i] = ve
 		}
 	}
-	useVec := vok && e.vecOn(len(in))
+	src, err := e.source(n.Child, c, vok, groupVes, argVes)
+	if err != nil {
+		return nil, err
+	}
+	useVec := vok && e.vecOn(src.units)
 	markEngine(c, n, useVec)
 	// Parallel partial aggregation, split at the only safe seam: workers
 	// do the pure per-row work (group-key rendering and argument
@@ -1258,20 +1175,25 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	gids := map[string]int32{} // group key -> id, ids in first-appearance order
 	var states []aggState      // na per group, group-major
 	var local []int32          // one morsel's local group id -> global id
-	err = runMorsels(e, "hashagg-eval", chunkBounds(len(in)),
+	err = runMorsels(e, "hashagg-eval", src.n,
 		func(i int) (aggMorsel, error) {
-			rows := chunkOf(in, i)
-			am := newAggMorsel(len(rows), na)
+			w := getVecWork()
+			defer putVecWork(w)
+			if err := src.load(i, w); err != nil {
+				return aggMorsel{}, err
+			}
+			m := &w.m
 			if useVec {
-				w := getVecWork()
-				ok := hashAggEvalVec(groupVes, argVes, rows, &am, &w.m)
-				putVecWork(w)
-				if ok {
+				am := newAggMorsel(m.n(), na)
+				if hashAggEvalVec(groupVes, argVes, &am, m) {
 					return am, nil
 				}
+				src.needRows(i, w)
 			}
+			am := newAggMorsel(m.n(), na)
 			var buf []byte
-			for j, r := range rows {
+			for j := range m.n() {
+				r := m.row(j)
 				buf = buf[:0]
 				for _, f := range groupFns {
 					v, ferr := f(r)
@@ -1316,6 +1238,7 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 			}
 			return nil
 		})
+	src.finish(c)
 	if err != nil {
 		return nil, err
 	}

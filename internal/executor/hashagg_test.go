@@ -176,7 +176,8 @@ func TestHashAggFoldIdentity(t *testing.T) {
 		rows := chunkOf(in, i)
 		w := getVecWork()
 		am := newAggMorsel(len(rows), 1)
-		got := hashAggEvalVec(groupVes, argVes, rows, &am, &w.m)
+		w.m.reset(rows)
+		got := hashAggEvalVec(groupVes, argVes, &am, &w.m)
 		putVecWork(w)
 		if got != (i != 1) {
 			t.Fatalf("morsel %d vectorized = %v", i, got)

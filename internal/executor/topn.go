@@ -74,7 +74,7 @@ func (e *run) topN(n *plan.TopN, c *Collector) ([]datum.Row, error) {
 			var sel vec.Sel
 			for i := 0; i < chunkBounds(len(in)); i++ {
 				rows := chunkOf(in, i)
-				w.m.reset(rows, nil)
+				w.m.reset(rows)
 				col, verr := ve.eval(&w.m)
 				if verr != nil || !col.Uniform {
 					// Evaluation fell back (mixed kinds); keep the morsel.

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"onlinetuner/internal/datum"
@@ -259,16 +260,30 @@ func (f *vecFilter) fuseBetween() {
 	f.preds = out
 }
 
-// vecApply runs the filter over one morsel of rows and returns the
+// kernelSlots returns the table columns the kernels read (LIKE and IS
+// NULL conjuncts read rows) and whether some conjunct reads rows.
+func (f *vecFilter) kernelSlots() (slots []int, rowDirect bool) {
+	for _, p := range f.preds {
+		if p.kind == vpLike || p.kind == vpIsNull {
+			rowDirect = true
+		} else {
+			slots = append(slots, p.slot)
+		}
+	}
+	return slots, rowDirect
+}
+
+// vecApply runs the filter over all rows of one morsel and returns the
 // selection of surviving row indices. Each conjunct reads only its own
-// column over the rows still selected. Over a heap chunk (ch non-nil), one
-// over all rows reads the cached column, building it on a miss; one over
-// a partial selection never builds (a whole-chunk gather for a few rows).
+// column over the rows still selected: over a heap chunk the chunk's
+// column (the cached one, or one gathered from the rows and published),
+// through Column.Select on a partial selection; over a materialized
+// child's rows a column gathered through the selection.
 //
 // The returned selection aliases scratch storage owned by s; callers
 // consume it before the next vecApply on the same scratch.
-func (f *vecFilter) vecApply(s *vecScratch, rows []datum.Row, ch *storage.Chunk) vec.Sel {
-	sel := s.selAll(len(rows))
+func (f *vecFilter) vecApply(s *vecScratch, m *vecMorsel) vec.Sel {
+	sel := s.selAll(m.total)
 	for i := range f.preds {
 		if len(sel) == 0 {
 			return sel
@@ -282,7 +297,7 @@ func (f *vecFilter) vecApply(s *vecScratch, rows []datum.Row, ch *storage.Chunk)
 			// non-string scrutinee is UNKNOWN under both LIKE polarities.
 			next := s.selB[:0]
 			for _, k := range sel {
-				d := rows[k][p.slot]
+				d := m.rows[k][p.slot]
 				var keep bool
 				if p.kind == vpLike {
 					keep = d.Kind() == datum.KString && p.like.Match(d.Str()) != p.not
@@ -299,16 +314,12 @@ func (f *vecFilter) vecApply(s *vecScratch, rows []datum.Row, ch *storage.Chunk)
 		}
 		col := &s.col
 		switch {
-		case ch == nil:
-			s.col.Gather(rows, p.slot, sel)
-		case len(sel) == len(rows):
-			col = ch.Column(p.slot, rows)
+		case m.ch == nil:
+			s.col.Gather(m.rows, p.slot, sel)
+		case len(sel) == m.total:
+			col = m.chunkCol(p.slot)
 		default:
-			if cached := ch.Cached(p.slot); cached != nil {
-				s.col.Select(cached, sel)
-			} else {
-				s.col.Gather(rows, p.slot, sel)
-			}
+			s.col.Select(m.chunkCol(p.slot), sel)
 		}
 		pos := s.pos[:0]
 		switch p.kind {
@@ -343,7 +354,7 @@ type vecScratch struct {
 
 // vecWork bundles the scratch state a vectorized morsel needs: the
 // filter scratch, the expression-evaluation morsel (with its column
-// pool), and a reusable row buffer for columnar scans. Works are pooled:
+// pool), and a reusable row buffer for heap chunk reads. Works are pooled:
 // a fresh scratch per morsel makes the whole engine allocation-bound —
 // column gathers churn enough garbage that GC costs more than the
 // kernels save, which is exactly backwards for a performance feature.
@@ -361,7 +372,15 @@ var vecWorkPool = sync.Pool{New: func() any { return new(vecWork) }}
 // are safe to retain (they share no column-owned buffers).
 func getVecWork() *vecWork { return vecWorkPool.Get().(*vecWork) }
 
-func putVecWork(w *vecWork) { vecWorkPool.Put(w) }
+// putVecWork returns w to the pool, dropping its morsel's references to
+// rows, a heap chunk and its columns: a pooled bundle keeps no table alive.
+func putVecWork(w *vecWork) {
+	m := &w.m
+	m.rows, m.ch, m.chv = nil, nil, storage.Chunk{}
+	clear(m.chunk)
+	clear(m.cols)
+	vecWorkPool.Put(w)
+}
 
 // selAll returns the identity selection 0..n-1.
 func (s *vecScratch) selAll(n int) vec.Sel {
@@ -385,27 +404,72 @@ type vecExpr interface {
 	eval(m *vecMorsel) (*vec.Column, error)
 }
 
-// vecMorsel is the shared evaluation state for one morsel: the rows, an
-// optional selection, a per-slot gather cache so several expressions
-// over the same column gather it once, and a pool of result columns
-// reused across morsels (Column operations reset but keep capacity, so
-// a recycled morsel evaluates allocation-free once warm).
+// vecMorsel is one morsel as an operator evaluates it. Its rows are a
+// materialized child's output, all selected (ch nil), or one heap chunk
+// read through its scan's filter (ch non-nil). full tells a complete
+// selection apart from a partial one, which may be empty: a nil sel never
+// means "all rows". A heap chunk's expressions read the chunk's columns,
+// and its rows are copied only when a column had to be gathered from them
+// or something evaluates rows (rows nil otherwise). The morsel memoizes
+// each slot's column, so several expressions over one column read it
+// once, and keeps a pool of result columns reused across morsels (Column
+// operations reset but keep capacity, so a recycled morsel evaluates
+// allocation-free once warm).
 type vecMorsel struct {
-	rows []datum.Row
-	sel  vec.Sel // nil = all rows
-	cols map[int]*vec.Column
-	pool []*vec.Column
-	used int
+	rows  []datum.Row
+	total int     // rows in the morsel before the selection
+	sel   vec.Sel // the selected row indices when !full
+	full  bool
+	ch    *storage.Chunk
+	chv   storage.Chunk
+	chunk []*vec.Column // ch's columns by table slot; nil = not read yet
+	cols  []*vec.Column // colAt's columns by slot, this morsel
+	pool  []*vec.Column
+	used  int
 }
 
-// reset points the morsel at a new row chunk, recycling the column pool
-// and the gather cache's buckets.
-func (m *vecMorsel) reset(rows []datum.Row, sel vec.Sel) {
-	m.rows, m.sel = rows, sel
+// reset points the morsel at a materialized child's rows, all selected,
+// recycling the column pool and the memo.
+func (m *vecMorsel) reset(rows []datum.Row) {
+	m.rows, m.total, m.sel, m.full, m.ch = rows, len(rows), nil, true, nil
 	m.used = 0
-	for k := range m.cols {
-		delete(m.cols, k)
+	clear(m.cols)
+}
+
+// readChunk points the morsel at heap chunk i, all selected, reading the
+// listed table columns' cached chunk columns in the same lock round; its
+// rows are copied into buf when withRows is set or a listed column is not
+// cached.
+func (m *vecMorsel) readChunk(h *storage.Heap, i, width int, slots []int, withRows bool, buf []datum.Row) {
+	m.chunk = slices.Grow(m.chunk[:0], width)[:width]
+	clear(m.chunk)
+	ch, n, rows := h.ReadChunk(i, slots, m.chunk, withRows, buf)
+	m.reset(rows)
+	m.chv, m.ch, m.total = ch, &m.chv, n
+}
+
+// selectRows narrows the morsel to the filter's selection.
+func (m *vecMorsel) selectRows(sel vec.Sel) {
+	if m.full = len(sel) == m.total; m.full {
+		sel = nil
 	}
+	m.sel = sel
+}
+
+// n returns the number of selected rows.
+func (m *vecMorsel) n() int {
+	if m.full {
+		return m.total
+	}
+	return len(m.sel)
+}
+
+// row returns the j-th selected row; the rows must be at hand.
+func (m *vecMorsel) row(j int) datum.Row {
+	if m.full {
+		return m.rows[j]
+	}
+	return m.rows[m.sel[j]]
 }
 
 // newCol hands out a pooled column for this morsel's next result.
@@ -418,21 +482,38 @@ func (m *vecMorsel) newCol() *vec.Column {
 	return c
 }
 
-func (m *vecMorsel) n() int {
-	if m.sel != nil {
-		return len(m.sel)
-	}
-	return len(m.rows)
-}
-
-func (m *vecMorsel) colAt(slot int) *vec.Column {
-	if c, ok := m.cols[slot]; ok {
+// chunkCol returns the heap chunk's column of a table slot: the one read
+// with the chunk, or one gathered from the chunk's rows and published.
+// The chunk's rows are at hand whenever a read column was not cached.
+func (m *vecMorsel) chunkCol(slot int) *vec.Column {
+	if c := m.chunk[slot]; c != nil {
 		return c
 	}
-	c := m.newCol()
-	c.Gather(m.rows, slot, m.sel)
-	if m.cols == nil {
-		m.cols = make(map[int]*vec.Column, 4)
+	c := m.ch.Column(slot, m.rows)
+	m.chunk[slot] = c
+	return c
+}
+
+// colAt returns the selected rows' values of a slot: a heap chunk's
+// column itself under a full selection, Column.Select of it under a
+// partial one, and a gather only over a materialized child's rows.
+func (m *vecMorsel) colAt(slot int) *vec.Column {
+	if slot < len(m.cols) && m.cols[slot] != nil {
+		return m.cols[slot]
+	}
+	var c *vec.Column
+	switch {
+	case m.ch == nil:
+		c = m.newCol()
+		c.Gather(m.rows, slot, nil)
+	case m.full:
+		c = m.chunkCol(slot)
+	default:
+		c = m.newCol()
+		c.Select(m.chunkCol(slot), m.sel)
+	}
+	if slot >= len(m.cols) {
+		m.cols = slices.Grow(m.cols, slot+1-len(m.cols))[:slot+1]
 	}
 	m.cols[slot] = c
 	return c
@@ -523,6 +604,9 @@ func compileVecExprs(exprs []sql.Expr, schema []plan.ColRef) ([]vecExpr, bool) {
 // the morsel with its scalar functions, which reproduces the scalar
 // engine's values — or its errors, in its row order.
 func evalVecCols(ves []vecExpr, m *vecMorsel) ([]*vec.Column, bool) {
+	if m.n() == 0 {
+		return nil, true // nothing to evaluate, and no column to read
+	}
 	cols := make([]*vec.Column, len(ves))
 	for i, ve := range ves {
 		c, err := ve.eval(m)
@@ -534,16 +618,16 @@ func evalVecCols(ves []vecExpr, m *vecMorsel) ([]*vec.Column, bool) {
 	return cols, true
 }
 
-// projectVec evaluates projection expressions columnar and scatters the
-// results into the batch row-wise. It writes nothing on fallback, so
-// the caller's scalar retry starts from an empty batch.
-func projectVec(ves []vecExpr, rows []datum.Row, b *datum.Batch, m *vecMorsel) bool {
-	m.reset(rows, nil)
+// projectVec evaluates projection expressions columnar over the morsel's
+// selected rows and scatters the results into the batch row-wise. It
+// writes nothing on fallback, so the caller's scalar retry starts from an
+// empty batch.
+func projectVec(ves []vecExpr, b *datum.Batch, m *vecMorsel) bool {
 	cols, ok := evalVecCols(ves, m)
 	if !ok {
 		return false
 	}
-	for j := range rows {
+	for j := range m.n() {
 		row := b.Alloc(len(cols))
 		for k, c := range cols {
 			row[k] = c.DatumAt(j)
@@ -552,14 +636,13 @@ func projectVec(ves []vecExpr, rows []datum.Row, b *datum.Batch, m *vecMorsel) b
 	return true
 }
 
-// hashAggEvalVec runs the aggregate eval stage columnar over one
-// morsel: group keys render through datum.AppendKey (the exact bytes
-// the scalar path renders, so vectorized and scalar runs group
-// identically) and aggregate arguments come from gathered columns. It
-// writes nothing into am on fallback, so the caller's scalar retry
+// hashAggEvalVec runs the aggregate eval stage columnar over the morsel's
+// selected rows: group keys render through datum.AppendKey (the exact
+// bytes the scalar path renders, so vectorized and scalar runs group
+// identically) and aggregate arguments come from the morsel's columns.
+// It writes nothing into am on fallback, so the caller's scalar retry
 // starts from an empty morsel.
-func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, am *aggMorsel, m *vecMorsel) bool {
-	m.reset(rows, nil)
+func hashAggEvalVec(groupVes, argVes []vecExpr, am *aggMorsel, m *vecMorsel) bool {
 	gcols, ok := evalVecCols(groupVes, m)
 	if !ok {
 		return false
@@ -569,7 +652,7 @@ func hashAggEvalVec(groupVes, argVes []vecExpr, rows []datum.Row, am *aggMorsel,
 		return false
 	}
 	var buf []byte
-	for j := range rows {
+	for j := range m.n() {
 		buf = buf[:0]
 		for _, c := range gcols {
 			buf = c.DatumAt(j).AppendKey(buf)
@@ -591,11 +674,11 @@ type joinKey struct {
 	null bool
 }
 
-// joinKeysVec renders hash-join keys columnar over one morsel, byte-
-// identical to the scalar keyOf path (AppendKey reproduces rowKey's
+// joinKeysVec renders hash-join keys columnar over one morsel of rows,
+// byte-identical to the scalar keyOf path (AppendKey reproduces rowKey's
 // bytes; NULL components short-circuit to a non-matching key).
 func joinKeysVec(ves []vecExpr, rows []datum.Row, out []joinKey, m *vecMorsel) bool {
-	m.reset(rows, nil)
+	m.reset(rows)
 	cols, ok := evalVecCols(ves, m)
 	if !ok {
 		return false

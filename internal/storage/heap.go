@@ -42,7 +42,7 @@ func PagesFor(bytes int64) int64 {
 // dropped by the chunk's next write. Bytes and Pages leave it out.
 //
 // Concurrency: the heap is internally synchronized. Mutations take the
-// write lock; Get, Scan and ScanChunk take the read lock, so readers see
+// write lock; Get, Scan and ReadChunk take the read lock, so readers see
 // a consistent snapshot for the duration of one call. Len/Bytes/Pages are
 // atomic counters readable without any lock — the tuner samples sizes of
 // tables it holds no statement lock on, and an approximate value is fine
@@ -258,23 +258,63 @@ func (h *Heap) ScanRange(lo, hi RID, fn func(rid RID, r datum.Row) bool) {
 	}
 }
 
-// ScanChunk appends chunk i's live rows (shared: copy-on-write) to buf in
-// RID order and returns them with the chunk's cache handle.
-func (h *Heap) ScanChunk(i int, buf []datum.Row) ([]datum.Row, Chunk) {
+// ReadChunk reads chunk i in one read-lock round. It returns the chunk's
+// cache handle and live row count, and sets cols[s] (cols is indexed by
+// table column slot) to the chunk's cached column of every listed slot s,
+// nil where there is none. The live rows (shared: copy-on-write) are
+// appended to buf and returned only when withRows is set or a listed
+// column is missing; otherwise no row header is copied and rows is nil.
+func (h *Heap) ReadChunk(i int, slots []int, cols []*vec.Column, withRows bool, buf []datum.Row) (ch Chunk, n int, rows []datum.Row) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.chunkRowsLocked(i, buf), Chunk{h: h, i: i, gen: h.gen}
+	ch, n = Chunk{h: h, i: i, gen: h.gen}, -1
+	for _, s := range slots {
+		var col *vec.Column
+		if k := i*h.width + s; s < h.width && k < len(h.cols) {
+			col = h.cols[k].Load()
+		}
+		if cols[s] = col; col == nil {
+			withRows = true
+		} else {
+			h.cm.hits.Inc()
+			n = col.Len()
+		}
+	}
+	if withRows {
+		buf = h.chunkRowsLocked(i, buf)
+		return ch, len(buf), buf
+	}
+	if n < 0 {
+		n = h.chunkLiveLocked(i)
+	}
+	return ch, n, nil
+}
+
+// chunkSlotsLocked returns chunk i's slots.
+func (h *Heap) chunkSlotsLocked(i int) []datum.Row {
+	lo, hi := i*vec.MorselRows, min((i+1)*vec.MorselRows, len(h.rows))
+	return h.rows[min(lo, hi):hi]
 }
 
 // chunkRowsLocked appends chunk i's live rows to buf in RID order.
 func (h *Heap) chunkRowsLocked(i int, buf []datum.Row) []datum.Row {
-	lo, hi := i*vec.MorselRows, min((i+1)*vec.MorselRows, len(h.rows))
-	for _, r := range h.rows[min(lo, hi):hi] {
+	for _, r := range h.chunkSlotsLocked(i) {
 		if r != nil {
 			buf = append(buf, r)
 		}
 	}
 	return buf
+}
+
+// chunkLiveLocked counts chunk i's live rows.
+func (h *Heap) chunkLiveLocked(i int) int {
+	n := 0
+	for _, r := range h.chunkSlotsLocked(i) {
+		if r != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Chunk is a heap chunk and the write generation its rows were read at.
@@ -284,42 +324,27 @@ type Chunk struct {
 	gen uint64
 }
 
-// cell returns chunk c's cached column of table column slot after
-// offering it col, if non-nil (of two racing publishers the first wins),
-// or nil once a write has moved the generation on.
-func (c *Chunk) cell(slot int, col *vec.Column) *vec.Column {
+// Column gathers table column slot from rows (those ReadChunk returned
+// with c, which found no cached column for slot) and publishes it. Of two
+// racing publishers the first wins and both get its column; once a write
+// has moved the generation on, the gathered column is returned unpublished.
+// The result is shared: read it, never write it.
+func (c *Chunk) Column(slot int, rows []datum.Row) *vec.Column {
+	col := new(vec.Column)
+	col.Gather(rows, slot, nil)
 	h := c.h
+	h.cm.builds.Inc()
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	k := c.i*h.width + slot
 	if h.gen != c.gen || slot >= h.width || k >= len(h.cols) {
-		return nil
-	}
-	if col != nil && h.cols[k].CompareAndSwap(nil, col) {
-		h.cm.bytes.Add(col.Bytes())
-	}
-	got := h.cols[k].Load()
-	if col == nil && got != nil {
-		h.cm.hits.Inc()
-	}
-	return got
-}
-
-// Cached returns the cached column of table column slot, or nil. It is
-// shared: read it, never write it.
-func (c *Chunk) Cached(slot int) *vec.Column { return c.cell(slot, nil) }
-
-// Column returns the cached column of table column slot, or gathers one
-// from rows (those ScanChunk returned with c) and publishes it. Read only.
-func (c *Chunk) Column(slot int, rows []datum.Row) *vec.Column {
-	if col := c.Cached(slot); col != nil {
 		return col
 	}
-	col := new(vec.Column)
-	col.Gather(rows, slot, nil)
-	c.h.cm.builds.Inc()
-	c.cell(slot, col)
-	return col
+	if h.cols[k].CompareAndSwap(nil, col) {
+		h.cm.bytes.Add(col.Bytes())
+		return col
+	}
+	return h.cols[k].Load()
 }
 
 // Snapshot returns a point-in-time copy of the live (rid, row) pairs.

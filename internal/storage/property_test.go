@@ -123,10 +123,13 @@ func (want propState) diff(got propState, sameLog bool) error {
 func readColumns(t *testing.T, label string, m *Manager) {
 	t.Helper()
 	h := m.Heap("R")
+	slots, cols := []int{0, 1, 2}, make([]*vec.Column, 3)
 	for i := 0; i*vec.MorselRows < h.Slots(); i++ {
-		rows, ch := h.ScanChunk(i, nil)
-		for slot := range 3 {
-			ch.Column(slot, rows)
+		ch, _, rows := h.ReadChunk(i, slots, cols, false, nil)
+		for _, slot := range slots {
+			if cols[slot] == nil {
+				ch.Column(slot, rows)
+			}
 		}
 	}
 	if _, err := h.checkColumns(); err != nil {
