@@ -45,11 +45,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Datum is a single immutable scalar value.
+// Datum is a single immutable scalar value: 32 bytes, a kind tag, one
+// word of payload and a string header. Every heap row, index key, batch
+// slab and mixed-kind column is a run of these, so the payload word is
+// shared by the numeric kinds rather than given a field each.
 type Datum struct {
 	kind Kind
-	i    int64 // KInt, KDate, KBool (0/1)
-	f    float64
+	i    int64 // KInt, KDate, KBool (0/1); KFloat's IEEE 754 bits
 	s    string
 }
 
@@ -60,7 +62,7 @@ var Null = Datum{kind: KNull}
 func NewInt(v int64) Datum { return Datum{kind: KInt, i: v} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KString, s: v} }
@@ -76,6 +78,9 @@ func NewBool(v bool) Datum {
 	}
 	return Datum{kind: KBool, i: i}
 }
+
+// f is a KFloat datum's value.
+func (d Datum) f() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // Kind reports the datum's runtime type.
 func (d Datum) Kind() Kind { return d.kind }
@@ -95,7 +100,7 @@ func (d Datum) Int() int64 {
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KFloat:
-		return d.f
+		return d.f()
 	case KInt, KDate, KBool:
 		return float64(d.i)
 	}
@@ -151,7 +156,7 @@ func (d Datum) Compare(o Datum) int {
 			}
 			return 0
 		case KFloat:
-			return cmpFloat(d.f, o.f)
+			return cmpFloat(d.f(), o.f())
 		case KString:
 			switch {
 			case d.s < o.s:
@@ -244,7 +249,7 @@ func (d Datum) AppendKey(buf []byte) []byte {
 	case KInt:
 		return strconv.AppendInt(buf, d.i, 10)
 	case KFloat:
-		return strconv.AppendFloat(buf, d.f, 'g', -1, 64)
+		return strconv.AppendFloat(buf, d.f(), 'g', -1, 64)
 	case KString:
 		buf = append(buf, '\'')
 		buf = append(buf, d.s...)

@@ -513,7 +513,9 @@ func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
 	}
 	useVec := vok && e.vecOn(src.units)
 	markEngine(c, n, useVec)
-	out := make([]datum.Row, 0, len(src.rows))
+	// A fused scan's output size is known only once every morsel is
+	// filtered, so the batches are kept and out is sized from their sum.
+	bs := make([]*datum.Batch, src.n)
 	err = runMorsels(e, "project", src.n,
 		func(i int) (*datum.Batch, error) {
 			w := getVecWork()
@@ -546,13 +548,21 @@ func (e *run) project(n *plan.Project, c *Collector) ([]datum.Row, error) {
 			}
 			return b, nil
 		},
-		func(_ int, b *datum.Batch) error {
-			out = append(out, b.Rows()...)
+		func(i int, b *datum.Batch) error {
+			bs[i] = b
 			return nil
 		})
 	src.finish(c)
 	if err != nil {
 		return nil, err
+	}
+	total := 0
+	for _, b := range bs {
+		total += b.Len()
+	}
+	out := make([]datum.Row, 0, total)
+	for _, b := range bs {
+		out = append(out, b.Rows()...)
 	}
 	return out, nil
 }

@@ -107,8 +107,7 @@ func (m *Manager) StartBuild(ix *catalog.Index) (*Build, error) {
 	if err := m.logLifecycleLocked(&wal.Record{Kind: wal.KindBuildStart, Index: indexDefFor(ix)}); err != nil {
 		return nil, err
 	}
-	pi := &PhysicalIndex{Def: ix}
-	pi.colOrds = ordinalsFor(ts.def, ix)
+	pi := newPhysicalIndex(ts.def, ix)
 	pi.estBytes.Store(est)
 	pi.building = &buildDelta{}
 	pi.setState(StateBuilding)
@@ -130,7 +129,7 @@ func (m *Manager) StartBuild(ix *catalog.Index) (*Build, error) {
 // linear bulk load instead of n tree inserts; the resulting tree holds
 // exactly the same entry sequence for every worker count.
 func (b *Build) Run(ctx context.Context) error {
-	tree, err := b.m.loadTree(ctx, b.snap, b.pi.colOrds, b.m.Faults())
+	tree, err := b.m.loadTree(ctx, b.snap, b.pi, b.m.Faults())
 	if err != nil {
 		return err
 	}
@@ -139,23 +138,27 @@ func (b *Build) Run(ctx context.Context) error {
 	return nil
 }
 
-// loadTree builds a private B+-tree over rows keyed by the columns at
-// ords: extract one entry per row (one BuildStep fault draw each), sort,
-// bulk-load. It takes no locks and polls ctx so a background build can be
-// cancelled. Every tree the manager builds from table rows — online
-// build, restart of a suspended index, recovery restore — comes from
-// here.
+// loadTree builds a private B+-tree of pi's keys over rows: extract one
+// entry per row (one BuildStep fault draw each), sort, bulk-load. It
+// takes no locks and polls ctx so a background build can be cancelled.
+// Every tree the manager builds from table rows — online build, restart
+// of a suspended index, recovery restore — comes from here.
 //
-// Keys are cut from one RID-order slab during extraction and, once
-// sorted, copied into key-ordered slabs of vec.MorselRows entries each,
-// so a range seek over the built tree reads its keys from consecutive
-// memory instead of one scattered allocation per entry. Every key is a
-// full slice expression (cap == len): an append on a key handed to the
-// executor reallocates and never overwrites its neighbour.
-func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, ords []int, inj *fault.Injector) (*BTree, error) {
+// A row-keyed index's keys are the rows themselves (PhysicalIndex.key).
+// Any other index's keys are cut from one RID-order slab during
+// extraction and, once sorted, copied into key-ordered slabs of
+// vec.MorselRows entries each, so a range seek over the built tree reads
+// its keys from consecutive memory instead of one scattered allocation
+// per entry. Every key is a full slice expression (cap == len): an append
+// on a key handed to the executor reallocates and never overwrites its
+// neighbour.
+func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, pi *PhysicalIndex, inj *fault.Injector) (*BTree, error) {
 	const cancelCheckEvery = 256
-	w := len(ords)
-	ridOrder := make([]datum.Datum, len(rows)*w)
+	w := len(pi.colOrds)
+	var ridOrder []datum.Datum
+	if !pi.rowKey {
+		ridOrder = make([]datum.Datum, len(rows)*w)
+	}
 	entries := make([]Entry, 0, len(rows))
 	for i, hr := range rows {
 		if i%cancelCheckEvery == 0 && ctx.Err() != nil {
@@ -164,15 +167,18 @@ func (m *Manager) loadTree(ctx context.Context, rows []HeapRow, ords []int, inj 
 		if err := inj.Hit(fault.BuildStep); err != nil {
 			return nil, err
 		}
-		key := ridOrder[i*w : (i+1)*w : (i+1)*w]
-		for k, o := range ords {
-			key[k] = hr.Row[o]
+		var dst datum.Row
+		if ridOrder != nil {
+			dst = ridOrder[i*w : (i+1)*w : (i+1)*w]
 		}
-		entries = append(entries, Entry{Key: key, RID: hr.RID})
+		entries = append(entries, Entry{Key: pi.key(hr.Row, dst), RID: hr.RID})
 	}
 	SortEntriesPooled(entries, m.Pool())
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
+	}
+	if pi.rowKey {
+		return BulkLoad(entries)
 	}
 	for lo := 0; lo < len(entries); lo += vec.MorselRows {
 		run := entries[lo:min(lo+vec.MorselRows, len(entries))]

@@ -48,9 +48,12 @@ func PagesFor(bytes int64) int64 {
 // tables it holds no statement lock on, and an approximate value is fine
 // there. Rows handed out are shared, never mutated in place: Update
 // replaces the whole row, so a reference obtained under the read lock
-// stays valid (copy-on-write at row granularity). Cached columns are
-// shared the same way, and a scan reads or publishes one only while the
-// write generation is the one it read its rows at.
+// stays valid (copy-on-write at row granularity). The same rule protects
+// a row-keyed primary tree, whose keys are these rows (PhysicalIndex.key):
+// a write replaces the tree's entry along with the heap's row, and never
+// changes a key a reader holds. Cached columns are shared the same way,
+// and a scan reads or publishes one only while the write generation is
+// the one it read its rows at.
 type Heap struct {
 	mu    sync.RWMutex
 	rows  []datum.Row // nil slots are tombstones

@@ -198,11 +198,17 @@ func (m *Manager) CheckConsistency() error {
 			}
 			// Every live row must resolve to exactly its own entry; with
 			// the length equality above this proves the entry sets match.
+			// A row-keyed index's entry must be the heap row itself, not
+			// an equal copy: each table row lives in memory once.
 			var missing error
 			ts.heap.Scan(func(rid RID, r datum.Row) bool {
-				key := keyFor(pi.colOrds, r)
+				key := pi.key(r, nil)
 				for it := tree.Seek(key, true, key, true); it.Valid(); it.Next() {
-					if it.Entry().RID == rid {
+					if e := it.Entry(); e.RID == rid {
+						if pi.rowKey && &e.Key[0] != &r[0] {
+							missing = fmt.Errorf("storage: index %s entry for rid %d copies the heap row", pi.Def.Name, rid)
+							return false
+						}
 						return true
 					}
 				}

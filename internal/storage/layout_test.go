@@ -162,7 +162,7 @@ func BenchmarkSeekRangeBuilt(b *testing.B) {
 		heapRows[i] = HeapRow{RID: RID(i), Row: row(int64(i), int64(a), int64(i%7))}
 	}
 	m := NewManager(catalog.New())
-	tree, err := m.loadTree(context.Background(), heapRows, []int{1}, nil)
+	tree, err := m.loadTree(context.Background(), heapRows, &PhysicalIndex{colOrds: []int{1}}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

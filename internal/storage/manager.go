@@ -61,6 +61,10 @@ type PhysicalIndex struct {
 	pendingOps atomic.Int64
 	// colOrds caches the table-ordinal of each index column.
 	colOrds []int
+	// rowKey marks an index whose columns are the table's, in table
+	// order — the clustered primary index whenever the primary key leads
+	// the table. Its keys are the heap rows themselves (see key).
+	rowKey bool
 	// building logs DML deltas while a background build is in flight;
 	// nil otherwise. Guarded by the manager lock.
 	building *buildDelta
@@ -304,10 +308,9 @@ func (m *Manager) CreateTable(name string) error {
 		return err
 	}
 	m.tables[key] = &tableStore{def: t, heap: &Heap{width: len(t.Columns), cm: m.cm}}
-	pi := &PhysicalIndex{Def: pk}
+	pi := newPhysicalIndex(t, pk)
 	pi.tree.Store(m.newTreeLocked())
 	pi.setState(StateActive)
-	pi.colOrds = ordinalsFor(t, pk)
 	m.indexes[pk.ID()] = pi
 	return nil
 }
@@ -352,27 +355,43 @@ func (m *Manager) TableIndexes(table string) []*PhysicalIndex {
 	return out
 }
 
-// ordinalsFor resolves index columns to table ordinals.
-func ordinalsFor(t *catalog.Table, ix *catalog.Index) []int {
-	ords := make([]int, len(ix.Columns))
+// newPhysicalIndex returns an unpublished index structure for ix over t,
+// with its column ordinals resolved.
+func newPhysicalIndex(t *catalog.Table, ix *catalog.Index) *PhysicalIndex {
+	pi := &PhysicalIndex{Def: ix, colOrds: make([]int, len(ix.Columns))}
+	pi.rowKey = len(ix.Columns) == len(t.Columns)
 	for i, c := range ix.Columns {
-		ords[i] = t.ColumnIndex(c)
+		pi.colOrds[i] = t.ColumnIndex(c)
+		pi.rowKey = pi.rowKey && pi.colOrds[i] == i
 	}
-	return ords
+	return pi
 }
 
-// keyFor extracts the index key from a full table row.
-func keyFor(ords []int, row datum.Row) datum.Row {
-	key := make(datum.Row, len(ords))
-	for i, o := range ords {
-		key[i] = row[o]
+// key returns pi's key for a full table row. Every index key is made
+// here. A row-keyed index's key is the row itself, so the table's row
+// lives in memory once; that is safe because heap rows are never mutated
+// in place. Any other key copies its columns into dst (a fresh slice
+// when dst is nil). Either way cap == len, so an append on a key handed
+// to the executor reallocates.
+func (pi *PhysicalIndex) key(row, dst datum.Row) datum.Row {
+	n := len(pi.colOrds)
+	switch {
+	case pi.rowKey:
+		return row[:n:n]
+	case dst == nil:
+		dst = make(datum.Row, n)
 	}
-	return key
+	for i, o := range pi.colOrds {
+		dst[i] = row[o]
+	}
+	return dst
 }
 
-// KeyFor extracts ix's key columns from a full row of table t.
+// KeyFor returns ix's key of a full row of table t: the row itself when
+// ix's columns are the table's in table order, else a copy of its key
+// columns.
 func (m *Manager) KeyFor(t *catalog.Table, ix *catalog.Index, row datum.Row) datum.Row {
-	return keyFor(ordinalsFor(t, ix), row)
+	return newPhysicalIndex(t, ix).key(row, nil)
 }
 
 // rowChange is one applied row change: old == nil is an insert, new ==
@@ -588,15 +607,17 @@ func maintain(idx []*PhysicalIndex, rid RID, old, new datum.Row, inj *fault.Inje
 
 // entriesFor returns pi's entries for the old and the new row (zero for
 // a nil row) and whether the change moves pi's key at all — an update
-// that leaves the index's columns alone does not.
+// that leaves the index's columns alone does not. A row-keyed index's
+// entry is replaced by every update, even one that rewrites equal
+// values: its key must stay the row the heap holds.
 func entriesFor(pi *PhysicalIndex, rid RID, old, new datum.Row) (oldE, newE Entry, changed bool) {
 	if old != nil {
-		oldE = Entry{Key: keyFor(pi.colOrds, old), RID: rid}
+		oldE = Entry{Key: pi.key(old, nil), RID: rid}
 	}
 	if new != nil {
-		newE = Entry{Key: keyFor(pi.colOrds, new), RID: rid}
+		newE = Entry{Key: pi.key(new, nil), RID: rid}
 	}
-	return oldE, newE, old == nil || new == nil || oldE.Key.Compare(newE.Key) != 0
+	return oldE, newE, old == nil || new == nil || pi.rowKey || oldE.Key.Compare(newE.Key) != 0
 }
 
 // EstimateIndexBytes estimates the byte size a (possibly hypothetical)
@@ -716,7 +737,7 @@ func (m *Manager) RestartIndex(id string) (int64, error) {
 	// The replacement tree stays private until complete: a mid-replay
 	// fault leaves the index suspended with its old structure and pending
 	// count intact.
-	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi.colOrds, inj)
+	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi, inj)
 	if err != nil {
 		return 0, err
 	}

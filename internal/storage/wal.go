@@ -295,8 +295,7 @@ func (m *Manager) RestoreIndex(ix *catalog.Index, state IndexState, pendingOps i
 	if ts == nil {
 		return fmt.Errorf("storage: restore of index %s over unmaterialized table %s", ix.Name, ix.Table)
 	}
-	pi := &PhysicalIndex{Def: ix}
-	pi.colOrds = ordinalsFor(ts.def, ix)
+	pi := newPhysicalIndex(ts.def, ix)
 	if err := m.rebuildTreeLocked(ts, pi); err != nil {
 		return err
 	}
@@ -311,7 +310,7 @@ func (m *Manager) RestoreIndex(ix *catalog.Index, state IndexState, pendingOps i
 // rebuildTreeLocked bulk-loads a fresh tree for pi from ts's heap. No
 // fault draws: recovery and restore paths must not inject.
 func (m *Manager) rebuildTreeLocked(ts *tableStore, pi *PhysicalIndex) error {
-	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi.colOrds, nil)
+	tree, err := m.loadTree(context.Background(), ts.heap.Snapshot(), pi, nil)
 	if err != nil {
 		return err
 	}
