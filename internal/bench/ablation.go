@@ -90,18 +90,11 @@ func FormatAblation(rows []AblationRow) string {
 // AblationWorkloads is the default ablation suite: the oscillation-prone
 // interleaved W2, the update-phased W3, and a short TPC-H run.
 func AblationWorkloads(o workload.TPCHOptions) []*workload.Workload {
-	o.NumBatches = minInt(o.NumBatches, 20)
+	o.NumBatches = min(o.NumBatches, 20)
 	return []*workload.Workload{
 		workload.W2(workload.BudgetOne4Col, "one-index budget"),
 		workload.W2(workload.BudgetMerged, "merged-index budget"),
 		workload.W3(),
 		workload.TPCH(o),
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

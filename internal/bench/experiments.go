@@ -55,7 +55,7 @@ func scheduleString(r *Result) string {
 		for _, ev := range evAt[int64(i+1)] {
 			c -= ev.Cost
 		}
-		if cur == nil || cur.label != l || math.Abs(c-cur.cost/float64(maxI(cur.count, 1))) > 0.05*(1+c) {
+		if cur == nil || cur.label != l || math.Abs(c-cur.cost/float64(max(cur.count, 1))) > 0.05*(1+c) {
 			flush()
 			cur = &runAgg{label: l}
 		}
@@ -123,13 +123,6 @@ func parseSingle(s string) (single, bool) {
 		return single{}, false
 	}
 	return single{label: s[3:close1], cost: s[close1+2 : len(s)-1]}, true
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table1 reproduces Table 1: for each simple workload, the online
@@ -361,7 +354,7 @@ type OverheadRow struct {
 func Figure9() (map[string][]OverheadRow, error) {
 	out := map[string][]OverheadRow{}
 	measure := func(name string, w *workload.Workload) error {
-		r, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
+		r, err := figure9Replay(w)
 		if err != nil {
 			return err
 		}
@@ -394,6 +387,12 @@ func Figure9() (map[string][]OverheadRow, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// figure9Replay is Figure 9's run of OnlinePT over w, the one replay
+// that executes SELECTs: Figure 9 divides by query-processing time.
+func figure9Replay(w *workload.Workload) (*Result, error) {
+	return replay(w, tuner.NewOnlinePT(core.DefaultOptions()), true)
 }
 
 // FormatFigure9 renders the overhead table.

@@ -4,7 +4,9 @@
 // materialized, and each statement is charged its estimated cost plus
 // the transition cost the advisor paid around it. Table 1, Figures 7, 8
 // and 9, the ablation and the tuner race are all built from Replay's
-// results.
+// results. Only Figure 9 reads a clock, so only its replay executes
+// SELECTs; every other replay plans, costs and observes them without
+// running their operators (engine.DB.Cost).
 package bench
 
 import (
@@ -35,7 +37,8 @@ type Result struct {
 	// Counters is the advisor's own accounting.
 	Counters tuner.Counters
 	// QueryProcessing is the wall-clock spent optimizing+executing,
-	// without the online tuner's own time.
+	// without the online tuner's own time. It is meaningful only in
+	// Figure 9's replay, the one that executes SELECTs.
 	QueryProcessing time.Duration
 	// FinalConfig lists the secondary indexes at workload end.
 	FinalConfig []string
@@ -45,14 +48,27 @@ type Result struct {
 }
 
 // Replay runs advisor a over workload w on a freshly loaded database:
-// Start, then BeforeStatement, Exec and AfterStatement for each
+// Start, then BeforeStatement, Cost and AfterStatement for each
 // statement. It closes the advisor and the database before returning.
 func Replay(w *workload.Workload, a tuner.Advisor) (*Result, error) {
+	return replay(w, a, false)
+}
+
+// replay is Replay; with execute set every statement goes through Exec,
+// so SELECTs run and QueryProcessing measures them (Figure 9).
+func replay(w *workload.Workload, a tuner.Advisor, execute bool) (*Result, error) {
 	db := w.NewDB()
 	defer db.Close()
 	defer a.Close()
 	if err := a.Start(db, w); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", a.Name(), err)
+	}
+	run := db.Cost
+	if execute {
+		run = func(text string) (*engine.QueryInfo, error) {
+			_, info, err := db.Exec(text)
+			return info, err
+		}
 	}
 	res := &Result{Technique: a.Name(), StatementSQL: w.Statements}
 	for i, stmt := range w.Statements {
@@ -61,7 +77,7 @@ func Replay(w *workload.Workload, a tuner.Advisor) (*Result, error) {
 			return nil, fmt.Errorf("bench: %s: statement %d: %w", a.Name(), i, err)
 		}
 		start := time.Now()
-		_, info, err := db.Exec(stmt)
+		info, err := run(stmt)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: statement %d %q: %w", a.Name(), i, stmt, err)
 		}

@@ -121,9 +121,6 @@ type Index struct {
 	Columns []string // ordered key columns
 	Primary bool     // the clustered primary index; cannot be dropped
 
-	// Hypothetical marks what-if indexes that have no physical structure.
-	Hypothetical bool
-
 	// id caches the canonical identity. It is written ONLY by Canonicalize,
 	// which must run before the index is shared between goroutines; a
 	// lazily-written memo inside ID() was a data race once statements

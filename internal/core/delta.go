@@ -86,8 +86,6 @@ type IndexStats struct {
 	// whose build keeps failing backs off exponentially instead of
 	// re-arming every analysis round. A successful creation resets it.
 	FailStreak int
-	// createRemaining is the simulated build work left (cost units).
-	createRemaining float64
 	// deltaAtCreateStart snapshots Δ when the async build began, for the
 	// abort rule ("if benefit drops more than B_I^s due to updates").
 	deltaAtCreateStart float64

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -1042,7 +1043,7 @@ func (t *Tuner) maybeBuildStats() {
 			if base < 1 {
 				base = 1
 			}
-			if mathAbs(rows-base)/base <= statsStaleFraction {
+			if math.Abs(rows-base)/base <= statsStaleFraction {
 				continue // fresh enough
 			}
 			// Stale: fall through and rebuild regardless of evidence —
@@ -1055,13 +1056,6 @@ func (t *Tuner) maybeBuildStats() {
 			t.buildColumnStats(st.Ix.Table, lead)
 		}
 	}
-}
-
-func mathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // buildColumnStats samples a table column and installs its statistics.

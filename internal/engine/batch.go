@@ -60,7 +60,7 @@ func (db *DB) ExecBatch(ctx context.Context, texts []string) (results []*executo
 			tr, owned := db.startTrace(ctx, texts[i])
 			var rs *executor.ResultSet
 			var info *QueryInfo
-			rs, info, err = db.execLocked(ctx, texts[i], stmt, fps[i], tr)
+			rs, info, err = db.execLocked(ctx, texts[i], stmt, fps[i], tr, true)
 			if owned {
 				db.ob.FinishTrace(tr)
 			}

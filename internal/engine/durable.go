@@ -78,7 +78,6 @@ func OpenDurable(cfg Config) (*DB, error) {
 	}
 	db := OpenConfig(Config{ExecWorkers: cfg.ExecWorkers, ExecEngine: cfg.ExecEngine, Rules: cfg.Rules})
 	db.walDir = cfg.Dir
-	db.resumeBuilds = cfg.ResumeBuilds
 	info := &RecoveryInfo{}
 
 	snap, err := wal.LoadNewestSnapshot(cfg.Dir)

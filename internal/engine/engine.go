@@ -30,25 +30,27 @@ import (
 	"onlinetuner/internal/whatif"
 )
 
-// QueryInfo describes one optimized-and-executed statement.
+// QueryInfo describes one optimized statement: executed under Exec, and
+// under Cost executed unless it is a SELECT.
 type QueryInfo struct {
 	SQL    string
 	Stmt   sql.Statement
 	Result *optimizer.Result // nil for DDL
-	// EstCost is the optimizer's estimated cost of the executed plan under
-	// the configuration it ran in — the c_i^{s_i} of the paper's cost model.
+	// EstCost is the optimizer's estimated cost of the chosen plan under
+	// the configuration it was planned in — the c_i^{s_i} of the paper's
+	// cost model.
 	EstCost float64
 }
 
-// Observer is notified after every non-DDL statement execution. The
-// online tuner implements this.
+// Observer is notified after every non-DDL statement, executed by Exec
+// or costed by Cost. The online tuner implements this.
 type Observer interface {
 	OnExecuted(info *QueryInfo)
 }
 
 // DB is an open database instance.
 //
-// Concurrency model: any number of goroutines may call Exec/ExecStmt
+// Concurrency model: any number of goroutines may call Exec/Cost
 // concurrently. Each statement takes per-table reader-writer locks (see
 // tableLocks) for its optimize→execute→observe span: reads share,
 // writes to the same table serialize, and disjoint tables never
@@ -89,11 +91,10 @@ type DB struct {
 	durableWaitNS *obs.Counter
 
 	// Durable-mode state (see durable.go); zero for in-memory databases.
-	wal          *wal.Writer
-	walDir       string
-	resumeBuilds bool
-	ckptMu       sync.Mutex
-	recovery     *RecoveryInfo
+	wal      *wal.Writer
+	walDir   string
+	ckptMu   sync.Mutex
+	recovery *RecoveryInfo
 
 	obsMu    sync.RWMutex
 	observer Observer
@@ -258,6 +259,22 @@ func (db *DB) Exec(text string) (*executor.ResultSet, *QueryInfo, error) {
 // caller's trace; otherwise the engine's sampler decides whether this
 // statement is traced into the ring.
 func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet, *QueryInfo, error) {
+	return db.execText(ctx, text, true)
+}
+
+// Cost is Exec for callers that need a SELECT's estimated cost, not its
+// rows: a SELECT is parsed, locked, optimized through the plan cache,
+// passed through the fault.ExecStmt site and shown to the observer
+// exactly as Exec does, but its operator tree never runs, so it reads
+// no page. Every other statement executes as under Exec, because it
+// changes state, sizes and statistics.
+func (db *DB) Cost(text string) (*QueryInfo, error) {
+	_, info, err := db.execText(context.Background(), text, false)
+	return info, err
+}
+
+// execText parses text and runs it; run false is Cost.
+func (db *DB) execText(ctx context.Context, text string, run bool) (*executor.ResultSet, *QueryInfo, error) {
 	tr, owned := db.startTrace(ctx, text)
 	if owned {
 		defer db.ob.FinishTrace(tr)
@@ -274,18 +291,7 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*executor.ResultSet
 	if hit && tr != nil {
 		parseSpan.SetAttr("stmt-cache hit")
 	}
-	return db.execStmtFP(ctx, text, stmt, fp, tr)
-}
-
-// ExecStmt runs an already-parsed statement (callers that replay
-// workloads avoid re-parsing). Like every execution path it goes through
-// the engine's one locked section (DB.locked).
-func (db *DB) ExecStmt(text string, stmt sql.Statement) (*executor.ResultSet, *QueryInfo, error) {
-	tr, owned := db.startTrace(context.Background(), text)
-	if owned {
-		defer db.ob.FinishTrace(tr)
-	}
-	return db.execStmtFP(context.Background(), text, stmt, nil, tr)
+	return db.execStmtFP(ctx, text, stmt, fp, tr, run)
 }
 
 // startTrace resolves the statement's trace: a context-carried trace
@@ -307,7 +313,7 @@ func (db *DB) noteErr(tr *obs.Trace, err error) {
 	}
 }
 
-func (db *DB) execStmtFP(ctx context.Context, text string, stmt sql.Statement, fp *sql.Fingerprint, tr *obs.Trace) (*executor.ResultSet, *QueryInfo, error) {
+func (db *DB) execStmtFP(ctx context.Context, text string, stmt sql.Statement, fp *sql.Fingerprint, tr *obs.Trace, run bool) (*executor.ResultSet, *QueryInfo, error) {
 	if err := ctx.Err(); err != nil {
 		db.noteErr(tr, err)
 		return nil, nil, err
@@ -317,7 +323,7 @@ func (db *DB) execStmtFP(ctx context.Context, text string, stmt sql.Statement, f
 	var info *QueryInfo
 	var err error
 	werr := db.locked(tr, reads, writes, func() {
-		rs, info, err = db.execLocked(ctx, text, stmt, fp, tr)
+		rs, info, err = db.execLocked(ctx, text, stmt, fp, tr, run)
 	})
 	if err == nil && werr != nil {
 		return nil, nil, werr
@@ -325,7 +331,10 @@ func (db *DB) execStmtFP(ctx context.Context, text string, stmt sql.Statement, f
 	return rs, info, err
 }
 
-func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, fp *sql.Fingerprint, tr *obs.Trace) (*executor.ResultSet, *QueryInfo, error) {
+// execLocked runs one statement inside its lock span. With run false a
+// SELECT stops after the fault.ExecStmt site: it is costed and observed
+// but not executed (see Cost).
+func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, fp *sql.Fingerprint, tr *obs.Trace, run bool) (*executor.ResultSet, *QueryInfo, error) {
 	db.statements.Inc()
 	var start time.Time
 	if tr != nil {
@@ -355,6 +364,7 @@ func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, f
 	// guarantees a failed attempt left no partial mutations, so a retry
 	// re-runs the statement from scratch.
 	const maxAttempts = 3
+	_, query := stmt.(*sql.Select) // the one statement Cost leaves unexecuted
 	var rs *executor.ResultSet
 	var res *optimizer.Result
 	var err error
@@ -385,7 +395,7 @@ func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, f
 		// The statement-level injection site sits between planning and
 		// execution, where a real engine would submit the plan for
 		// execution and could be told "try again".
-		if err = db.Mgr.Faults().Hit(fault.ExecStmt); err == nil {
+		if err = db.Mgr.Faults().Hit(fault.ExecStmt); err == nil && (run || !query) {
 			execCtx := ctx
 			if tr != nil {
 				// Carry the trace into the executor so parallel regions can
@@ -415,7 +425,7 @@ func (db *DB) execLocked(ctx context.Context, text string, stmt sql.Statement, f
 		db.noteErr(tr, err)
 		return nil, nil, err
 	}
-	if tr != nil {
+	if tr != nil && rs != nil {
 		execSpan.SetRows(int64(len(rs.Rows)) + int64(rs.Affected))
 	}
 	info := &QueryInfo{SQL: text, Stmt: stmt, Result: res, EstCost: res.Cost}

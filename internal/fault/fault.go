@@ -76,9 +76,6 @@ const (
 	WALFsync Site = "wal.fsync"
 )
 
-// Sites lists every site the engine declares, for schedule builders.
-var Sites = []Site{PageRead, PageWrite, PageAlloc, BTreeSplit, BuildStep, BuildFinish, ExecStmt, WALAppend, WALFsync}
-
 // Error is the failure returned by a fired injection site.
 type Error struct {
 	Site Site

@@ -29,7 +29,7 @@ func (o *Optimizer) selEq(table, col string, val datum.Datum) float64 {
 	if cs := o.env.Stats.Get(table, col); cs != nil && cs.Hist != nil && cs.Rows > 0 {
 		s := cs.Hist.SelectivityEq(val)
 		if s <= 0 {
-			s = 0.5 / float64(maxI64(cs.Rows, 1))
+			s = 0.5 / float64(max(cs.Rows, 1))
 		}
 		return s
 	}
@@ -42,7 +42,7 @@ func (o *Optimizer) selRange(table, col string, lo, hi *datum.Datum, loInc, hiIn
 	if cs := o.env.Stats.Get(table, col); cs != nil && cs.Hist != nil {
 		s := cs.Hist.SelectivityRange(lo, hi, loInc, hiInc)
 		if s <= 0 {
-			s = 0.5 / float64(maxI64(cs.Rows, 1))
+			s = 0.5 / float64(max(cs.Rows, 1))
 		}
 		return s
 	}
@@ -401,11 +401,4 @@ func findEq(eqs []sargPred, col string) *sargPred {
 		}
 	}
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1004,10 +1004,3 @@ func indexOfFoldStr(ss []string, s string) int {
 	}
 	return -1
 }
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -109,7 +109,7 @@ func (g *Generator) Load(db *engine.DB) error {
 			return err
 		}
 	}
-	perPart := g.rows["partsupp"] / maxInt(1, g.rows["part"])
+	perPart := g.rows["partsupp"] / max(1, g.rows["part"])
 	if perPart < 1 {
 		perPart = 1
 	}
@@ -117,7 +117,7 @@ func (g *Generator) Load(db *engine.DB) error {
 		for k := 0; k < perPart; k++ {
 			if err := ins("partsupp", datum.Row{
 				datum.NewInt(int64(p)),
-				datum.NewInt(int64((p*perPart + k) % maxInt(1, g.rows["supplier"]))),
+				datum.NewInt(int64((p*perPart + k) % max(1, g.rows["supplier"]))),
 				datum.NewInt(int64(1 + g.rng.Intn(9999))),
 				datum.NewFloat(float64(g.rng.Intn(100000)) / 100),
 			}); err != nil {
@@ -125,7 +125,7 @@ func (g *Generator) Load(db *engine.DB) error {
 			}
 		}
 	}
-	linesPerOrder := g.rows["lineitem"] / maxInt(1, g.rows["orders"])
+	linesPerOrder := g.rows["lineitem"] / max(1, g.rows["orders"])
 	if linesPerOrder < 1 {
 		linesPerOrder = 1
 	}
@@ -152,7 +152,7 @@ func (g *Generator) Load(db *engine.DB) error {
 func (g *Generator) orderRow(key int) datum.Row {
 	return datum.Row{
 		datum.NewInt(int64(key)),
-		datum.NewInt(int64(g.rng.Intn(maxInt(1, g.rows["customer"])))),
+		datum.NewInt(int64(g.rng.Intn(max(1, g.rows["customer"])))),
 		datum.NewString(orderStatus[g.rng.Intn(len(orderStatus))]),
 		datum.NewFloat(1000 + float64(g.rng.Intn(400000))/100),
 		datum.NewDate(int64(dateEpoch1992 + g.rng.Intn(dateRangeDays))),
@@ -166,8 +166,8 @@ func (g *Generator) lineitemRow(orderKey, line int) datum.Row {
 	return datum.Row{
 		datum.NewInt(int64(orderKey)),
 		datum.NewInt(int64(line)),
-		datum.NewInt(int64(g.rng.Intn(maxInt(1, g.rows["part"])))),
-		datum.NewInt(int64(g.rng.Intn(maxInt(1, g.rows["supplier"])))),
+		datum.NewInt(int64(g.rng.Intn(max(1, g.rows["part"])))),
+		datum.NewInt(int64(g.rng.Intn(max(1, g.rows["supplier"])))),
 		datum.NewFloat(float64(1 + g.rng.Intn(50))),
 		datum.NewFloat(float64(g.rng.Intn(10000)) / 100),
 		datum.NewFloat(float64(g.rng.Intn(11)) / 100),
@@ -194,8 +194,8 @@ func (g *Generator) DisruptiveUpdates(count int) []string {
 	for i := 0; i < count; i++ {
 		switch i % 4 {
 		case 0, 1, 2:
-			lo := g.rng.Intn(maxInt(1, orders))
-			hi := lo + maxInt(1, orders/6)
+			lo := g.rng.Intn(max(1, orders))
+			hi := lo + max(1, orders/6)
 			out = append(out, fmt.Sprintf(
 				"UPDATE lineitem SET l_quantity = l_quantity + 1, l_extendedprice = l_extendedprice + 1 WHERE l_orderkey >= %d AND l_orderkey < %d", lo, hi))
 		default:
@@ -203,17 +203,10 @@ func (g *Generator) DisruptiveUpdates(count int) []string {
 			g.nextOrderKey++
 			out = append(out, fmt.Sprintf(
 				"INSERT INTO orders VALUES (%d, %d, 'O', %d.0, DATE '1998-08-01', '1-URGENT', 0)",
-				key, g.rng.Intn(maxInt(1, g.rows["customer"])), 1000+g.rng.Intn(100000)))
+				key, g.rng.Intn(max(1, g.rows["customer"])), 1000+g.rng.Intn(100000)))
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RefreshInsert (TPC-H RF1) returns statements inserting `orders` new
@@ -228,7 +221,7 @@ func (g *Generator) RefreshInsert(orders int) []string {
 		date := dateStr(dateEpoch1992 + g.rng.Intn(dateRangeDays))
 		out = append(out, fmt.Sprintf(
 			"INSERT INTO orders VALUES (%d, %d, '%s', %d.0, %s, '%s', %d)",
-			key, g.rng.Intn(maxInt(1, g.rows["customer"])),
+			key, g.rng.Intn(max(1, g.rows["customer"])),
 			orderStatus[g.rng.Intn(len(orderStatus))],
 			1000+g.rng.Intn(100000), date,
 			priorities[g.rng.Intn(len(priorities))], g.rng.Intn(2)))
@@ -238,8 +231,8 @@ func (g *Generator) RefreshInsert(orders int) []string {
 			out = append(out, fmt.Sprintf(
 				"INSERT INTO lineitem VALUES (%d, %d, %d, %d, %d.0, %d.0, 0.0%d, 0.0%d, '%s', '%s', %s, %s, %s, '%s')",
 				key, l,
-				g.rng.Intn(maxInt(1, g.rows["part"])),
-				g.rng.Intn(maxInt(1, g.rows["supplier"])),
+				g.rng.Intn(max(1, g.rows["part"])),
+				g.rng.Intn(max(1, g.rows["supplier"])),
 				1+g.rng.Intn(50), g.rng.Intn(10000),
 				g.rng.Intn(10), g.rng.Intn(9),
 				returnFlags[g.rng.Intn(len(returnFlags))],
@@ -256,7 +249,7 @@ func (g *Generator) RefreshInsert(orders int) []string {
 func (g *Generator) RefreshDelete(orders int) []string {
 	var out []string
 	for i := 0; i < orders; i++ {
-		key := g.rng.Intn(maxInt(1, g.rows["orders"]))
+		key := g.rng.Intn(max(1, g.rows["orders"]))
 		out = append(out,
 			fmt.Sprintf("DELETE FROM lineitem WHERE l_orderkey = %d", key),
 			fmt.Sprintf("DELETE FROM orders WHERE o_orderkey = %d", key))

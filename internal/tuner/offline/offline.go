@@ -91,9 +91,10 @@ func (p *Profile) CandidateBuildCost(ix *catalog.Index) float64 {
 	return p.Env.Model.BuildIndex(sourcePages, float64(rows), newPages, true)
 }
 
-// ProfileWorkload replays the statements on the given untuned database
+// ProfileWorkload costs the statements on the given untuned database
 // (which the caller creates and loads; it must have no secondary
-// indexes) and captures request groups and costs. The database is
+// indexes) through engine.DB.Cost, and captures request groups and
+// costs: SELECTs are planned but not run, DML executes. The database is
 // mutated by any DML in the workload; its final state provides the
 // sizing environment.
 func ProfileWorkload(db *engine.DB, workload []string) (*Profile, error) {
@@ -111,7 +112,7 @@ func ProfileWorkload(db *engine.DB, workload []string) (*Profile, error) {
 		}
 	}
 	for _, text := range workload {
-		_, info, err := db.Exec(text)
+		info, err := db.Cost(text)
 		if err != nil {
 			return nil, fmt.Errorf("offline: profiling %q: %w", text, err)
 		}

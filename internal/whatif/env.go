@@ -294,7 +294,7 @@ func sortIfNeeded(e *Env, r *Request, ix *catalog.Index, eqConsumed int) float64
 	if len(r.SortCols) == 0 {
 		return 0
 	}
-	if ix != nil && orderSatisfied(ix.Columns[minInt(eqConsumed, len(ix.Columns)):], r.SortCols) {
+	if ix != nil && orderSatisfied(ix.Columns[min(eqConsumed, len(ix.Columns)):], r.SortCols) {
 		return 0
 	}
 	rows := r.RowsPerBinding
@@ -324,13 +324,6 @@ func indexOfFold(ss []string, s string) int {
 		}
 	}
 	return -1
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // BuildCost estimates B_I^s, the cost of creating index ix under the

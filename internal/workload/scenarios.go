@@ -456,16 +456,16 @@ func adhocStatement(s *stream, tables []adhocTable) (string, string) {
 			pred = fmt.Sprintf("%s BETWEEN %s AND %s", p.col, scenarioDate(d), scenarioDate(d+30+s.intn(60)))
 		}
 	default:
-		v := p.lo + s.intn(maxInt(1, p.hi-p.lo))
+		v := p.lo + s.intn(max(1, p.hi-p.lo))
 		switch op {
 		case "=":
 			pred = fmt.Sprintf("%s = %d", p.col, v)
 		case ">=", ">":
-			pred = fmt.Sprintf("%s %s %d", p.col, op, p.hi-maxInt(1, (p.hi-p.lo)/10)-s.intn(maxInt(1, (p.hi-p.lo)/10)))
+			pred = fmt.Sprintf("%s %s %d", p.col, op, p.hi-max(1, (p.hi-p.lo)/10)-s.intn(max(1, (p.hi-p.lo)/10)))
 		case "<", "<=":
-			pred = fmt.Sprintf("%s %s %d", p.col, op, p.lo+maxInt(1, (p.hi-p.lo)/10)+s.intn(maxInt(1, (p.hi-p.lo)/10)))
+			pred = fmt.Sprintf("%s %s %d", p.col, op, p.lo+max(1, (p.hi-p.lo)/10)+s.intn(max(1, (p.hi-p.lo)/10)))
 		default:
-			span := maxInt(1, (p.hi-p.lo)/8)
+			span := max(1, (p.hi-p.lo)/8)
 			pred = fmt.Sprintf("%s BETWEEN %d AND %d", p.col, v, v+span)
 		}
 	}
@@ -563,13 +563,6 @@ func buildStorm(o ScenarioOptions) *Workload {
 		}
 	}
 	return w
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ScenarioSignature renders a workload's statement stream as one byte
