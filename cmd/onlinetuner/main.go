@@ -14,7 +14,6 @@
 //	-tpch SCALE    preload TPC-H data at the given scale (e.g. 0.3)
 //	-budget BYTES  secondary-index storage budget (0 = unlimited)
 //	-suspend       suspend indexes instead of dropping them
-//	-async         simulate asynchronous (online) index builds
 //	-throttle N    run the tuner's analysis every N statements
 //	-f FILE        replay a workload file (one statement per line, #
 //	               comments) and exit
@@ -65,7 +64,6 @@ func main() {
 	tpchScale := flag.Float64("tpch", 0, "preload TPC-H data at the given scale")
 	budget := flag.Int64("budget", 0, "secondary-index storage budget in bytes (0 = unlimited)")
 	suspend := flag.Bool("suspend", false, "suspend indexes instead of dropping")
-	async := flag.Bool("async", false, "simulate asynchronous index builds")
 	throttle := flag.Int("throttle", 1, "run the tuner's analysis every N statements")
 	workloadFile := flag.String("f", "", "replay a workload file (one statement per line, # comments) and exit")
 	stateFile := flag.String("state", "", "load tuner evidence from this file at startup and save it on exit")
@@ -90,7 +88,6 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.UseSuspend = *suspend
-	opts.Async = *async
 	opts.ThrottleEvery = *throttle
 	tuner := core.Attach(db, opts)
 	if *stateFile != "" {

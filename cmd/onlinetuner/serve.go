@@ -122,7 +122,7 @@ func serveMain(args []string) {
 			fmt.Fprintln(os.Stderr, "aborting")
 			srv.Abort()
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "shutdown:", err)

@@ -115,10 +115,10 @@ func (t *Tuner) LoadState(r io.Reader) error {
 }
 
 // AdoptRecovery merges the engine's crash-recovery decisions (kind
-// "recovery-resume" / "recovery-abandon", one per background build the
-// crash interrupted) into the tuner's decision log, so a single log
-// tells the physical-design story across the restart. Call it right
-// after Attach on a database opened with engine.OpenDurable.
+// "recovery-abandon", one per background build the crash interrupted)
+// into the tuner's decision log, so a single log tells the
+// physical-design story across the restart. Call it right after Attach
+// on a database opened with engine.OpenDurable.
 func (t *Tuner) AdoptRecovery(info *engine.RecoveryInfo) {
 	if info == nil {
 		return

@@ -35,7 +35,7 @@ type AnalyzedNode struct {
 	Time time.Duration
 	// Engine is the evaluation strategy the operator resolved to:
 	// "vectorized", "row", or "" for operators that record no engine
-	// (interior plumbing like Limit). The adaptive selector records it so
+	// (interior plumbing like Limit). The executor records it so
 	// EXPLAIN ANALYZE shows which path each operator actually took.
 	Engine string
 }

@@ -51,13 +51,12 @@ type RecoveryInfo struct {
 	// Torn reports that the log ended in a torn or corrupt tail, which
 	// recovery truncated back to the last durable commit.
 	Torn bool
-	// Resumed and Abandoned list the index IDs of in-flight background
-	// builds the crash interrupted, by how they were resolved.
-	Resumed   []string
+	// Abandoned lists the index IDs of in-flight background builds the
+	// crash interrupted; recovery discards them.
 	Abandoned []string
-	// Decisions are the recovery's physical-design decisions
-	// (kind "recovery-resume" / "recovery-abandon"), in the decision-log
-	// schema so the tuner can adopt them into its own log.
+	// Decisions are the recovery's physical-design decisions (kind
+	// "recovery-abandon"), in the decision-log schema so the tuner can
+	// adopt them into its own log.
 	Decisions []obs.Decision
 	// Duration is the wall-clock recovery time.
 	Duration time.Duration
@@ -67,7 +66,7 @@ type RecoveryInfo struct {
 // An existing directory is recovered: the newest valid checkpoint
 // snapshot is restored, the WAL suffix is replayed to the last durable
 // commit, any torn tail is truncated, and in-flight background builds
-// are resumed or abandoned per cfg.ResumeBuilds.
+// are abandoned.
 func OpenDurable(cfg Config) (*DB, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("engine: durable open requires a directory")
@@ -121,7 +120,6 @@ func OpenDurable(cfg Config) (*DB, error) {
 	w, err := wal.OpenWriter(wal.Options{
 		Dir:          cfg.Dir,
 		Policy:       cfg.Sync,
-		SegmentBytes: cfg.SegmentBytes,
 		StartSeq:     lastSeq,
 		StartSegment: scan.NextSegment,
 	})
@@ -133,8 +131,8 @@ func OpenDurable(cfg Config) (*DB, error) {
 	db.wal = w
 	db.Mgr.SetWAL(w)
 
-	// Resolve builds the crash caught in flight — AFTER the writer is
-	// installed, so a resumed build's publish is itself durable.
+	// Abandon builds the crash caught in flight: the tuner re-requests
+	// an index that is still worth having.
 	ids := make([]string, 0, len(pending))
 	for id := range pending {
 		ids = append(ids, id)
@@ -142,16 +140,6 @@ func OpenDurable(cfg Config) (*DB, error) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ix := pending[id]
-		if cfg.ResumeBuilds {
-			if err := db.CreateIndex(ix); err == nil {
-				info.Resumed = append(info.Resumed, id)
-				info.Decisions = append(info.Decisions, obs.Decision{
-					Kind: "recovery-resume", Index: id, Table: ix.Table,
-					Reason: "build interrupted by crash; rebuilt at recovery",
-				})
-				continue
-			}
-		}
 		info.Abandoned = append(info.Abandoned, id)
 		info.Decisions = append(info.Decisions, obs.Decision{
 			Kind: "recovery-abandon", Index: id, Table: ix.Table,

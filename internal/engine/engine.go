@@ -108,13 +108,12 @@ type Config struct {
 	// byte-identical at every setting; only wall-clock time changes.
 	ExecWorkers int
 
-	// ExecEngine selects the execution engine: "auto" (default) picks
-	// vectorized columnar evaluation per operator when its expressions
-	// compile to predicate kernels and the input is large enough,
-	// "vector" forces the columnar path wherever possible, "row" forces
-	// scalar row-at-a-time evaluation everywhere. Results are
-	// byte-identical under every mode; only the evaluation strategy (and
-	// its speed) changes. Invalid values fall back to "auto".
+	// ExecEngine "row" builds the reference executor, which evaluates
+	// everything with the scalar row loop (executor.NewReference); it
+	// is the oracle's setting. Every other value gives the default
+	// executor, which vectorizes an operator when its expressions
+	// compile to kernels and its input is large enough. Results are
+	// byte-identical either way.
 	ExecEngine string
 
 	// Rules selects the optimizer's cost-based rewrite rules: "all"
@@ -129,13 +128,6 @@ type Config struct {
 	Dir string
 	// Sync selects the WAL fsync policy (default wal.SyncGroup).
 	Sync wal.SyncPolicy
-	// SegmentBytes overrides the WAL segment roll threshold (default
-	// wal.DefaultSegmentBytes).
-	SegmentBytes int64
-	// ResumeBuilds makes recovery re-run background index builds a crash
-	// interrupted; the default abandons them (the tuner will re-request
-	// the index if it is still worth having).
-	ResumeBuilds bool
 }
 
 // Open creates an empty database with default configuration.
@@ -149,13 +141,17 @@ func OpenConfig(cfg Config) *DB {
 	env := whatif.NewEnv(cat, st, mgr)
 	ob := obs.New()
 	mgr.SetColumnMetrics(ob.Reg)
+	newExecutor := executor.New
+	if cfg.ExecEngine == "row" {
+		newExecutor = executor.NewReference
+	}
 	db := &DB{
 		Cat:              cat,
 		Mgr:              mgr,
 		Stats:            st,
 		Env:              env,
 		Opt:              optimizer.New(env),
-		Exe:              executor.New(cat, mgr),
+		Exe:              newExecutor(cat, mgr),
 		locks:            newTableLocks(),
 		pc:               newPlanCache(ob.Reg),
 		ob:               ob,
@@ -172,9 +168,6 @@ func OpenConfig(cfg Config) *DB {
 	busy := ob.Reg.Gauge("engine.exec_workers_busy")
 	db.Exe.SetParallelMetrics(morsels.Add, busy.Add)
 	db.SetExecWorkers(cfg.ExecWorkers)
-	if m, err := executor.ParseEngineMode(cfg.ExecEngine); err == nil {
-		db.Exe.SetEngineMode(m)
-	}
 	if r, err := optimizer.ParseRules(cfg.Rules); err == nil {
 		db.Opt.SetRules(r)
 	}

@@ -38,8 +38,7 @@ func TestCachedColumnsSharedAcrossScans(t *testing.T) {
 		}
 		rids[i] = rid
 	}
-	ex, ref := New(cat, mgr), New(cat, mgr)
-	ref.SetEngineMode(EngineRow)
+	ex, ref := New(cat, mgr), NewReference(cat, mgr)
 
 	// Both conjunct orders, so the second conjunct reads the other
 	// filter's cached column through a partial selection.

@@ -42,16 +42,26 @@ type Executor struct {
 	// so the engine injects adders.
 	morselsAdd atomic.Pointer[func(int64)]
 	busyAdd    atomic.Pointer[func(int64)]
-	// engineMode selects row/vectorized/adaptive execution (see
-	// EngineMode in vecengine.go); swapped atomically like the pool,
-	// with in-flight statements keeping the mode they resolved at start.
-	engineMode atomic.Int32
+	// reference runs the scalar row loop everywhere (see vecOn); fixed
+	// at construction.
+	reference bool
 }
 
-// New returns an executor with a worker pool sized to GOMAXPROCS.
+// New returns an executor with a worker pool sized to GOMAXPROCS. Each
+// operator whose expressions compile to kernels vectorizes over inputs
+// of at least vecMinRows units (see vecOn).
 func New(cat *catalog.Catalog, mgr *storage.Manager) *Executor {
 	e := &Executor{cat: cat, mgr: mgr}
 	e.pool.Store(par.NewPool(0))
+	return e
+}
+
+// NewReference returns the reference executor: it evaluates every
+// predicate and expression with the scalar row loop, the test oracle
+// New's results are byte-identical to.
+func NewReference(cat *catalog.Catalog, mgr *storage.Manager) *Executor {
+	e := New(cat, mgr)
+	e.reference = true
 	return e
 }
 
@@ -66,11 +76,6 @@ func (e *Executor) SetPool(p *par.Pool) { e.pool.Store(p) }
 
 // Workers returns the configured intra-query worker count.
 func (e *Executor) Workers() int { return e.pool.Load().Workers() }
-
-// SetEngineMode selects the execution engine (auto/row/vector). Results
-// are byte-identical under every mode; only the evaluation strategy and
-// its speed change.
-func (e *Executor) SetEngineMode(m EngineMode) { e.engineMode.Store(int32(m)) }
 
 // SetParallelMetrics installs the engine's metric adders: morsels
 // receives the morsel count of each parallel region, busy the delta of
@@ -119,7 +124,6 @@ type run struct {
 	ctx       context.Context
 	faults    *fault.Injector
 	pool      *par.Pool
-	mode      EngineMode
 	countdown int
 }
 
@@ -157,7 +161,7 @@ func (e *Executor) RunContext(ctx context.Context, p plan.Node, c *Collector) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := &run{Executor: e, ctx: ctx, faults: e.mgr.Faults(), pool: e.pool.Load(), mode: EngineMode(e.engineMode.Load()), countdown: ctxCheckEvery}
+	r := &run{Executor: e, ctx: ctx, faults: e.mgr.Faults(), pool: e.pool.Load(), countdown: ctxCheckEvery}
 	switch n := p.(type) {
 	case *plan.InsertNode:
 		return r.timedDML(p, c, func() (*ResultSet, error) { return r.runInsert(n, c) })
@@ -177,7 +181,7 @@ func (e *Executor) RunContext(ctx context.Context, p plan.Node, c *Collector) (*
 // unit tests and internal callers that hold a plan fragment rather
 // than a statement root.
 func (e *Executor) exec(p plan.Node, c *Collector) ([]datum.Row, error) {
-	r := &run{Executor: e, ctx: context.Background(), faults: e.mgr.Faults(), pool: e.pool.Load(), mode: EngineMode(e.engineMode.Load()), countdown: ctxCheckEvery}
+	r := &run{Executor: e, ctx: context.Background(), faults: e.mgr.Faults(), pool: e.pool.Load(), countdown: ctxCheckEvery}
 	return r.exec(p, c)
 }
 

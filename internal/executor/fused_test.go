@@ -138,11 +138,12 @@ func fusedProject(scan *plan.SeqScan) *plan.Project {
 }
 
 // TestFusedScanMatchesRowEngine runs HashAgg and Project over a SeqScan
-// whose filter compiles to kernels, so under EngineAuto and EngineVector
-// the parent reads the heap chunks through the filter's selection. At one
-// and four workers each result must be identical to the row engine's
-// (which materializes the scan), and so must the EXPLAIN ANALYZE actuals
-// of both operators: rows, and the scan's scanned rows and pages.
+// whose filter compiles to kernels, over a heap large enough that the
+// parent reads the heap chunks through the filter's selection. At one
+// and four workers each result must be identical to the reference
+// executor's (which materializes the scan), and so must the EXPLAIN
+// ANALYZE actuals of both operators: rows, and the scan's scanned rows
+// and pages.
 func TestFusedScanMatchesRowEngine(t *testing.T) {
 	cat, mgr, base := fusedTable(t)
 	var plans []plan.Node
@@ -155,8 +156,7 @@ func TestFusedScanMatchesRowEngine(t *testing.T) {
 		scan := fusedScan(t, base, where)
 		plans = append(plans, fusedAgg(scan, true), fusedAgg(scan, false), fusedProject(scan))
 	}
-	ref := New(cat, mgr)
-	ref.SetEngineMode(EngineRow)
+	ref := NewReference(cat, mgr)
 	for pi, p := range plans {
 		refCol := NewCollector()
 		want, err := ref.RunCollected(p, refCol)
@@ -165,29 +165,29 @@ func TestFusedScanMatchesRowEngine(t *testing.T) {
 		}
 		scan := p.Children()[0]
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []EngineMode{EngineAuto, EngineVector} {
-				name := fmt.Sprintf("plan %d (%s) workers=%d mode=%d", pi, scan.Label(), workers, mode)
-				ex := New(cat, mgr)
-				ex.SetWorkers(workers)
-				ex.SetEngineMode(mode)
-				c := NewCollector()
-				got, err := ex.RunCollected(p, c)
-				if err != nil {
-					t.Fatal(err)
+			name := fmt.Sprintf("plan %d (%s) workers=%d", pi, scan.Label(), workers)
+			ex := New(cat, mgr)
+			ex.SetWorkers(workers)
+			c := NewCollector()
+			got, err := ex.RunCollected(p, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s: result differs from the reference:\n got %v\nwant %v", name, got.Rows, want.Rows)
+			}
+			for _, n := range []plan.Node{p, scan} {
+				a, b := c.Stats(n), refCol.Stats(n)
+				if a.Rows() != b.Rows() || a.Scanned() != b.Scanned() || a.Pages() != b.Pages() {
+					t.Fatalf("%s: %s actuals rows/scanned/pages %d/%d/%d, reference %d/%d/%d", name, n.Label(),
+						a.Rows(), a.Scanned(), a.Pages(), b.Rows(), b.Scanned(), b.Pages())
 				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Fatalf("%s: result differs from the row engine:\n got %v\nwant %v", name, got.Rows, want.Rows)
-				}
-				for _, n := range []plan.Node{p, scan} {
-					a, b := c.Stats(n), refCol.Stats(n)
-					if a.Rows() != b.Rows() || a.Scanned() != b.Scanned() || a.Pages() != b.Pages() {
-						t.Fatalf("%s: %s actuals rows/scanned/pages %d/%d/%d, row engine %d/%d/%d", name, n.Label(),
-							a.Rows(), a.Scanned(), a.Pages(), b.Rows(), b.Scanned(), b.Pages())
-					}
-				}
-				if c.Stats(scan).Engine() != "vectorized" {
-					t.Fatalf("%s: the scan ran %s", name, c.Stats(scan).Engine())
-				}
+			}
+			if c.Stats(scan).Engine() != "vectorized" {
+				t.Fatalf("%s: the scan ran %s", name, c.Stats(scan).Engine())
+			}
+			if refCol.Stats(scan).Engine() != "row" {
+				t.Fatalf("%s: the reference scan ran %s", name, refCol.Stats(scan).Engine())
 			}
 		}
 	}
@@ -196,8 +196,7 @@ func TestFusedScanMatchesRowEngine(t *testing.T) {
 	// the source must be fused, every kind of selection must occur, and
 	// SUM(v + 1) must fall back exactly on chunks 2 and 4.
 	ex := New(cat, mgr)
-	ex.SetEngineMode(EngineVector)
-	r := &run{Executor: ex, ctx: context.Background(), faults: mgr.Faults(), pool: ex.pool.Load(), mode: EngineVector, countdown: ctxCheckEvery}
+	r := &run{Executor: ex, ctx: context.Background(), faults: mgr.Faults(), pool: ex.pool.Load(), countdown: ctxCheckEvery}
 	agg := fusedAgg(fusedScan(t, base, "k < 10"), true)
 	groupVes, _ := compileVecExprs(agg.GroupBy, base.Schema())
 	argVes, ok := compileVecExprs([]sql.Expr{vPlus1()}, base.Schema())

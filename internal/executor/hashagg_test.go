@@ -142,15 +142,15 @@ func foldModel(t *testing.T, agg *plan.HashAgg, in []datum.Row) []datum.Row {
 
 // TestHashAggFoldIdentity checks that folding through morsel-local
 // group ids gives exactly the row-at-a-time result — same groups in the
-// same order, bit-identical float sums — at one and four workers, under
-// every engine mode, with one morsel taking the scalar fallback.
+// same order, bit-identical float sums — at one and four workers, on the
+// default and the reference executor, with one morsel taking the scalar
+// fallback.
 func TestHashAggFoldIdentity(t *testing.T) {
 	const n = 3*vec.MorselRows + 17
 	cat, mgr, scan := aggTable(t, n)
 	agg := aggOverA(scan)
 
-	ref := New(cat, mgr)
-	ref.SetEngineMode(EngineRow)
+	ref := NewReference(cat, mgr)
 	in, err := ref.exec(scan, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -185,16 +185,14 @@ func TestHashAggFoldIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []EngineMode{EngineAuto, EngineVector, EngineRow} {
-			ex := New(cat, mgr)
+		for _, ex := range []*Executor{New(cat, mgr), NewReference(cat, mgr)} {
 			ex.SetWorkers(workers)
-			ex.SetEngineMode(mode)
 			got, err := ex.exec(agg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d mode=%d: result differs from the row engine:\n got %v\nwant %v", workers, mode, got, want)
+				t.Fatalf("workers=%d reference=%v: result differs from the row loop:\n got %v\nwant %v", workers, ex.reference, got, want)
 			}
 		}
 	}

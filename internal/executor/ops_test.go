@@ -91,18 +91,18 @@ func TestTopNMatchesSortLimit(t *testing.T) {
 	}
 }
 
-// TestTopNVecPrunePath forces the vectorized engine over an input large
-// enough to engage the TopK prefilter (single key, len >> 2N) and
-// cross-checks the row engine: the prune is a superset filter, so both
-// engines must produce the identical stable-sort prefix — including
+// TestTopNVecPrunePath runs TopN over an input large enough to
+// vectorize and to engage the TopK prefilter (single key, len >> 2N) and
+// cross-checks the reference executor: the prune is a superset filter,
+// so both must produce the identical stable-sort prefix — including
 // when the key is tie-heavy (a has only 10 distinct values).
 func TestTopNVecPrunePath(t *testing.T) {
-	cat, _, ex, _ := fixture(t, 12000, false)
+	cat, mgr, ex, _ := fixture(t, 12000, false)
+	ref := NewReference(cat, mgr)
 	for _, desc := range []bool{false, true} {
 		for _, col := range []string{"id", "a"} {
 			keys := []plan.SortKey{{Expr: &sql.ColumnRef{Column: col}, Desc: desc}}
-			run := func(mode EngineMode) []datum.Row {
-				ex.SetEngineMode(mode)
+			run := func(ex *Executor) []datum.Row {
 				tn := &plan.TopN{Child: &plan.SeqScan{Table: "R", Alias: "R"}, Keys: keys, N: 7}
 				tn.Child.(*plan.SeqScan).Out = rSchema(cat)
 				tn.Out = rSchema(cat)
@@ -112,9 +112,8 @@ func TestTopNVecPrunePath(t *testing.T) {
 				}
 				return rows
 			}
-			vecRows := run(EngineVector)
-			rowRows := run(EngineRow)
-			ex.SetEngineMode(EngineAuto)
+			vecRows := run(ex)
+			rowRows := run(ref)
 			if !reflect.DeepEqual(vecRows, rowRows) {
 				t.Errorf("col=%s desc=%v: vector and row TopN diverge", col, desc)
 			}

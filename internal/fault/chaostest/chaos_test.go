@@ -128,25 +128,9 @@ func execWorkers(t *testing.T) int {
 	return n
 }
 
-// execEngine reads the EXEC_ENGINE matrix dimension (auto|row|vector;
-// CI crosses it with EXEC_WORKERS). Results are byte-identical under
-// every mode, so the oracle comparison holds unchanged; what the
-// vectorized runs add is coverage of kernel evaluation and per-morsel
-// scalar fallback under injected faults.
-func execEngine(t *testing.T) string {
-	env := strings.TrimSpace(os.Getenv("EXEC_ENGINE"))
-	if env == "" {
-		return "auto"
-	}
-	if _, err := executor.ParseEngineMode(env); err != nil {
-		t.Fatalf("EXEC_ENGINE: %v", err)
-	}
-	return env
-}
-
 func loadChaosDB(t *testing.T, seed uint64) (*engine.DB, *tpch.Generator) {
 	t.Helper()
-	db := engine.OpenConfig(engine.Config{ExecWorkers: execWorkers(t), ExecEngine: execEngine(t)})
+	db := engine.OpenConfig(engine.Config{ExecWorkers: execWorkers(t)})
 	g := tpch.NewGenerator(chaosScale, int64(seed))
 	if err := g.Load(db); err != nil {
 		t.Fatal(err)

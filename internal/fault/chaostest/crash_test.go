@@ -5,9 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -50,40 +47,13 @@ func heapDump(db *engine.DB, table string) string {
 	return buf.String()
 }
 
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		in, err := os.Open(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.Create(filepath.Join(dst, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-		_ = in.Close()
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
 // loadDurableChaosDB opens a durable database, bulk-loads it with the
 // WAL in no-sync mode (the load is not the test subject), checkpoints
 // the loaded state, and switches to group commit for the scripted
 // phase.
 func loadDurableChaosDB(t *testing.T, seed uint64, dir string) (*engine.DB, *tpch.Generator) {
 	t.Helper()
-	db, err := engine.OpenDurable(engine.Config{Dir: dir, ExecWorkers: execWorkers(t), ExecEngine: execEngine(t), Sync: wal.SyncNone})
+	db, err := engine.OpenDurable(engine.Config{Dir: dir, ExecWorkers: execWorkers(t), Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +224,7 @@ func runCrashSeed(t *testing.T, seed uint64) {
 	tn.Close()
 
 	// ---- Restart: recover the directory. ----
-	rdb, err := engine.OpenDurable(engine.Config{Dir: dir, ExecWorkers: execWorkers(t), ExecEngine: execEngine(t)})
+	rdb, err := engine.OpenDurable(engine.Config{Dir: dir, ExecWorkers: execWorkers(t)})
 	if err != nil {
 		t.Fatalf("seed %d: recovery failed: %v", seed, err)
 	}
@@ -322,14 +292,13 @@ func runCrashSeed(t *testing.T, seed uint64) {
 }
 
 // TestChaosCrashBuildReconciliation crashes deterministically in the
-// middle of a background index build and checks both recovery policies:
-// abandon (default) discards the dangling build and records a
-// "recovery-abandon" decision the tuner adopts; resume rebuilds and
-// publishes the index durably. Tuner evidence saved before the crash
-// loads cleanly after it, and build counters reconcile.
+// middle of a background index build and checks that recovery discards
+// the dangling build and records a "recovery-abandon" decision the
+// tuner adopts. Tuner evidence saved before the crash loads cleanly
+// after it, and build counters reconcile.
 func TestChaosCrashBuildReconciliation(t *testing.T) {
-	src := t.TempDir()
-	db, err := engine.OpenDurable(engine.Config{Dir: src, Sync: wal.SyncNone})
+	dir := t.TempDir()
+	db, err := engine.OpenDurable(engine.Config{Dir: dir, Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,18 +334,13 @@ func TestChaosCrashBuildReconciliation(t *testing.T) {
 	db.MustExec("DELETE FROM r WHERE id = 3")
 	db.Crash()
 
-	// ---- Policy 1: abandon (the default). ----
-	abandonDir := copyDir(t, src)
-	rdb, err := engine.OpenDurable(engine.Config{Dir: abandonDir})
+	rdb, err := engine.OpenDurable(engine.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	info := rdb.Recovery()
 	if len(info.Abandoned) != 1 || info.Abandoned[0] != ix.ID() {
 		t.Fatalf("abandoned = %v, want [%s]", info.Abandoned, ix.ID())
-	}
-	if len(info.Resumed) != 0 {
-		t.Fatalf("resumed = %v under abandon policy", info.Resumed)
 	}
 	if rdb.Mgr.Index(ix.ID()) != nil || rdb.Cat.IndexByID(ix.ID()) != nil {
 		t.Fatal("abandoned build left a materialized or cataloged index")
@@ -419,51 +383,4 @@ func TestChaosCrashBuildReconciliation(t *testing.T) {
 	}
 	rtn.Close()
 	_ = rdb.Close()
-
-	// ---- Policy 2: resume. ----
-	resumeDir := copyDir(t, src)
-	rdb2, err := engine.OpenDurable(engine.Config{Dir: resumeDir, ResumeBuilds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2 := rdb2.Recovery()
-	if len(info2.Resumed) != 1 || info2.Resumed[0] != ix.ID() {
-		t.Fatalf("resumed = %v, want [%s]", info2.Resumed, ix.ID())
-	}
-	pi := rdb2.Mgr.Index(ix.ID())
-	if pi == nil || pi.State() != storage.StateActive {
-		t.Fatal("resumed build did not publish an active index")
-	}
-	if err := rdb2.Mgr.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	found = false
-	for _, d := range info2.Decisions {
-		if d.Kind == "recovery-resume" && d.Index == ix.ID() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no recovery-resume decision recorded")
-	}
-	// The resumed publish is itself durable: a clean close and reopen
-	// keeps the index with no dangling build left in the log.
-	if err := rdb2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rdb3, err := engine.OpenDurable(engine.Config{Dir: resumeDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdb3.Close()
-	if len(rdb3.Recovery().Abandoned)+len(rdb3.Recovery().Resumed) != 0 {
-		t.Fatal("resumed build still dangling after a clean restart")
-	}
-	pi = rdb3.Mgr.Index(ix.ID())
-	if pi == nil || pi.State() != storage.StateActive {
-		t.Fatal("resumed index lost across a clean restart")
-	}
-	if err := rdb3.Mgr.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
 }

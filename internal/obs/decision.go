@@ -18,7 +18,7 @@ type Decision struct {
 	AtQuery int64 `json:"at_query"`
 	// Kind is the change kind: create, drop, suspend, restart, abort,
 	// build-start or build-failed (or, adopted from crash recovery,
-	// recovery-resume and recovery-abandon).
+	// recovery-abandon).
 	Kind string `json:"kind"`
 	// Index is the catalog index ID the decision concerns.
 	Index string `json:"index"`

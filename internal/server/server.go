@@ -43,9 +43,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// MaxFrame bounds one request frame. Default DefaultMaxFrame.
 	MaxFrame int
-	// DrainTimeout bounds how long Shutdown waits for in-flight
-	// statements. Default 10s.
-	DrainTimeout time.Duration
 }
 
 func (c Config) withDefaults(db *engine.DB) Config {
@@ -66,9 +63,6 @@ func (c Config) withDefaults(db *engine.DB) Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -301,9 +295,10 @@ func (s *Server) draining() bool { return s.state.Load() != stateRunning }
 // shutting_down error, statements already executing keep running,
 // statements waiting in the admission queue are failed fast; (2) wait
 // for in-flight statements to complete and their responses to be
-// written, bounded by DrainTimeout (then by ctx); (3) checkpoint the
-// WAL so a durable database restarts from a snapshot instead of a long
-// replay; (4) close the listener and every remaining connection.
+// written, bounded by ctx; (3) checkpoint the WAL so a durable database
+// restarts from a snapshot instead of a long replay; (4) close the
+// listener and every remaining connection. If ctx ends first, Shutdown
+// skips the checkpoint, closes everything and returns ctx.Err().
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	if !s.state.CompareAndSwap(stateRunning, stateDraining) {
@@ -318,13 +313,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.inflight.Wait()
 		close(done)
 	}()
-	timer := time.NewTimer(s.cfg.DrainTimeout)
-	defer timer.Stop()
 	var drainErr error
 	select {
 	case <-done:
-	case <-timer.C:
-		drainErr = errors.New("server: drain timeout; in-flight statements abandoned")
 	case <-ctx.Done():
 		drainErr = ctx.Err()
 	}

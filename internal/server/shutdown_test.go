@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -159,6 +160,52 @@ func TestServeShutdownIdempotent(t *testing.T) {
 		t.Fatal("second shutdown should report already shut down")
 	}
 	srv.Abort() // must not panic after shutdown
+}
+
+// TestServeShutdownDeadline: Shutdown's context is the only bound on
+// the drain. When it expires with a statement still in flight, Shutdown
+// returns the context's error, skips the checkpoint (the statement may
+// not have finished) and still closes every session.
+func TestServeShutdownDeadline(t *testing.T) {
+	dir := t.TempDir()
+	db, err := engine.OpenDurable(engine.Config{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE ledger (id INT, PRIMARY KEY (id))")
+	srv, addr := startServer(t, db, Config{})
+	c := dial(t, addr)
+	if _, err := c.Exec("INSERT INTO ledger VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The test joins the in-flight group and never leaves it before
+	// the deadline, so the drain cannot complete.
+	if !srv.beginStmt() {
+		t.Fatal("beginStmt refused while running")
+	}
+	defer srv.endStmt()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown past its deadline: got %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	if err := c.Ping(); err == nil || IsShuttingDown(err) {
+		t.Fatalf("ping after shutdown: got %v, want a closed connection", err)
+	}
+	for i := 0; db.Observability().Reg.Snapshot()["server.sessions_open"].(int64) != 0; i++ {
+		if i > 5000 {
+			t.Fatal("session still open after shutdown")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := wal.LoadNewestSnapshot(dir); err != nil || snap != nil {
+		t.Fatalf("shutdown past its deadline wrote a checkpoint (snapshot %v, err %v)", snap != nil, err)
+	}
 }
 
 // TestServeAbruptKillRecovery is the satellite to the graceful path: no

@@ -102,8 +102,8 @@ func (m *Manager) StartBuild(ix *catalog.Index) (*Build, error) {
 
 	// The BuildStart record makes an in-flight build visible to
 	// recovery: a crash between here and the publish (IndexCreate) or
-	// abort record leaves a dangling BuildStart, which recovery resumes
-	// or cleanly abandons.
+	// abort record leaves a dangling BuildStart, which recovery cleanly
+	// abandons.
 	if err := m.logLifecycleLocked(&wal.Record{Kind: wal.KindBuildStart, Index: indexDefFor(ix)}); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ const (
 	// KindBuildStart records the beginning of a background build (delta
 	// logging engaged). A BuildStart with no later IndexCreate or
 	// BuildAbort is an in-flight build lost to the crash; recovery
-	// resumes or abandons it.
+	// abandons it.
 	KindBuildStart
 	// KindBuildAbort records a clean build abort.
 	KindBuildAbort
