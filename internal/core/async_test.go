@@ -1,7 +1,9 @@
 package core
 
-// Deterministic unit tests for asynchronous background index creation,
-// driven entirely through the tuner's decision log: every assertion keys
+// Deterministic unit tests for the tuner's one index-creation protocol
+// (a background build published once its accounted gate opens: B_I^s
+// with Options.Async, zero by default), driven entirely through the
+// tuner's decision log: every assertion keys
 // off a logged decision, never off sleeps or wall-clock timing. The
 // workload is replayed single-threaded, so decision order is exact; the
 // background build goroutine is synchronized by the publish gate (the
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"onlinetuner/internal/engine"
+	"onlinetuner/internal/fault"
 	"onlinetuner/internal/obs"
 	"onlinetuner/internal/storage"
 )
@@ -180,4 +183,98 @@ func TestAsyncSuspendThenRestart(t *testing.T) {
 	if at < 0 || at > restartAt || restartStart.Index != created.Index {
 		t.Errorf("no build-start announcement for the restart; decisions = %v", tn.Decisions())
 	}
+}
+
+// TestZeroGateBuildProtocol runs the paper's default options, whose
+// build gate is zero: every creation still goes through the background
+// build protocol, announced by a build-start at the statement that
+// published it, and no index is left building when a statement returns.
+// Under a certain BuildStep fault each attempt reads build-start then
+// build-failed, and the build counters reconcile.
+func TestZeroGateBuildProtocol(t *testing.T) {
+	run := func(t *testing.T, db *engine.DB, tn *Tuner, q string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, _, err := db.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			for _, table := range []string{"R", "S"} {
+				for _, pi := range db.Mgr.TableIndexes(table) {
+					if pi.State() == storage.StateBuilding {
+						t.Fatalf("statement %d returned with %v building; decisions = %v",
+							tn.Metrics().Queries, pi.Def, tn.Decisions())
+					}
+				}
+			}
+		}
+	}
+	// follows reports whether decision i is directly preceded by a
+	// build-start for the same index at the same statement.
+	follows := func(ds []obs.Decision, i int) bool {
+		return i > 0 && ds[i-1].Kind == "build-start" &&
+			ds[i-1].Index == ds[i].Index && ds[i-1].AtQuery == ds[i].AtQuery
+	}
+	reconciles := func(t *testing.T, m Metrics) {
+		t.Helper()
+		if m.BuildsStarted != m.BuildsCompleted+m.BuildsAborted+m.BuildsFailed {
+			t.Errorf("build counters do not reconcile: %+v", m)
+		}
+	}
+
+	t.Run("published", func(t *testing.T) {
+		db := paperDB(t, 2000)
+		tn := Attach(db, DefaultOptions())
+		defer tn.Close()
+		run(t, db, tn, q1, 100)
+		run(t, db, tn, q2, 100)
+
+		ds := tn.Decisions()
+		creates := 0
+		for i, d := range ds {
+			if d.Kind != EvCreate.String() {
+				continue
+			}
+			creates++
+			if !follows(ds, i) || d.Reason != "published" {
+				t.Errorf("create %+v is not published right after its build-start; decisions = %v", d, ds)
+			}
+		}
+		if creates == 0 {
+			t.Fatalf("no index created; decisions = %v", ds)
+		}
+		reconciles(t, tn.Metrics())
+	})
+
+	t.Run("faulted", func(t *testing.T) {
+		db := paperDB(t, 2000)
+		tn := Attach(db, DefaultOptions())
+		defer tn.Close()
+		inj := fault.New(1).Plan(fault.BuildStep, fault.Rule{Prob: 1})
+		db.SetFaults(inj)
+		inj.Arm()
+		run(t, db, tn, q1, 200)
+
+		ds := tn.Decisions()
+		failed := 0
+		for i, d := range ds {
+			switch d.Kind {
+			case "build-failed":
+				failed++
+				if !follows(ds, i) {
+					t.Errorf("build-failed %+v does not follow its build-start; decisions = %v", d, ds)
+				}
+			case "build-start":
+				if i+1 == len(ds) || ds[i+1].Kind != "build-failed" {
+					t.Errorf("build-start %+v is not followed by build-failed; decisions = %v", d, ds)
+				}
+			case EvCreate.String():
+				t.Errorf("a build published under a certain fault: %+v", d)
+			}
+		}
+		m := tn.Metrics()
+		if failed == 0 || m.BuildsFailed != int64(failed) {
+			t.Errorf("BuildsFailed = %d, build-failed decisions = %d", m.BuildsFailed, failed)
+		}
+		reconciles(t, m)
+	})
 }

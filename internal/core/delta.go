@@ -78,7 +78,8 @@ type IndexStats struct {
 	// (Figure 6 line 13) rather than accumulated directly.
 	Derived bool
 
-	// Creating marks an asynchronous build in progress (Section 3.3).
+	// Creating marks a build in progress (Section 3.3); only a B_I^s
+	// gate (Options.Async) leaves it set between statements.
 	Creating bool
 	// FailStreak counts consecutive failed builds of this candidate
 	// (storage errors, injected faults). Each failure doubles the build

@@ -65,8 +65,8 @@ func TestBuildFailureBookkeeping(t *testing.T) {
 	}
 }
 
-// TestSyncBuildFaultDegradesGracefully forces every synchronous index
-// build to fail and verifies the degradation contract: statements keep
+// TestSyncBuildFaultDegradesGracefully forces every index build under
+// the default zero gate to fail and verifies the degradation contract: statements keep
 // serving, the catalog stays clean, failures are counted and backed
 // off, and once the fault clears the candidate is eventually created.
 func TestSyncBuildFaultDegradesGracefully(t *testing.T) {

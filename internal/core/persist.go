@@ -40,8 +40,8 @@ type savedIndexState struct {
 const stateVersion = 1
 
 // SaveState serializes the tuner's evidence (candidate set H plus
-// configuration bookkeeping) as JSON. In-flight asynchronous builds are
-// not saved: a restart aborts them, like a server restart would.
+// configuration bookkeeping) as JSON. In-flight builds are not saved: a
+// restart aborts them, like a server restart would.
 func (t *Tuner) SaveState(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

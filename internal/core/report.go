@@ -58,7 +58,7 @@ type CandidateEntry struct {
 	Benefit float64
 	// Derived marks lazily generated merged candidates.
 	Derived bool
-	// Creating marks an asynchronous build in progress.
+	// Creating marks a build in progress behind a B_I^s gate.
 	Creating bool
 }
 

@@ -28,21 +28,22 @@ type Options struct {
 	// round. Zero disables merging; one merges every round; the default
 	// (4) follows the paper's own throttling advice for line 18.
 	MergeEvery int
-	// Async enables online (asynchronous) index creation, Section 3.3:
-	// the B+-tree is built by a background goroutine from a snapshot plus
-	// a side delta log (storage.StartBuild/FinishBuild) while statements
-	// keep executing, and is published atomically into the catalog. The
-	// index becomes usable once as much query-cost as B_I^s has passed —
-	// the paper's cost accounting, kept so replayed schedules are
-	// deterministic — and the build is cancelled (context + storage
-	// abort) when updates erode the candidate's benefit by more than
-	// B_I^s while building.
+	// Async sets the publish gate of online index creation, Section 3.3.
+	// Every automatic creation takes the same protocol: the B+-tree is
+	// built by a background goroutine from a snapshot plus a side delta
+	// log (storage.StartBuild/FinishBuild) and published atomically into
+	// the catalog. With Async the index becomes usable once as much
+	// query-cost as B_I^s has passed — the paper's cost accounting, kept
+	// so replayed schedules are deterministic — and the build is
+	// cancelled (context + storage abort) when updates erode the
+	// candidate's benefit by more than B_I^s while building. Without it
+	// the gate is zero: the build is joined and published before the
+	// statement that decided it returns, which is the paper's evaluation
+	// ("before evaluating new queries", Section 4).
 	Async bool
 	// UseSuspend replaces drops with suspends; suspended indexes restart
 	// (cheaper than a rebuild) when they become beneficial again.
 	UseSuspend bool
-	// MaxCandidates caps |H|; the lowest-benefit candidates are evicted.
-	MaxCandidates int
 	// CooldownQueries pauses the analysis phase for this many statements
 	// after every physical change, so Δ values re-measure against the
 	// new configuration before the next decision (prevents cascades of
@@ -53,14 +54,16 @@ type Options struct {
 	DisableDamping bool
 }
 
-// DefaultOptions mirror the paper's evaluated configuration: synchronous
-// changes applied before the next query, merging on (throttled per the
-// paper's own advice).
+// maxCandidates caps |H|; the lowest-benefit candidates are evicted.
+const maxCandidates = 128
+
+// DefaultOptions mirror the paper's evaluated configuration: each
+// change is published before the next query (a zero build gate), and
+// merging is on (throttled per the paper's own advice).
 func DefaultOptions() Options {
 	return Options{
 		ThrottleEvery:   1,
 		MergeEvery:      4, // the paper's own throttle: merge "a fraction of the executions"
-		MaxCandidates:   128,
 		CooldownQueries: 15,
 	}
 }
@@ -139,18 +142,19 @@ type Metrics struct {
 	Line18         time.Duration // index merging (subset of Lines918)
 	TransitionCost float64       // Σ B_I of all physical changes
 
-	BuildsStarted   int64 // asynchronous builds started
-	BuildsCompleted int64 // asynchronous builds published
-	BuildsAborted   int64 // asynchronous builds cancelled (erosion)
+	BuildsStarted   int64 // automatic builds started (restarts included)
+	BuildsCompleted int64 // builds published
+	BuildsAborted   int64 // builds cancelled (erosion, or Close)
 	BuildsFailed    int64 // builds that errored (storage fault)
 }
 
-// pendingBuild tracks one asynchronous index creation. The index becomes
-// usable once `remaining` query-cost has been accounted (the paper's
-// B_I^s gate, kept for deterministic schedules); the physical B+-tree is
-// meanwhile constructed by a background goroutine whose result arrives
-// on done. Suspended-index restarts carry no physical build (build is
-// nil): the suspended structure is replayed in place at finish.
+// pendingBuild tracks one automatic index creation. The index becomes
+// usable once `remaining` query-cost has been accounted (B_I^s with
+// Options.Async, kept for deterministic schedules; zero otherwise); the
+// physical B+-tree is meanwhile constructed by a background goroutine
+// whose result arrives on done. Suspended-index restarts carry no
+// physical build (build is nil): the suspended structure is replayed in
+// place at finish.
 type pendingBuild struct {
 	st        *IndexStats
 	buildCost float64
@@ -173,6 +177,8 @@ type Tuner struct {
 	db   *engine.DB
 	env  *whatif.Env
 	opts Options
+	// maxCandidates caps |H|: the package constant, which tests lower.
+	maxCandidates int
 
 	mu     sync.Mutex
 	closed bool
@@ -233,14 +239,12 @@ func NewTuner(db *engine.DB, opts Options) *Tuner {
 	if opts.ThrottleEvery < 1 {
 		opts.ThrottleEvery = 1
 	}
-	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = 128
-	}
 	reg := db.Observability().Reg
 	return &Tuner{
 		db:               db,
 		env:              db.WhatIfEnv(),
 		opts:             opts,
+		maxCandidates:    maxCandidates,
 		tracked:          make(map[string]*IndexStats),
 		inConfig:         make(map[string]bool),
 		buildCostCache:   make(map[string]buildCostEntry),
@@ -416,9 +420,7 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	}
 	t.mLines28NS.Add(time.Since(l2).Nanoseconds())
 
-	if t.opts.Async {
-		t.progressBuild(info.EstCost)
-	}
+	t.progressBuild(info.EstCost)
 	t.maybeBuildStats()
 	t.evictCandidates()
 
@@ -636,7 +638,7 @@ func (t *Tuner) removeIndex(st *IndexStats, reason string, suspend bool) error {
 // it.
 func (t *Tuner) analyzeAndCreate() {
 	if t.pending != nil {
-		return // one asynchronous build at a time
+		return // one pending build at a time
 	}
 	t.analyses++
 	mergeRound := t.opts.MergeEvery > 0 && t.analyses%int64(t.opts.MergeEvery) == 0
@@ -834,21 +836,15 @@ func (t *Tuner) candidateList() []*IndexStats {
 	return out
 }
 
-// createIndex applies a creation decision: synchronously (the
-// evaluation's mode) or by starting an asynchronous background build.
+// createIndex applies a creation decision (lines 19–21) by the online
+// build protocol of Section 3.3. The accounted gate is B_I^s with
+// Options.Async and zero otherwise; a zero gate is joined and published
+// here, so the next statement already sees the index.
 func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
-	if !t.opts.Async {
-		// A synchronous creation is a build that starts and completes
-		// within the statement, so it moves both counters at once.
-		t.mBuildsStarted.Inc()
-		if err := t.finishCreate(st, buildCost, nil, "benefit"); err != nil {
-			t.noteBuildFailure(st, buildCost, err)
-			return
-		}
-		t.mBuildsCompleted.Inc()
-		return
+	pb := &pendingBuild{st: st, buildCost: buildCost}
+	if t.opts.Async {
+		pb.remaining = buildCost
 	}
-	pb := &pendingBuild{st: st, buildCost: buildCost, remaining: buildCost}
 	id := st.Ix.ID()
 	if pi := t.env.Mgr.Index(id); pi == nil || pi.State() != storage.StateSuspended {
 		// Fresh build: snapshot the table and hand the B+-tree
@@ -881,16 +877,17 @@ func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
 	t.pending = pb
 	t.mBuildsStarted.Inc()
 	t.decide("build-start", st.Ix, st.Delta(), st.DeltaMin, buildCost, "benefit")
+	t.progressBuild(0)
 }
 
 // finishCreate materializes the index and applies the Section 3.2.1
-// create adjustments. For asynchronous creations b carries the finished
-// background build to publish; synchronous creations, suspended restarts
-// and manual creations pass nil. reason names the decision-log rule
-// ("benefit" for synchronous creations, "published" for asynchronous
-// ones, "manual" for a DBA's). A storage error (budget race, fault)
-// leaves the configuration untouched; the automatic callers then reset
-// the candidate's evidence with noteBuildFailure.
+// create adjustments. For automatic creations b carries the finished
+// background build to publish, or is nil for a suspended restart; a
+// DBA's ManualCreate passes nil and builds synchronously. reason names
+// the decision-log rule ("published" for automatic creations, "manual"
+// for a DBA's). A storage error (budget race, fault) leaves the
+// configuration untouched; the automatic caller then resets the
+// candidate's evidence with noteBuildFailure.
 func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build, reason string) error {
 	id := st.Ix.ID()
 	kind := EvCreate
@@ -935,12 +932,13 @@ func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build
 	return nil
 }
 
-// progressBuild advances the asynchronous build's accounting by the cost
-// of the just-executed query; the index is published when the accounted
-// work reaches B_I^s (Section 3.3). The gate is cost-based — not
-// wall-clock — so replayed schedules are deterministic; by the time it
-// opens, the background goroutine has normally long finished, and
-// waiting on it here costs nothing.
+// progressBuild advances the pending build's accounting by the cost of
+// the just-executed query; the index is published when the accounted
+// work reaches its gate (Section 3.3). The gate is cost-based — not
+// wall-clock — so replayed schedules are deterministic; by the time a
+// B_I^s gate opens, the background goroutine has normally long
+// finished, and waiting on it here costs nothing. A zero gate opens at
+// once (createIndex calls this with 0) and waits for the build.
 func (t *Tuner) progressBuild(queryCost float64) {
 	if t.pending == nil {
 		return
@@ -970,10 +968,11 @@ func (t *Tuner) progressBuild(queryCost float64) {
 	t.mBuildsCompleted.Inc()
 }
 
-// cancelBuild cancels the in-flight asynchronous creation, if any: the
-// background goroutine is cancelled and joined, and the half-built
-// structure discarded. It returns the cancelled build, or nil.
-func (t *Tuner) cancelBuild() *pendingBuild {
+// cancelBuild cancels the in-flight creation, if any: the background
+// goroutine is cancelled and joined, the half-built structure discarded,
+// and the build counted as aborted with a decision record naming reason.
+// It returns the cancelled build, or nil.
+func (t *Tuner) cancelBuild(reason string) *pendingBuild {
 	pb := t.pending
 	if pb == nil {
 		return nil
@@ -984,33 +983,34 @@ func (t *Tuner) cancelBuild() *pendingBuild {
 		<-pb.done
 		t.env.Mgr.AbortBuild(pb.build)
 	}
-	pb.st.Creating = false
+	st := pb.st
+	st.Creating = false
+	t.mBuildsAborted.Inc()
+	t.decide(EvAbort.String(), st.Ix, st.Delta(), st.DeltaMin, pb.buildCost, reason)
 	return pb
 }
 
-// abortBuild cancels the in-flight asynchronous creation and charges the
-// work already accounted as wasted transition cost.
+// abortBuild cancels the in-flight creation whose benefit eroded and
+// charges the work already accounted as wasted transition cost.
 func (t *Tuner) abortBuild() {
-	pb := t.cancelBuild()
+	pb := t.cancelBuild("erosion")
 	if pb == nil {
 		return
 	}
-	st := pb.st
 	wasted := pb.buildCost - pb.remaining
 	t.mTransitionCost.Add(wasted)
-	t.mBuildsAborted.Inc()
-	t.decide(EvAbort.String(), st.Ix, st.Delta(), st.DeltaMin, pb.buildCost, "erosion")
-	t.events = append(t.events, Event{Kind: EvAbort, Index: st.Ix, Cost: wasted, AtQuery: t.queries})
+	t.events = append(t.events, Event{Kind: EvAbort, Index: pb.st.Ix, Cost: wasted, AtQuery: t.queries})
 }
 
 // Close shuts the tuner down cleanly: an in-flight background build is
-// cancelled and discarded without charging the schedule. Statements may
-// still execute afterwards; their observations are ignored.
+// cancelled and counted as aborted (reason "closed"), without charging
+// the schedule or appending an event. Statements may still execute
+// afterwards; their observations are ignored.
 func (t *Tuner) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
-	t.cancelBuild()
+	t.cancelBuild("closed")
 }
 
 // statsTriggerFraction is the share of a candidate's build cost B_I^s
@@ -1085,14 +1085,14 @@ func (t *Tuner) evictCandidates() {
 			n++
 		}
 	}
-	if n <= t.opts.MaxCandidates {
+	if n <= t.maxCandidates {
 		return
 	}
 	cands := t.candidatesLocked()
 	sort.Slice(cands, func(i, j int) bool {
 		return cands[i].Delta()-cands[i].DeltaMin < cands[j].Delta()-cands[j].DeltaMin
 	})
-	for i := 0; i < n-t.opts.MaxCandidates && i < len(cands); i++ {
+	for i := 0; i < n-t.maxCandidates && i < len(cands); i++ {
 		if cands[i].Creating {
 			continue
 		}

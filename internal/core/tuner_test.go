@@ -442,9 +442,9 @@ func TestTunerStatisticsTrigger(t *testing.T) {
 func TestTunerCandidateEviction(t *testing.T) {
 	db := paperDB(t, 500)
 	opts := DefaultOptions()
-	opts.MaxCandidates = 3
 	opts.MergeEvery = 0
 	tn := Attach(db, opts)
+	tn.maxCandidates = 3
 	// Many distinct query shapes generate many candidates.
 	for i := 0; i < 20; i++ {
 		db.MustExec(fmt.Sprintf("SELECT b FROM R WHERE a = %d", i))

@@ -54,7 +54,6 @@ func TestConcurrentStatementsWithTuner(t *testing.T) {
 	tn := core.Attach(db, core.Options{
 		ThrottleEvery:   1,
 		Async:           true,
-		MaxCandidates:   32,
 		CooldownQueries: 5,
 	})
 	defer tn.Close()
@@ -348,9 +347,11 @@ func TestConcurrentAnalyze(t *testing.T) {
 
 // TestTunerCloseMidBuild shuts the tuner down while statements are still
 // flowing and a background build is in flight: Close must cancel and join
-// the build, leave no half-built structure behind, and be safe to call
-// twice. The other sessions run cheap primary-key lookups, so the build's
-// cost gate stays open for several of the driving session's scans.
+// the build, count it as aborted with a "closed" decision (so the build
+// counters reconcile), charge the schedule nothing, leave no half-built
+// structure behind, and be safe to call twice. The other sessions run
+// cheap primary-key lookups, so the build's cost gate stays open for
+// several of the driving session's scans.
 func TestTunerCloseMidBuild(t *testing.T) {
 	db := newStressDB(t, 50, 300)
 	tn := core.Attach(db, core.Options{ThrottleEvery: 1, Async: true, CooldownQueries: 1})
@@ -374,20 +375,41 @@ func TestTunerCloseMidBuild(t *testing.T) {
 	}
 	// Accumulate evidence until a build is in flight, then close the tuner
 	// underneath the running statements.
-	inFlight := func() bool {
-		m := tn.Metrics()
+	inFlight := func(m core.Metrics) bool {
 		return m.BuildsStarted > m.BuildsCompleted+m.BuildsAborted+m.BuildsFailed
 	}
-	for i := 0; i < 300 && !inFlight(); i++ {
+	before := tn.Metrics()
+	for i := 0; i < 300 && !inFlight(before); i++ {
 		db.MustExec(fmt.Sprintf("SELECT v FROM evt WHERE k = %d", i%50))
+		before = tn.Metrics()
 	}
-	if !inFlight() {
-		t.Fatalf("no build in flight to close: %+v", tn.Metrics())
+	if !inFlight(before) {
+		t.Fatalf("no build in flight to close: %+v", before)
 	}
+	events := len(tn.Events())
 	tn.Close()
 	tn.Close() // idempotent
 	close(stop)
 	wg.Wait()
+
+	after := tn.Metrics()
+	if inFlight(after) {
+		t.Errorf("Close left the build counters unreconciled: %+v", after)
+	}
+	// The other sessions' lookups may open the gate between the snapshot
+	// and Close; otherwise the closed build is an abort that costs nothing.
+	if after.BuildsCompleted == before.BuildsCompleted {
+		ds := tn.Decisions()
+		if last := ds[len(ds)-1]; after.BuildsAborted != before.BuildsAborted+1 ||
+			last.Kind != core.EvAbort.String() || last.Reason != "closed" {
+			t.Errorf("Close did not count the build as aborted: aborted %d → %d, last decision %+v",
+				before.BuildsAborted, after.BuildsAborted, last)
+		}
+		if after.TransitionCost != before.TransitionCost || len(tn.Events()) != events {
+			t.Errorf("Close charged the schedule: transition %v → %v, events %d → %d",
+				before.TransitionCost, after.TransitionCost, events, len(tn.Events()))
+		}
+	}
 
 	for _, pi := range db.Mgr.TableIndexes("evt") {
 		if pi.State() != storage.StateActive {

@@ -2,12 +2,14 @@ package executor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
+	"onlinetuner/internal/fault"
 	"onlinetuner/internal/obs"
 	"onlinetuner/internal/plan"
 	"onlinetuner/internal/sql"
@@ -143,7 +145,8 @@ func fusedProject(scan *plan.SeqScan) *plan.Project {
 // and four workers each result must be identical to the reference
 // executor's (which materializes the scan), and so must the EXPLAIN
 // ANALYZE actuals of both operators: rows, and the scan's scanned rows
-// and pages.
+// and pages. Under seeded page-read faults both must fail with the same
+// fault or return the same rows.
 func TestFusedScanMatchesRowEngine(t *testing.T) {
 	cat, mgr, base := fusedTable(t)
 	var plans []plan.Node
@@ -190,6 +193,53 @@ func TestFusedScanMatchesRowEngine(t *testing.T) {
 				t.Fatalf("%s: the reference scan ran %s", name, refCol.Stats(scan).Engine())
 			}
 		}
+	}
+
+	// Under keyed page-read faults the two executors must fail alike or
+	// return identical rows. Each run draws from a fresh injector with the
+	// same seed, so the scan's fault ordinal, and with it every morsel's
+	// key, is the same on both sides; a fault keyed to a later morsel
+	// fails the vectorized pipeline after it has crossed a chunk boundary.
+	var crossed, passed int
+	for _, workers := range []int{1, 4} {
+		ref, ex := NewReference(cat, mgr), New(cat, mgr)
+		ref.SetWorkers(workers)
+		ex.SetWorkers(workers)
+		for pi, p := range plans {
+			// Seed 2 passes; seeds 1 and 3 fault on chunks 3 and 1.
+			for seed := uint64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("plan %d (%s) workers=%d fault seed %d", pi, p.Children()[0].Label(), workers, seed)
+				runFaulted := func(e *Executor) (*ResultSet, error) {
+					inj := fault.New(seed).Plan(fault.PageRead, fault.Rule{Prob: 0.1})
+					inj.Arm()
+					mgr.SetFaults(inj)
+					return e.RunContext(context.Background(), p, nil)
+				}
+				want, werr := runFaulted(ref)
+				got, gerr := runFaulted(ex)
+				var wf, gf *fault.Error
+				switch {
+				case werr == nil && gerr == nil:
+					if !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Fatalf("%s: result differs from the reference:\n got %v\nwant %v", name, got.Rows, want.Rows)
+					}
+					passed++
+				case errors.As(werr, &wf) && errors.As(gerr, &gf):
+					if *gf != *wf {
+						t.Fatalf("%s: fault %v, reference fault %v", name, gf, wf)
+					}
+					if gf.Hit > int64(morselKey(1, 0)) {
+						crossed++
+					}
+				default:
+					t.Fatalf("%s: error %v, reference error %v", name, gerr, werr)
+				}
+			}
+		}
+	}
+	mgr.SetFaults(nil)
+	if crossed == 0 || passed == 0 {
+		t.Fatalf("fault leg: %d runs failed past chunk 0 and %d passed; both must occur", crossed, passed)
 	}
 
 	// The comparison means something only if the parent read the chunks:

@@ -33,7 +33,7 @@ type Decision struct {
 	BuildCost float64 `json:"build_cost"`
 	// Reason names the rule that fired: "benefit" (Δ−Δmin > B_I),
 	// "residual" (line 9 drop), "swap" (evicted to make room),
-	// "erosion" (async-build abort), "manual", "published", or
+	// "erosion" or "closed" (build aborts), "manual", "published", or
 	// "build-failed" (with the storage error appended after a colon).
 	Reason string `json:"reason"`
 }

@@ -80,12 +80,12 @@ func Advisors() []Factory {
 		{
 			Name:        "Bandit",
 			Description: "UCB-style index arms with a k× no-index safety budget and regression back-off",
-			New:         func() Advisor { return NewBandit(DefaultBanditOptions()) },
+			New:         func() Advisor { return NewBandit() },
 		},
 		{
 			Name:        "ManualDBA",
 			Description: "control: one-shot creation of the top candidates after a warmup window",
-			New:         func() Advisor { return NewManualDBA(DefaultManualOptions()) },
+			New:         func() Advisor { return NewManualDBA() },
 		},
 		{
 			Name:        "Offline-Seq",
@@ -139,9 +139,8 @@ type OnlinePT struct {
 }
 
 // NewOnlinePT wraps the paper's tuner with the given options. Races use
-// synchronous builds (DefaultOptions) so the reconciliation invariant
-// holds exactly; Close on a pending async build would discard work
-// without counting it.
+// DefaultOptions, whose zero build gate publishes every creation before
+// the next statement.
 func NewOnlinePT(opts core.Options) *OnlinePT {
 	return &OnlinePT{opts: opts}
 }

@@ -94,7 +94,7 @@ func TestBanditCreatesUnderRepetition(t *testing.T) {
 	base, baseDB := runAdvisor(t, &NoTuner{}, w)
 	baseDB.Close()
 
-	b := NewBandit(DefaultBanditOptions())
+	b := NewBandit()
 	total, db := runAdvisor(t, b, w)
 	defer db.Close()
 	c := b.Counters()
@@ -116,9 +116,8 @@ func TestBanditCreatesUnderRepetition(t *testing.T) {
 // headroom never covers a build, so the bandit defers instead of
 // creating — and still never records a violation.
 func TestBanditSafetyGateDefers(t *testing.T) {
-	opts := DefaultBanditOptions()
-	opts.SafetyFactor = 1.0001
-	b := NewBandit(opts)
+	b := NewBandit()
+	b.safety = 1.0001
 	w := stableWorkload(60)
 	_, db := runAdvisor(t, b, w)
 	defer db.Close()
@@ -137,7 +136,7 @@ func TestBanditSafetyGateDefers(t *testing.T) {
 // TestManualDBAOneShot: nothing before the warmup closes, a one-shot
 // creation right after, and no further changes ever.
 func TestManualDBAOneShot(t *testing.T) {
-	m := NewManualDBA(ManualOptions{Warmup: 20, TopK: 2})
+	m := NewManualDBA()
 	w := stableWorkload(60)
 	db := w.NewDB()
 	defer db.Close()
@@ -149,13 +148,13 @@ func TestManualDBAOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 20 && pre != 0 {
+		if i < manualWarmup && pre != 0 {
 			t.Fatalf("manual DBA acted at statement %d, inside warmup", i)
 		}
-		if i == 20 && pre == 0 {
+		if i == manualWarmup && pre == 0 {
 			t.Fatalf("manual DBA failed to act when the warmup closed")
 		}
-		if i > 20 && pre != 0 {
+		if i > manualWarmup && pre != 0 {
 			t.Fatalf("manual DBA acted twice (statement %d)", i)
 		}
 		_, info, err := db.Exec(stmt)
@@ -167,8 +166,8 @@ func TestManualDBAOneShot(t *testing.T) {
 		}
 	}
 	c := m.Counters()
-	if c.IndexesCreated == 0 || int(c.IndexesCreated) > 2 {
-		t.Fatalf("manual DBA created %d indexes, want 1..2", c.IndexesCreated)
+	if c.IndexesCreated == 0 || int(c.IndexesCreated) > manualTopK {
+		t.Fatalf("manual DBA created %d indexes, want 1..%d", c.IndexesCreated, manualTopK)
 	}
 	if c.BuildsStarted != c.BuildsCompleted+c.BuildsAborted+c.BuildsFailed {
 		t.Fatalf("builds do not reconcile: %+v", c)
@@ -211,15 +210,13 @@ func TestOnlinePTWrapper(t *testing.T) {
 	}
 }
 
-// TestConstructorDefaultsAndAccessors covers the zero-options default
-// filling, the idle-state accessors, and the small pure helpers that
+// TestConstructorDefaultsAndAccessors covers the constructors' starting
+// state, the idle-state accessors, and the small pure helpers that
 // the race driver relies on but a full race never exercises directly.
 func TestConstructorDefaultsAndAccessors(t *testing.T) {
-	def := DefaultBanditOptions()
-	b := NewBandit(BanditOptions{})
-	if b.opts.SafetyFactor != def.SafetyFactor {
-		t.Fatalf("zero-options bandit got SafetyFactor %.2f, want default %.2f",
-			b.opts.SafetyFactor, def.SafetyFactor)
+	b := NewBandit()
+	if b.safety != banditSafetyFactor {
+		t.Fatalf("bandit got safety factor %.2f, want %.2f", b.safety, banditSafetyFactor)
 	}
 	b.arms["b"] = &arm{}
 	b.arms["a"] = &arm{}
@@ -229,10 +226,7 @@ func TestConstructorDefaultsAndAccessors(t *testing.T) {
 	}
 	b.Close()
 
-	m := NewManualDBA(ManualOptions{})
-	if m.opts.Warmup != DefaultManualOptions().Warmup || m.opts.TopK != DefaultManualOptions().TopK {
-		t.Fatalf("zero-options manual DBA got %+v, want defaults %+v", m.opts, DefaultManualOptions())
-	}
+	m := NewManualDBA()
 	m.Close()
 
 	var nt NoTuner
@@ -289,7 +283,7 @@ func TestOnlinePTAccessorsAfterRun(t *testing.T) {
 // net so the next observation drops the index, doubles the back-off,
 // and resets the evidence.
 func TestBanditRegressionDrop(t *testing.T) {
-	b := NewBandit(DefaultBanditOptions())
+	b := NewBandit()
 	w := stableWorkload(80)
 	_, db := runAdvisor(t, b, w)
 	defer db.Close()
@@ -309,7 +303,7 @@ func TestBanditRegressionDrop(t *testing.T) {
 	before := len(db.Configuration())
 	oldBackoff := live.backoff
 	live.sinceCreate = -1e12 // far below -DropFraction×buildCost
-	live.createdAt = -b.opts.Grace - 1
+	live.createdAt = -banditGrace - 1
 
 	dropped := b.counters.IndexesDropped
 	b.applyRegressionDrops(1_000_000, nil, db.Configuration())

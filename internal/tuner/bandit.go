@@ -11,45 +11,34 @@ import (
 	"onlinetuner/internal/workload"
 )
 
-// BanditOptions tune the safety-budgeted bandit advisor.
-type BanditOptions struct {
-	// SafetyFactor is the k of the safety budget: the bandit never
+// The safety-budgeted bandit's racing constants.
+const (
+	// banditSafetyFactor is the k of the safety budget: the bandit never
 	// creates an index unless its realized spend (query cost plus all
 	// transition costs plus the new build) stays within k× the estimated
 	// no-index cost of the stream so far. Must be > 1 — with no indexes
 	// the two sides are equal, so k=1 admits nothing.
-	SafetyFactor float64
-	// MinPlays is the exploration floor: an arm must be observed this
-	// many times before it can be created.
-	MinPlays int
-	// CreateMargin is the required ratio of accumulated net benefit to
-	// build cost before creation (the bandit's exploitation threshold).
-	CreateMargin float64
-	// UCB scales the optimism bonus added to each arm's accumulated net
-	// benefit: UCB × sqrt(ln(t) / plays) × meanSample.
-	UCB float64
-	// Grace is how many statements a created index is held before the
-	// regression check may drop it.
-	Grace int
-	// DropFraction drops a created index once its realized net benefit
-	// since creation falls below −DropFraction × build cost.
-	DropFraction float64
-	// MaxArms bounds the candidate pool (first-come, by discovery order).
-	MaxArms int
-}
-
-// DefaultBanditOptions returns the racing defaults.
-func DefaultBanditOptions() BanditOptions {
-	return BanditOptions{
-		SafetyFactor: 1.5,
-		MinPlays:     6,
-		CreateMargin: 1.0,
-		UCB:          0.5,
-		Grace:        10,
-		DropFraction: 0.25,
-		MaxArms:      32,
-	}
-}
+	banditSafetyFactor = 1.5
+	// banditMinPlays is the exploration floor: an arm must be observed
+	// this many times before it can be created.
+	banditMinPlays = 6
+	// banditCreateMargin is the required ratio of accumulated net benefit
+	// to build cost before creation (the bandit's exploitation
+	// threshold).
+	banditCreateMargin = 1.0
+	// banditUCB scales the optimism bonus added to each arm's accumulated
+	// net benefit: UCB × sqrt(ln(t) / plays) × meanSample.
+	banditUCB = 0.5
+	// banditGrace is how many statements a created index is held before
+	// the regression check may drop it.
+	banditGrace = 10
+	// banditDropFraction drops a created index once its realized net
+	// benefit since creation falls below −DropFraction × build cost.
+	banditDropFraction = 0.25
+	// banditMaxArms bounds the candidate pool (first-come, by discovery
+	// order).
+	banditMaxArms = 32
+)
 
 // arm is one candidate index's bandit state.
 type arm struct {
@@ -79,9 +68,10 @@ type arm struct {
 // Everything is derived from what-if costs and counters — no wall clock,
 // no randomness — so a race cell replays byte-identically.
 type Bandit struct {
-	opts BanditOptions
-	db   *engine.DB
-	env  *whatif.Env
+	// safety is the budget's k: banditSafetyFactor (tests lower it).
+	safety float64
+	db     *engine.DB
+	env    *whatif.Env
 
 	arms  map[string]*arm
 	order []string // arm ids in discovery order (deterministic iteration)
@@ -97,11 +87,8 @@ type Bandit struct {
 }
 
 // NewBandit constructs the bandit advisor.
-func NewBandit(opts BanditOptions) *Bandit {
-	if opts.SafetyFactor <= 1 {
-		opts.SafetyFactor = DefaultBanditOptions().SafetyFactor
-	}
-	return &Bandit{opts: opts, arms: map[string]*arm{}}
+func NewBandit() *Bandit {
+	return &Bandit{safety: banditSafetyFactor, arms: map[string]*arm{}}
 }
 
 func (b *Bandit) Name() string { return "Bandit" }
@@ -163,7 +150,7 @@ func (b *Bandit) observeArms(i int, reqs []*whatif.Request, config []*catalog.In
 		ix = ix.Canonicalize()
 		id := ix.ID()
 		if b.arms[id] == nil {
-			if len(b.order) >= b.opts.MaxArms {
+			if len(b.order) >= banditMaxArms {
 				continue
 			}
 			b.arms[id] = &arm{ix: ix, backoff: 1}
@@ -200,10 +187,10 @@ func (b *Bandit) applyRegressionDrops(i int, reqs []*whatif.Request, config []*c
 			delta += whatif.GetCost(b.env, r, without) - whatif.GetCost(b.env, r, config)
 		}
 		a.sinceCreate += delta
-		if i-a.createdAt < b.opts.Grace {
+		if i-a.createdAt < banditGrace {
 			continue
 		}
-		if a.sinceCreate < -b.opts.DropFraction*a.buildCost {
+		if a.sinceCreate < -banditDropFraction*a.buildCost {
 			// Regression: the index costs more (maintenance) than it saves.
 			// Drop it and back the arm off so re-creation needs twice the
 			// evidence.
@@ -228,14 +215,14 @@ func (b *Bandit) maybeCreate(i int) (float64, error) {
 	bestScore := 0.0
 	for _, id := range b.order {
 		a := b.arms[id]
-		if a.live != nil || a.plays < b.opts.MinPlays {
+		if a.live != nil || a.plays < banditMinPlays {
 			continue
 		}
 		mean := a.absSum / float64(a.plays)
-		bonus := b.opts.UCB * math.Sqrt(math.Log(float64(b.n+1))/float64(a.plays)) * mean
+		bonus := banditUCB * math.Sqrt(math.Log(float64(b.n+1))/float64(a.plays)) * mean
 		score := (a.net + bonus) / a.backoff
 		build := whatif.BuildCost(b.env, a.ix)
-		if score < b.opts.CreateMargin*build {
+		if score < banditCreateMargin*build {
 			continue
 		}
 		if bestID == "" || score > bestScore {
@@ -252,11 +239,11 @@ func (b *Bandit) maybeCreate(i int) (float64, error) {
 	// no-index baseline. The violations counter only moves if a creation
 	// proceeds while over budget — by construction it never does, and the
 	// harness asserts it stays zero.
-	if b.cumActual+b.cumTransition+build > b.opts.SafetyFactor*b.cumBase {
+	if b.cumActual+b.cumTransition+build > b.safety*b.cumBase {
 		b.counters.SafetyDeferrals++
 		return 0, nil
 	}
-	if over := b.cumActual + b.cumTransition + build - b.opts.SafetyFactor*b.cumBase; over > 0 {
+	if over := b.cumActual + b.cumTransition + build - b.safety*b.cumBase; over > 0 {
 		b.counters.SafetyViolations++
 	}
 

@@ -10,19 +10,15 @@ import (
 	"onlinetuner/internal/workload"
 )
 
-// ManualOptions tune the manual-DBA control.
-type ManualOptions struct {
-	// Warmup is how many statements the DBA watches before acting.
-	Warmup int
-	// TopK is how many indexes the DBA creates in the one-shot action.
-	TopK int
-}
-
-// DefaultManualOptions returns the racing defaults: the DBA looks at the
-// first 30 statements and commits to the top 3 candidates.
-func DefaultManualOptions() ManualOptions {
-	return ManualOptions{Warmup: 30, TopK: 3}
-}
+// The manual-DBA control's racing constants: the DBA looks at the first
+// 30 statements and commits to the top 3 candidates.
+const (
+	// manualWarmup is how many statements the DBA watches before acting.
+	manualWarmup = 30
+	// manualTopK is how many indexes the DBA creates in the one-shot
+	// action.
+	manualTopK = 3
+)
 
 // ManualDBA models the human baseline the paper argues against: observe
 // a warmup window, create the indexes that would have helped it most,
@@ -31,9 +27,8 @@ func DefaultManualOptions() ManualOptions {
 // eager creations pay maintenance forever — which is exactly the
 // contrast the race is built to expose.
 type ManualDBA struct {
-	opts ManualOptions
-	db   *engine.DB
-	env  *whatif.Env
+	db  *engine.DB
+	env *whatif.Env
 
 	// benefit accumulates warmup query savings per candidate id.
 	benefit  map[string]float64
@@ -44,14 +39,8 @@ type ManualDBA struct {
 }
 
 // NewManualDBA constructs the manual-DBA control.
-func NewManualDBA(opts ManualOptions) *ManualDBA {
-	if opts.Warmup <= 0 {
-		opts.Warmup = DefaultManualOptions().Warmup
-	}
-	if opts.TopK <= 0 {
-		opts.TopK = DefaultManualOptions().TopK
-	}
-	return &ManualDBA{opts: opts, benefit: map[string]float64{}, cand: map[string]*catalog.Index{}}
+func NewManualDBA() *ManualDBA {
+	return &ManualDBA{benefit: map[string]float64{}, cand: map[string]*catalog.Index{}}
 }
 
 func (m *ManualDBA) Name() string { return "ManualDBA" }
@@ -66,7 +55,7 @@ func (m *ManualDBA) Start(db *engine.DB, _ *workload.Workload) error {
 // window closes; the build costs are charged as that statement's
 // transition.
 func (m *ManualDBA) BeforeStatement(i int) (float64, error) {
-	if m.acted || i < m.opts.Warmup {
+	if m.acted || i < manualWarmup {
 		return 0, nil
 	}
 	m.acted = true
@@ -87,8 +76,8 @@ func (m *ManualDBA) BeforeStatement(i int) (float64, error) {
 		}
 		return ranked[a].id < ranked[b].id
 	})
-	if len(ranked) > m.opts.TopK {
-		ranked = ranked[:m.opts.TopK]
+	if len(ranked) > manualTopK {
+		ranked = ranked[:manualTopK]
 	}
 	transition := 0.0
 	for n, s := range ranked {

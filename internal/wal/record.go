@@ -26,10 +26,11 @@ const (
 	KindPageWrite
 	// KindAlloc records table materialization (schema + primary key).
 	KindAlloc
-	// KindIndexCreate records a secondary index becoming active, whether
-	// built synchronously (BuildIndex) or published by a background
-	// build (FinishBuild); Published distinguishes the two for
-	// telemetry.
+	// KindIndexCreate records a secondary index becoming active. Every
+	// build — CREATE INDEX, the tuner's, recovery replay — is published
+	// by FinishBuild after its BuildStart, and logs Published = true; a
+	// record without it comes from a log written before builds ran that
+	// protocol.
 	KindIndexCreate
 	// KindIndexDrop / KindIndexSuspend / KindIndexRestart record the
 	// corresponding lifecycle transition.
@@ -130,8 +131,8 @@ type Record struct {
 	// Index lifecycle field (IndexCreate/Drop/Suspend/Restart,
 	// BuildStart/Abort).
 	Index *IndexDef
-	// Published marks an IndexCreate logged by a background-build
-	// publish rather than a synchronous build.
+	// Published marks an IndexCreate logged by FinishBuild's publish,
+	// which every build now takes; older logs may lack it.
 	Published bool
 }
 

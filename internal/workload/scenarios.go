@@ -29,22 +29,19 @@ type ScenarioOptions struct {
 	// Statements is the approximate total statement budget (0 = the
 	// scenario's default, roughly 240–320).
 	Statements int
-	// Tenants is the tenant count for the multi-tenant scenario (0 = 6).
-	Tenants int
-	// BudgetFraction sets the index budget as a fraction of loaded data
-	// bytes (0 = 2.0).
-	BudgetFraction float64
 }
+
+const (
+	// scenarioTenants is the tenant count of the multi-tenant scenario.
+	scenarioTenants = 6
+	// scenarioBudgetFraction sets the index budget as a fraction of
+	// loaded data bytes.
+	scenarioBudgetFraction = 2.0
+)
 
 func (o ScenarioOptions) withDefaults() ScenarioOptions {
 	if o.Scale <= 0 {
 		o.Scale = 0.25
-	}
-	if o.Tenants <= 0 {
-		o.Tenants = 6
-	}
-	if o.BudgetFraction <= 0 {
-		o.BudgetFraction = 2.0
 	}
 	return o
 }
@@ -121,7 +118,7 @@ func scenarioDB(o ScenarioOptions) func() *engine.DB {
 				dataBytes += h.Bytes()
 			}
 		}
-		db.Mgr.SetBudget(int64(float64(dataBytes) * o.BudgetFraction))
+		db.Mgr.SetBudget(int64(float64(dataBytes) * scenarioBudgetFraction))
 		return db
 	}
 }
@@ -334,14 +331,14 @@ func buildTenants(o ScenarioOptions) *Workload {
 		total = 300
 	}
 	rows := o.Scale.Rows()
-	arrival := newZipf(newStream(o.Seed, "tenants.arrival", 0), o.Tenants, 1.2)
-	streams := make([]*stream, o.Tenants)
+	arrival := newZipf(newStream(o.Seed, "tenants.arrival", 0), scenarioTenants, 1.2)
+	streams := make([]*stream, scenarioTenants)
 	for t := range streams {
 		streams[t] = newStream(o.Seed, "tenants", t+1)
 	}
 	w := &Workload{
 		Name: fmt.Sprintf("tenants (%d Zipf-skewed tenants, %d statements, scale %.2g, seed %d)",
-			o.Tenants, total, float64(o.Scale), o.Seed),
+			scenarioTenants, total, float64(o.Scale), o.Seed),
 		NewDB: scenarioDB(o),
 	}
 	batch := total / 10
