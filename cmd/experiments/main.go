@@ -139,7 +139,7 @@ func fig7a(opts workload.TPCHOptions) error {
 		return err
 	}
 	fmt.Print(bench.Chart("Figure 7(a): OnlinePT per-batch cost, TPC-H", series))
-	fmt.Printf("physical changes: %d, final configuration: %v\n", len(on.Events), on.FinalConfig)
+	fmt.Printf("physical changes: %d, final configuration: %v\n", on.Changes(), on.FinalConfig)
 	return nil
 }
 
@@ -158,7 +158,7 @@ func fig7c(opts workload.TPCHOptions) error {
 		return err
 	}
 	fmt.Print(bench.Chart("Figure 7(c): OnlinePT per-batch cost, TPC-H with disruptive updates after batch 14", series))
-	fmt.Printf("physical changes: %d\n", len(on.Events))
+	fmt.Printf("physical changes: %d\n", on.Changes())
 	return nil
 }
 

@@ -113,7 +113,7 @@ func main() {
 	fmt.Println("online physical design tuner attached; type SQL or \\help")
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	seenEvents := 0
+	var announced int64 // the tuner's statement count at the last announcement
 	for {
 		fmt.Print("sql> ")
 		if !scanner.Scan() {
@@ -135,11 +135,14 @@ func main() {
 			continue
 		}
 		printResult(rs, info)
-		// Announce tuner activity triggered by this statement.
-		evs := tuner.Events()
-		for ; seenEvents < len(evs); seenEvents++ {
-			fmt.Printf("  [tuner] %s %s\n", evs[seenEvents].Kind, evs[seenEvents].Index)
+		// Announce tuner activity triggered by this statement. The log is
+		// bounded, so its length stops growing; AtQuery does not.
+		for _, ev := range tuner.Events() {
+			if ev.AtQuery > announced {
+				fmt.Printf("  [tuner] %s %s\n", ev.Kind, ev.Index)
+			}
 		}
+		announced = tuner.Metrics().Queries
 	}
 }
 

@@ -64,7 +64,7 @@ func Ablation(workloads []*workload.Workload) ([]AblationRow, error) {
 			rows = append(rows, AblationRow{
 				Variant:  v.name,
 				Total:    r.Total,
-				Changes:  len(r.Events),
+				Changes:  r.Changes(),
 				Workload: w.Name,
 			})
 		}

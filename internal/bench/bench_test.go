@@ -472,6 +472,9 @@ func TestStabilization(t *testing.T) {
 	boundary := int64(len(w.Statements) / 3)
 	earlyChanges, lateChanges := 0, 0
 	for _, ev := range on.Events {
+		if ev.Kind == core.EvBuildStart {
+			continue
+		}
 		if ev.AtQuery <= boundary {
 			earlyChanges++
 		}

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"onlinetuner/internal/core"
 	"onlinetuner/internal/engine"
 	"onlinetuner/internal/fault"
-	"onlinetuner/internal/obs"
 	"onlinetuner/internal/tuner"
 	"onlinetuner/internal/workload"
 )
@@ -45,7 +45,6 @@ func TestCostOnlyReplayMatchesExecuting(t *testing.T) {
 			}{
 				{"PerStatement", cost.PerStatement, exec.PerStatement},
 				{"Events", eventStrings(cost.Events), eventStrings(exec.Events)},
-				{"Decisions", decisionsOf(costA), decisionsOf(execA)},
 				{"Counters", cost.Counters, exec.Counters},
 				{"FinalConfig", cost.FinalConfig, exec.FinalConfig},
 			} {
@@ -83,17 +82,59 @@ func TestFigure9ReplayExecutes(t *testing.T) {
 	}
 }
 
+// eventStrings renders each change-log record field by field, its index
+// by ID.
 func eventStrings(evs []core.Event) []string {
+	// fields drops Event's String method, so %+v prints every field.
+	type fields core.Event
 	out := make([]string, len(evs))
 	for i, ev := range evs {
-		out[i] = fmt.Sprintf("%d:%s", ev.AtQuery, ev)
+		f := fields(ev)
+		f.Index = nil
+		out[i] = fmt.Sprintf("%s %+v", ev.Index.ID(), f)
 	}
 	return out
 }
 
-func decisionsOf(a tuner.Advisor) []obs.Decision {
-	if on, ok := a.(*tuner.OnlinePT); ok {
-		return on.Decisions()
+// TestFailedBuildsChargeNothing: with every index build failing, the
+// schedule pays no transition cost, so the change log's costs must sum
+// to the tuner's TransitionCost and stripping them from the
+// per-statement costs, as Table 1's rendering does, must leave exactly
+// the query cost.
+func TestFailedBuildsChargeNothing(t *testing.T) {
+	t.Parallel()
+	w := workload.W1()
+	load := w.NewDB
+	w.NewDB = func() *engine.DB {
+		db := load()
+		inj := fault.New(1).Plan(fault.BuildStep, fault.Rule{Prob: 1})
+		db.SetFaults(inj)
+		inj.Arm()
+		return db
 	}
-	return nil
+	r, err := Replay(w, tuner.NewOnlinePT(core.DefaultOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, charged := 0, 0.0
+	for _, ev := range r.Events {
+		if ev.Kind == core.EvFail {
+			failed++
+		}
+		charged += ev.Cost
+	}
+	if failed == 0 {
+		t.Fatalf("no build failed; the replay checked nothing: %v", r.Events)
+	}
+	statements := 0.0
+	for _, c := range r.PerStatement {
+		statements += c
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	if !near(charged, r.Metrics.TransitionCost) {
+		t.Errorf("Σ Event.Cost = %.2f, TransitionCost = %.2f", charged, r.Metrics.TransitionCost)
+	}
+	if !near(statements-charged, r.Query) {
+		t.Errorf("Σ PerStatement − Σ Event.Cost = %.2f, query cost = %.2f", statements-charged, r.Query)
+	}
 }

@@ -34,10 +34,12 @@ func scheduleString(r *Result) string {
 		labels[key] = l
 		return l
 	}
-	// Events indexed by the statement (1-based AtQuery) they follow.
+	// Changes indexed by the statement (1-based AtQuery) they follow.
 	evAt := map[int64][]core.Event{}
 	for _, ev := range r.Events {
-		evAt[ev.AtQuery] = append(evAt[ev.AtQuery], ev)
+		if ev.Kind != core.EvBuildStart {
+			evAt[ev.AtQuery] = append(evAt[ev.AtQuery], ev)
+		}
 	}
 	var parts []string
 	var cur *runAgg

@@ -30,7 +30,7 @@ type Result struct {
 	// cost. Their sum equals Total up to summation order.
 	Query      float64
 	Transition float64
-	// Events is the physical change log (OnlinePT runs only).
+	// Events is the tuner's change log (OnlinePT runs only).
 	Events []core.Event
 	// Metrics is the tuner overhead accounting (OnlinePT runs only).
 	Metrics core.Metrics
@@ -100,6 +100,18 @@ func replay(w *workload.Workload, a tuner.Advisor, execute bool) (*Result, error
 		res.QueryProcessing -= res.Metrics.Total // tuner time accounted separately
 	}
 	return res, nil
+}
+
+// Changes counts the physical changes in the run's change log: every
+// record but the build-start announcements.
+func (r *Result) Changes() int {
+	n := 0
+	for _, ev := range r.Events {
+		if ev.Kind != core.EvBuildStart {
+			n++
+		}
+	}
+	return n
 }
 
 // configNames lists the active secondary indexes of a database.

@@ -8,7 +8,7 @@ import (
 )
 
 // Example demonstrates the one-call integration: open a database, attach
-// the tuner, run a workload, and read the physical changes it made.
+// the tuner, run a workload, and read its change log.
 func Example() {
 	db := engine.Open()
 	db.MustExec("CREATE TABLE t (id INT, k INT, v INT, PRIMARY KEY (id))")
@@ -27,6 +27,7 @@ func Example() {
 		fmt.Println(ev.Kind, ev.Index)
 	}
 	// Output:
+	// build-start t(k,v)
 	// create t(k,v)
 }
 
@@ -118,9 +119,12 @@ func Example_bugTracker() {
 		fmt.Printf("q%d %s %s\n", ev.AtQuery, ev.Kind, ev.Index)
 	}
 	// Output:
+	// q16 build-start bugs(product,status,id,severity,votes)
 	// q16 create bugs(product,status,id,severity,votes)
 	// q381 suspend bugs(product,status,id,severity,votes)
+	// q411 build-start bugs(product,status,id,severity,votes)
 	// q411 restart bugs(product,status,id,severity,votes)
 	// q791 suspend bugs(product,status,id,severity,votes)
+	// q821 build-start bugs(product,status,id,severity,votes)
 	// q821 restart bugs(product,status,id,severity,votes)
 }

@@ -28,8 +28,8 @@ func TestFailPenalty(t *testing.T) {
 }
 
 // TestBuildFailureBookkeeping checks noteBuildFailure's contract in
-// isolation: candidate cooled down, metric moved, decision and event
-// emitted.
+// isolation: candidate cooled down, metric moved, one EvFail record
+// that charges nothing.
 func TestBuildFailureBookkeeping(t *testing.T) {
 	db := paperDB(t, 200)
 	tn := NewTuner(db, DefaultOptions())
@@ -55,13 +55,16 @@ func TestBuildFailureBookkeeping(t *testing.T) {
 	if got := tn.Metrics().BuildsFailed; got != 1 {
 		t.Errorf("BuildsFailed = %d, want 1", got)
 	}
-	decs := tn.Decisions()
-	if len(decs) == 0 || decs[len(decs)-1].Kind != "build-failed" {
-		t.Errorf("decision log missing build-failed record: %+v", decs)
-	}
 	evs := tn.Events()
 	if len(evs) == 0 || evs[len(evs)-1].Kind != EvFail {
-		t.Errorf("event schedule missing EvFail: %v", evs)
+		t.Fatalf("change log missing EvFail: %v", evs)
+	}
+	// The failed build weighed B_I^s but charged the schedule nothing.
+	if ev := evs[len(evs)-1]; ev.BuildCost != 42 || ev.Cost != 0 || ev.Reason != "build-failed: disk on fire" {
+		t.Errorf("EvFail record = %+v", ev)
+	}
+	if got := tn.Metrics().TransitionCost; got != 0 {
+		t.Errorf("TransitionCost = %v after a failed build, want 0", got)
 	}
 }
 

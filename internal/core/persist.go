@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"onlinetuner/internal/catalog"
-	"onlinetuner/internal/engine"
 	"onlinetuner/internal/storage"
 )
 
@@ -112,21 +111,4 @@ func (t *Tuner) LoadState(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// AdoptRecovery merges the engine's crash-recovery decisions (kind
-// "recovery-abandon", one per background build the crash interrupted)
-// into the tuner's decision log, so a single log tells the
-// physical-design story across the restart. Call it right after Attach
-// on a database opened with engine.OpenDurable.
-func (t *Tuner) AdoptRecovery(info *engine.RecoveryInfo) {
-	if info == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, d := range info.Decisions {
-		t.mDecisions.Inc()
-		t.decisions.Append(d)
-	}
 }

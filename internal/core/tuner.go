@@ -57,6 +57,11 @@ type Options struct {
 // maxCandidates caps |H|; the lowest-benefit candidates are evicted.
 const maxCandidates = 128
 
+// maxEvents caps the change log: Events keeps the newest records, so a
+// long-lived daemon's log stays bounded. The largest paper replay makes
+// about 150.
+const maxEvents = 4096
+
 // DefaultOptions mirror the paper's evaluated configuration: each
 // change is published before the next query (a zero build gate), and
 // merging is on (throttled per the paper's own advice).
@@ -83,6 +88,10 @@ const (
 	// evidence is reset and its build cost is penalized exponentially,
 	// so a persistently failing build cannot hot-loop.
 	EvFail
+	// EvBuildStart marks a creation or restart the benefit rule decided;
+	// its create, restart, abort or build-failed record follows. It
+	// changes nothing in the configuration.
+	EvBuildStart
 )
 
 func (k EventKind) String() string {
@@ -99,23 +108,41 @@ func (k EventKind) String() string {
 		return "abort"
 	case EvFail:
 		return "build-failed"
+	case EvBuildStart:
+		return "build-start"
 	}
 	return "?"
 }
 
-// Event is one physical design change, for schedule reporting (Table 1's
-// C(I)/D(I) notation).
+// Event is one record of the tuner's change log: a physical design
+// change or attempted change, with the evidence behind it. Together the
+// records reconstruct the tuner's schedule — Table 1's C(I)/D(I)
+// notation — and the Δ/Δmin/B_I values each rule fired on.
 type Event struct {
-	Kind    EventKind
-	Index   *catalog.Index
-	Cost    float64 // transition cost paid (B_I^s; 0 for drops)
-	AtQuery int64   // 1-based query count when the change happened
+	Kind  EventKind
+	Index *catalog.Index
+	// Cost is the transition cost charged to the schedule: B_I^s for a
+	// create or restart, the work already accounted for an erosion
+	// abort, and 0 for every other record.
+	Cost    float64
+	AtQuery int64 // 1-based query count when the change happened
+	// Delta and DeltaMin are the candidate's Δ trackers at decision time
+	// (Section 3.1's Δ = ΣO − ΣN and its running minimum).
+	Delta, DeltaMin float64
+	// BuildCost is B_I^s, the transition cost the rule weighed (for
+	// drops, the residual's build-cost term).
+	BuildCost float64
+	// Reason names the rule that fired: "benefit" (Δ−Δmin > B_I),
+	// "residual" (line 9 drop), "swap" (evicted to make room),
+	// "erosion" or "closed" (build aborts), "manual", "published", or
+	// "build-failed" (with the storage error appended after a colon).
+	Reason string
 }
 
 func (e Event) String() string {
 	switch e.Kind {
 	case EvCreate, EvRestart:
-		return fmt.Sprintf("C(%s)[%.2f]", e.Index, e.Cost)
+		return fmt.Sprintf("C(%s)[%.2f]", e.Index, e.BuildCost)
 	case EvDrop:
 		return fmt.Sprintf("D(%s)", e.Index)
 	case EvSuspend:
@@ -123,7 +150,9 @@ func (e Event) String() string {
 	case EvAbort:
 		return fmt.Sprintf("A(%s)[%.2f]", e.Index, e.Cost)
 	case EvFail:
-		return fmt.Sprintf("F(%s)[%.2f]", e.Index, e.Cost)
+		return fmt.Sprintf("F(%s)[%.2f]", e.Index, e.BuildCost)
+	case EvBuildStart:
+		return fmt.Sprintf("B(%s)[%.2f]", e.Index, e.BuildCost)
 	}
 	return "?"
 }
@@ -177,8 +206,10 @@ type Tuner struct {
 	db   *engine.DB
 	env  *whatif.Env
 	opts Options
-	// maxCandidates caps |H|: the package constant, which tests lower.
+	// maxCandidates caps |H| and maxEvents the change log: the package
+	// constants, which tests lower.
 	maxCandidates int
+	maxEvents     int
 
 	mu     sync.Mutex
 	closed bool
@@ -190,8 +221,15 @@ type Tuner struct {
 
 	queries  int64
 	analyses int64
-	events   []Event
 	pending  *pendingBuild
+
+	// events is the change log, a ring of at most maxEvents records whose
+	// oldest sits at eventsHead once the ring is full. changes counts the
+	// records other than build-start ever appended: the analysis phase
+	// starts a cooldown when it moves.
+	events     []Event
+	eventsHead int
+	changes    int64
 
 	// Overhead metrics live as atomic registry counters so readers
 	// (dashboards, benchmark reporters) never contend with — or race
@@ -210,9 +248,6 @@ type Tuner struct {
 	mBuildsFailed    *obs.Counter
 	mDecisions       *obs.Counter
 
-	// decisions is the structured log of every physical design change
-	// (and attempted change), with the Δ evidence behind it.
-	decisions *obs.DecisionLog
 	// cooldownUntil suppresses the analysis phase until this query count
 	// after a physical change.
 	cooldownUntil int64
@@ -245,6 +280,7 @@ func NewTuner(db *engine.DB, opts Options) *Tuner {
 		env:              db.WhatIfEnv(),
 		opts:             opts,
 		maxCandidates:    maxCandidates,
+		maxEvents:        maxEvents,
 		tracked:          make(map[string]*IndexStats),
 		inConfig:         make(map[string]bool),
 		buildCostCache:   make(map[string]buildCostEntry),
@@ -261,7 +297,6 @@ func NewTuner(db *engine.DB, opts Options) *Tuner {
 		mBuildsAborted:   reg.Counter("tuner.builds_aborted"),
 		mBuildsFailed:    reg.Counter("tuner.builds_failed"),
 		mDecisions:       reg.Counter("tuner.decisions"),
-		decisions:        obs.NewDecisionLog(0),
 	}
 }
 
@@ -272,11 +307,14 @@ func Attach(db *engine.DB, opts Options) *Tuner {
 	return t
 }
 
-// Events returns a copy of the physical design changes made so far.
+// Events returns a copy of the change log, oldest first: one record per
+// physical design change or attempted change, build-starts included. It
+// holds the newest maxEvents records; the tuner.decisions counter counts
+// them all.
 func (t *Tuner) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	return append(append([]Event(nil), t.events[t.eventsHead:]...), t.events[:t.eventsHead]...)
 }
 
 // Metrics returns a snapshot of the overhead counters. All fields are
@@ -299,28 +337,27 @@ func (t *Tuner) Metrics() Metrics {
 	}
 }
 
-// Decisions returns the structured decision log, oldest first: one
-// record per physical design change or attempted change, carrying the
-// Δ/Δmin/B_I evidence the rule fired on.
-func (t *Tuner) Decisions() []obs.Decision {
-	return t.decisions.Records()
-}
-
-// decide appends one structured record to the decision log (caller
-// holds the mutex; delta/deltaMin must be captured before OnCreated /
-// OnDropped reset them).
-func (t *Tuner) decide(kind string, ix *catalog.Index, delta, deltaMin, buildCost float64, reason string) {
+// decide appends one record about st's index to the change log and
+// charges cost to the schedule's transition cost. The caller holds the
+// mutex and calls it before OnCreated / OnDropped reset st's Δ.
+func (t *Tuner) decide(kind EventKind, st *IndexStats, cost, buildCost float64, reason string) {
 	t.mDecisions.Inc()
-	t.decisions.Append(obs.Decision{
-		AtQuery:   t.queries,
-		Kind:      kind,
-		Index:     ix.ID(),
-		Table:     ix.Table,
-		Delta:     delta,
-		DeltaMin:  deltaMin,
-		BuildCost: buildCost,
-		Reason:    reason,
-	})
+	if kind != EvBuildStart {
+		t.changes++
+	}
+	if cost != 0 {
+		t.mTransitionCost.Add(cost)
+	}
+	ev := Event{
+		Kind: kind, Index: st.Ix, Cost: cost, AtQuery: t.queries,
+		Delta: st.Delta(), DeltaMin: st.DeltaMin, BuildCost: buildCost, Reason: reason,
+	}
+	if len(t.events) < t.maxEvents {
+		t.events = append(t.events, ev)
+		return
+	}
+	t.events[t.eventsHead] = ev
+	t.eventsHead = (t.eventsHead + 1) % len(t.events)
 }
 
 // MemoStats returns the what-if cost memo's hit/miss counters.
@@ -428,10 +465,10 @@ func (t *Tuner) OnExecuted(info *engine.QueryInfo) {
 	// is still being re-measured.
 	if t.queries%int64(t.opts.ThrottleEvery) == 0 && t.queries >= t.cooldownUntil {
 		l9 := time.Now()
-		before := len(t.events)
+		before := t.changes
 		t.dropBadIndexes()
 		t.analyzeAndCreate()
-		if len(t.events) != before {
+		if t.changes != before {
 			cd := t.opts.CooldownQueries
 			if cd == 0 {
 				cd = 15
@@ -527,7 +564,7 @@ func (t *Tuner) noteUpdate(rt *whatif.ReqTerms) {
 		// Abort an in-flight build whose benefit collapsed (Section 3.3).
 		if st.Creating && t.pending != nil && t.pending.st == st {
 			if st.deltaAtCreateStart-st.Delta() > t.pending.buildCost {
-				t.abortBuild()
+				t.cancelBuild("erosion")
 			}
 		}
 	}
@@ -566,9 +603,10 @@ func (t *Tuner) effectiveBuildCost(st *IndexStats) float64 {
 // that errored (as opposed to an erosion abort): the candidate's
 // evidence is reset to the creation threshold, its failure streak grows
 // (doubling the effective build cost the benefit rule must clear), and
-// the failure is surfaced through the metric, the decision log, and an
-// EvFail event. The tuner itself keeps serving — a failed build never
-// propagates past this point.
+// the failure is surfaced through the metric and an EvFail record, which
+// charges nothing: the schedule never paid for the failed work. The
+// tuner itself keeps serving — a failed build never propagates past
+// this point.
 func (t *Tuner) noteBuildFailure(st *IndexStats, buildCost float64, err error) {
 	st.Creating = false
 	st.FailStreak++
@@ -578,13 +616,12 @@ func (t *Tuner) noteBuildFailure(st *IndexStats, buildCost float64, err error) {
 	if err != nil {
 		reason = fmt.Sprintf("build-failed: %v", err)
 	}
-	t.decide(EvFail.String(), st.Ix, st.Delta(), st.DeltaMin, buildCost, reason)
-	t.events = append(t.events, Event{Kind: EvFail, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
+	t.decide(EvFail, st, 0, buildCost, reason)
 }
 
 // dropBadIndexes implements line 9: drop (or suspend) every
 // configuration index whose residual went negative. Members are visited
-// in ID order so the decision log is deterministic for a deterministic
+// in ID order so the change log is deterministic for a deterministic
 // workload.
 func (t *Tuner) dropBadIndexes() {
 	ids := make([]string, 0, len(t.inConfig))
@@ -619,7 +656,7 @@ func (t *Tuner) removeIndex(st *IndexStats, reason string, suspend bool) error {
 	} else if err := t.db.DropIndex(st.Ix); err != nil {
 		return err
 	}
-	t.decide(kind.String(), st.Ix, st.Delta(), st.DeltaMin, b, reason)
+	t.decide(kind, st, 0, b, reason)
 	delete(t.inConfig, id)
 	beta := st.BetaFor()
 	st.OnDropped()
@@ -629,7 +666,6 @@ func (t *Tuner) removeIndex(st *IndexStats, reason string, suspend bool) error {
 		}
 		other.AdjustAfterDrop(st.Ix, beta)
 	}
-	t.events = append(t.events, Event{Kind: kind, Index: st.Ix, AtQuery: t.queries})
 	return nil
 }
 
@@ -876,7 +912,7 @@ func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
 	st.deltaAtCreateStart = st.Delta()
 	t.pending = pb
 	t.mBuildsStarted.Inc()
-	t.decide("build-start", st.Ix, st.Delta(), st.DeltaMin, buildCost, "benefit")
+	t.decide(EvBuildStart, st, 0, buildCost, "benefit")
 	t.progressBuild(0)
 }
 
@@ -884,7 +920,7 @@ func (t *Tuner) createIndex(st *IndexStats, buildCost float64) {
 // create adjustments. For automatic creations b carries the finished
 // background build to publish, or is nil for a suspended restart; a
 // DBA's ManualCreate passes nil and builds synchronously. reason names
-// the decision-log rule ("published" for automatic creations, "manual"
+// the record's rule ("published" for automatic creations, "manual"
 // for a DBA's). A storage error (budget race, fault) leaves the
 // configuration untouched; the automatic caller then resets the
 // candidate's evidence with noteBuildFailure.
@@ -911,11 +947,9 @@ func (t *Tuner) finishCreate(st *IndexStats, buildCost float64, b *storage.Build
 			return err
 		}
 	}
-	t.decide(kind.String(), st.Ix, st.Delta(), st.DeltaMin, buildCost, reason)
+	t.decide(kind, st, buildCost, buildCost, reason)
 	t.inConfig[id] = true
 	st.OnCreated()
-	t.mTransitionCost.Add(buildCost)
-	t.events = append(t.events, Event{Kind: kind, Index: st.Ix, Cost: buildCost, AtQuery: t.queries})
 
 	sizeCreated := t.env.IndexBytes(st.Ix)
 	for oid, other := range t.tracked {
@@ -970,12 +1004,13 @@ func (t *Tuner) progressBuild(queryCost float64) {
 
 // cancelBuild cancels the in-flight creation, if any: the background
 // goroutine is cancelled and joined, the half-built structure discarded,
-// and the build counted as aborted with a decision record naming reason.
-// It returns the cancelled build, or nil.
-func (t *Tuner) cancelBuild(reason string) *pendingBuild {
+// and the build counted as aborted with an EvAbort record naming reason.
+// An erosion abort charges the work already accounted as wasted
+// transition cost; a "closed" abort charges nothing.
+func (t *Tuner) cancelBuild(reason string) {
 	pb := t.pending
 	if pb == nil {
-		return nil
+		return
 	}
 	t.pending = nil
 	if pb.build != nil {
@@ -983,28 +1018,18 @@ func (t *Tuner) cancelBuild(reason string) *pendingBuild {
 		<-pb.done
 		t.env.Mgr.AbortBuild(pb.build)
 	}
-	st := pb.st
-	st.Creating = false
+	pb.st.Creating = false
 	t.mBuildsAborted.Inc()
-	t.decide(EvAbort.String(), st.Ix, st.Delta(), st.DeltaMin, pb.buildCost, reason)
-	return pb
-}
-
-// abortBuild cancels the in-flight creation whose benefit eroded and
-// charges the work already accounted as wasted transition cost.
-func (t *Tuner) abortBuild() {
-	pb := t.cancelBuild("erosion")
-	if pb == nil {
-		return
+	wasted := 0.0
+	if reason == "erosion" {
+		wasted = pb.buildCost - pb.remaining
 	}
-	wasted := pb.buildCost - pb.remaining
-	t.mTransitionCost.Add(wasted)
-	t.events = append(t.events, Event{Kind: EvAbort, Index: pb.st.Ix, Cost: wasted, AtQuery: t.queries})
+	t.decide(EvAbort, pb.st, wasted, pb.buildCost, reason)
 }
 
 // Close shuts the tuner down cleanly: an in-flight background build is
 // cancelled and counted as aborted (reason "closed"), without charging
-// the schedule or appending an event. Statements may still execute
+// the schedule. Statements may still execute
 // afterwards; their observations are ignored.
 func (t *Tuner) Close() {
 	t.mu.Lock()

@@ -59,21 +59,23 @@ func TestTunerCreatesIndexAfterEvidence(t *testing.T) {
 	tn := Attach(db, DefaultOptions())
 	runN(t, db, q1, 60)
 	evs := tn.Events()
-	if len(evs) == 0 {
-		t.Fatal("tuner never changed the physical design")
+	if len(evs) < 2 {
+		t.Fatalf("tuner never changed the physical design: %v", evs)
 	}
-	if evs[0].Kind != EvCreate {
-		t.Fatalf("first event = %v", evs[0])
+	// The first change is a creation, announced by its build-start.
+	if evs[0].Kind != EvBuildStart || evs[1].Kind != EvCreate {
+		t.Fatalf("first records = %v, %v", evs[0], evs[1])
 	}
+	first := evs[1]
 	// The first creation must not happen on the very first query (the
 	// evidence threshold B_I must accumulate), but must happen well
 	// before the workload ends.
-	if evs[0].AtQuery < 2 || evs[0].AtQuery > 50 {
-		t.Errorf("first creation at query %d", evs[0].AtQuery)
+	if first.AtQuery < 2 || first.AtQuery > 50 {
+		t.Errorf("first creation at query %d", first.AtQuery)
 	}
 	// The created index serves q1: its columns cover {a,b,c,id}.
-	if !evs[0].Index.ContainsColumns([]string{"a", "b", "c", "id"}) {
-		t.Errorf("created index %v does not serve q1", evs[0].Index)
+	if !first.Index.ContainsColumns([]string{"a", "b", "c", "id"}) {
+		t.Errorf("created index %v does not serve q1", first.Index)
 	}
 	// And queries are now cheaper.
 	_, info, err := db.Exec(q1)
@@ -394,9 +396,9 @@ func TestManualChangesOverTrackedCandidate(t *testing.T) {
 	if got := db.Cat.IndexByID(ixm.ID()); got == nil || got.Name != "dba_abc" {
 		t.Fatalf("catalog holds %v, want dba_abc", got)
 	}
-	d := tn.Decisions()
-	if last := d[len(d)-1]; last.Kind != "create" || last.Reason != "manual" || last.Index != ixm.ID() {
-		t.Errorf("last decision = %+v", last)
+	d := tn.Events()
+	if last := d[len(d)-1]; last.Kind != EvCreate || last.Reason != "manual" || last.Index.ID() != ixm.ID() {
+		t.Errorf("last record = %+v", last)
 	}
 
 	clash := idx(db, "R", "d", "e")
@@ -559,5 +561,41 @@ func TestTunerReport(t *testing.T) {
 	}
 	if r.TransitionCost <= 0 {
 		t.Error("transitions missing after creations")
+	}
+}
+
+// TestEventLogKeepsNewest: the change log is bounded. With its cap
+// lowered to 3, ten manual changes leave the newest three records,
+// oldest first, while the tuner.decisions counter counts all ten.
+func TestEventLogKeepsNewest(t *testing.T) {
+	db := paperDB(t, 200)
+	tn := Attach(db, DefaultOptions())
+	tn.maxEvents = 3
+	var ixs []*catalog.Index
+	for _, col := range []string{"a", "b", "c", "d", "e"} {
+		ix := idx(db, "R", col)
+		if err := tn.ManualCreate(ix); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.ManualDrop(ix.Name); err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	want := []struct {
+		kind EventKind
+		ix   *catalog.Index
+	}{{EvDrop, ixs[3]}, {EvCreate, ixs[4]}, {EvDrop, ixs[4]}}
+	evs := tn.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("log holds %d records, want the newest %d: %v", len(evs), len(want), evs)
+	}
+	for i, w := range want {
+		if evs[i].Kind != w.kind || evs[i].Index.ID() != w.ix.ID() {
+			t.Errorf("record %d = %v, want %v %v", i, evs[i], w.kind, w.ix)
+		}
+	}
+	if got := db.Observability().Reg.Snapshot()["tuner.decisions"]; got != int64(10) {
+		t.Errorf("tuner.decisions = %v, want 10", got)
 	}
 }

@@ -347,7 +347,7 @@ func TestConcurrentAnalyze(t *testing.T) {
 
 // TestTunerCloseMidBuild shuts the tuner down while statements are still
 // flowing and a background build is in flight: Close must cancel and join
-// the build, count it as aborted with a "closed" decision (so the build
+// the build, count it as aborted with a "closed" abort record (so the build
 // counters reconcile), charge the schedule nothing, leave no half-built
 // structure behind, and be safe to call twice. The other sessions run
 // cheap primary-key lookups, so the build's cost gate stays open for
@@ -386,7 +386,6 @@ func TestTunerCloseMidBuild(t *testing.T) {
 	if !inFlight(before) {
 		t.Fatalf("no build in flight to close: %+v", before)
 	}
-	events := len(tn.Events())
 	tn.Close()
 	tn.Close() // idempotent
 	close(stop)
@@ -399,15 +398,15 @@ func TestTunerCloseMidBuild(t *testing.T) {
 	// The other sessions' lookups may open the gate between the snapshot
 	// and Close; otherwise the closed build is an abort that costs nothing.
 	if after.BuildsCompleted == before.BuildsCompleted {
-		ds := tn.Decisions()
-		if last := ds[len(ds)-1]; after.BuildsAborted != before.BuildsAborted+1 ||
-			last.Kind != core.EvAbort.String() || last.Reason != "closed" {
-			t.Errorf("Close did not count the build as aborted: aborted %d → %d, last decision %+v",
+		evs := tn.Events()
+		last := evs[len(evs)-1]
+		if after.BuildsAborted != before.BuildsAborted+1 || last.Kind != core.EvAbort || last.Reason != "closed" {
+			t.Errorf("Close did not count the build as aborted: aborted %d → %d, last record %+v",
 				before.BuildsAborted, after.BuildsAborted, last)
 		}
-		if after.TransitionCost != before.TransitionCost || len(tn.Events()) != events {
-			t.Errorf("Close charged the schedule: transition %v → %v, events %d → %d",
-				before.TransitionCost, after.TransitionCost, events, len(tn.Events()))
+		if after.TransitionCost != before.TransitionCost || last.Cost != 0 {
+			t.Errorf("Close charged the schedule: transition %v → %v, closed abort cost %v",
+				before.TransitionCost, after.TransitionCost, last.Cost)
 		}
 	}
 

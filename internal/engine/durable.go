@@ -9,7 +9,6 @@ import (
 
 	"onlinetuner/internal/catalog"
 	"onlinetuner/internal/datum"
-	"onlinetuner/internal/obs"
 	"onlinetuner/internal/storage"
 	"onlinetuner/internal/wal"
 )
@@ -54,10 +53,6 @@ type RecoveryInfo struct {
 	// Abandoned lists the index IDs of in-flight background builds the
 	// crash interrupted; recovery discards them.
 	Abandoned []string
-	// Decisions are the recovery's physical-design decisions (kind
-	// "recovery-abandon"), in the decision-log schema so the tuner can
-	// adopt them into its own log.
-	Decisions []obs.Decision
 	// Duration is the wall-clock recovery time.
 	Duration time.Duration
 }
@@ -133,19 +128,10 @@ func OpenDurable(cfg Config) (*DB, error) {
 
 	// Abandon builds the crash caught in flight: the tuner re-requests
 	// an index that is still worth having.
-	ids := make([]string, 0, len(pending))
 	for id := range pending {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		ix := pending[id]
 		info.Abandoned = append(info.Abandoned, id)
-		info.Decisions = append(info.Decisions, obs.Decision{
-			Kind: "recovery-abandon", Index: id, Table: ix.Table,
-			Reason: "build interrupted by crash; work discarded",
-		})
 	}
+	sort.Strings(info.Abandoned)
 	info.Duration = time.Since(start)
 	db.recovery = info
 	return db, nil

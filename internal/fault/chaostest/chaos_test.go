@@ -7,7 +7,7 @@
 //   - every statement that SUCCEEDED under faults returns byte-identical
 //     results to a fault-free oracle run of the same statement sequence;
 //   - after the soak, the storage layer passes the full consistency
-//     check and the tuner's build counters and decision log reconcile.
+//     check and the tuner's build counters and change log reconcile.
 //
 // Runs are deterministic per seed. To reproduce a CI failure locally:
 //
@@ -234,20 +234,23 @@ func runChaosSeed(t *testing.T, seed uint64) {
 		t.Errorf("seed %d: build counters do not reconcile: started=%d completed=%d aborted=%d failed=%d (at most one may be pending)",
 			seed, m.BuildsStarted, m.BuildsCompleted, m.BuildsAborted, m.BuildsFailed)
 	}
-	// Every scheduled physical change must carry a decision record of
-	// the same kind, and vice versa for the change kinds.
-	evCount := map[string]int{}
+	// The change log must tell the same story as the build counters:
+	// every published build is a create or restart record, every
+	// cancelled one an abort, every errored one a build-failed.
+	var published, aborted, buildFailed int64
 	for _, ev := range tn.Events() {
-		evCount[ev.Kind.String()]++
-	}
-	decCount := map[string]int{}
-	for _, d := range tn.Decisions() {
-		decCount[d.Kind]++
-	}
-	for _, kind := range []string{"create", "drop", "suspend", "restart", "abort", "build-failed"} {
-		if evCount[kind] != decCount[kind] {
-			t.Errorf("seed %d: %d %q events vs %d decisions", seed, evCount[kind], kind, decCount[kind])
+		switch ev.Kind {
+		case core.EvCreate, core.EvRestart:
+			published++
+		case core.EvAbort:
+			aborted++
+		case core.EvFail:
+			buildFailed++
 		}
+	}
+	if published != m.BuildsCompleted || aborted != m.BuildsAborted || buildFailed != m.BuildsFailed {
+		t.Errorf("seed %d: log holds %d published / %d aborted / %d failed builds, counters say %d / %d / %d",
+			seed, published, aborted, buildFailed, m.BuildsCompleted, m.BuildsAborted, m.BuildsFailed)
 	}
 	tn.Close()
 

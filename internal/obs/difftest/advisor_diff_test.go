@@ -44,8 +44,8 @@ func advisorReplay(t *testing.T, stmts []string) ([]string, *tuner.OnlinePT, *en
 // TestDifferentialAdvisorShell proves the racing harness abstraction
 // changes nothing: the core tuner driven through the Advisor interface
 // must produce byte-identical per-statement results, an identical
-// structured decision log, and identical physical-change accounting
-// compared to a direct core.Attach replay of the same fixed workload.
+// change log, and identical physical-change accounting compared to a
+// direct core.Attach replay of the same fixed workload.
 func TestDifferentialAdvisorShell(t *testing.T) {
 	batch := tpch.NewGenerator(scale, 7).Batch()
 	var stmts []string
@@ -62,7 +62,7 @@ func TestDifferentialAdvisorShell(t *testing.T) {
 				i, stmts[i], resShell[i], resDirect[i])
 		}
 	}
-	sameDecisions(t, "advisor shell vs direct", adv.Decisions(), decDirect)
+	sameEvents(t, "advisor shell vs direct", adv.Events(), decDirect)
 
 	md, ms := tnDirect.Metrics(), adv.Metrics()
 	if md.TransitionCost != ms.TransitionCost {

@@ -1,8 +1,8 @@
 // Package difftest is the differential harness for the plan cache: the
 // cache is an optimization, so it must be semantically invisible. The
 // same workload is replayed against fresh databases with the cache on
-// and bypassed, and the result sets AND the tuner's structured decision
-// logs are required to agree byte for byte, in execution order.
+// and bypassed, and the result sets AND the tuner's change logs are
+// required to agree byte for byte, in execution order.
 package difftest
 
 import (
@@ -13,7 +13,6 @@ import (
 	"onlinetuner/internal/core"
 	"onlinetuner/internal/datum"
 	"onlinetuner/internal/engine"
-	"onlinetuner/internal/obs"
 	"onlinetuner/internal/optimizer"
 	"onlinetuner/internal/tpch"
 )
@@ -26,14 +25,14 @@ const (
 // replay loads the same TPC-H instance into a fresh database, attaches
 // an online tuner, bypasses the plan cache unless cached, and executes
 // every statement, returning the per-statement canonical results, the
-// tuner decision log, and the database for further inspection.
-func replay(t *testing.T, cached bool, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
+// tuner change log, and the database for further inspection.
+func replay(t *testing.T, cached bool, stmts []string) ([]string, []core.Event, *engine.DB, *core.Tuner) {
 	return replayAt(t, cached, 0, stmts)
 }
 
 // replayAt is replay with an explicit intra-query worker budget (0 =
 // GOMAXPROCS, the engine default).
-func replayAt(t *testing.T, cached bool, workers int, stmts []string) ([]string, []obs.Decision, *engine.DB, *core.Tuner) {
+func replayAt(t *testing.T, cached bool, workers int, stmts []string) ([]string, []core.Event, *engine.DB, *core.Tuner) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{ExecWorkers: workers})
 	if !cached {
@@ -51,7 +50,7 @@ func replayAt(t *testing.T, cached bool, workers int, stmts []string) ([]string,
 		}
 		out[i] = canon(rs.Rows, rs.Affected)
 	}
-	return out, tn.Decisions(), db, tn
+	return out, tn.Events(), db, tn
 }
 
 // canon renders a result in execution order, byte for byte.
@@ -70,14 +69,21 @@ func canon(rows []datum.Row, affected int) string {
 	return sb.String()
 }
 
-func sameDecisions(t *testing.T, name string, a, b []obs.Decision) {
+// sameEvents requires two change logs to agree record for record,
+// field by field, with each index compared by its ID.
+func sameEvents(t *testing.T, name string, a, b []core.Event) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Fatalf("%s: decision logs diverge: %d vs %d records\nA: %+v\nB: %+v", name, len(a), len(b), a, b)
+		t.Fatalf("%s: change logs diverge: %d vs %d records\nA: %v\nB: %v", name, len(a), len(b), a, b)
 	}
+	// fields drops Event's String method, so %+v prints every field.
+	type fields core.Event
 	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("%s: decision %d diverges:\nA: %+v\nB: %+v", name, i, a[i], b[i])
+		x, y := fields(a[i]), fields(b[i])
+		idX, idY := x.Index.ID(), y.Index.ID()
+		x.Index, y.Index = nil, nil
+		if idX != idY || x != y {
+			t.Errorf("%s: record %d diverges:\nA: %s %+v\nB: %s %+v", name, i, idX, x, idY, y)
 		}
 	}
 }
@@ -102,7 +108,7 @@ func TestDifferentialFixedWorkload(t *testing.T) {
 			t.Fatalf("stmt %d %q: cached differs from uncached:\n%s\nvs\n%s", i, stmts[i], res[i], resOff[i])
 		}
 	}
-	sameDecisions(t, "cached vs uncached", dec, decOff)
+	sameEvents(t, "cached vs uncached", dec, decOff)
 
 	// The comparison only means something if caching actually happened.
 	if st := db.PlanCacheStats(); st.Hits == 0 {
@@ -116,7 +122,7 @@ func TestDifferentialFixedWorkload(t *testing.T) {
 // rebind generic plans. The cached replay — plans keyed by selectivity
 // and rebound to fresh literals, request trees and tuner terms shared by
 // every statement of a key — must stay byte-identical to the uncached
-// one in execution order, decision log included, and must actually
+// one in execution order, change log included, and must actually
 // rebind.
 func TestDifferentialVaryingWorkloadWithDML(t *testing.T) {
 	g := tpch.NewGenerator(scale, 11)
@@ -148,7 +154,7 @@ func TestDifferentialVaryingWorkloadWithDML(t *testing.T) {
 			t.Fatalf("stmt %d %q: cached differs from uncached:\n%s\nvs\n%s", i, stmts[i], res[i], resOff[i])
 		}
 	}
-	sameDecisions(t, "cached vs uncached", dec, decOff)
+	sameEvents(t, "cached vs uncached", dec, decOff)
 
 	if st := db.PlanCacheStats(); st.RebindHits == 0 {
 		t.Errorf("the cache never rebound a generic plan: %+v", st)
@@ -182,13 +188,13 @@ func TestDifferentialParallelExecutor(t *testing.T) {
 				i, stmts[i], resPar[i], resSeq[i])
 		}
 	}
-	sameDecisions(t, "parallel vs sequential", decPar, decSeq)
+	sameEvents(t, "parallel vs sequential", decPar, decSeq)
 }
 
 // replayEngine is replayAt on the default executor or, with reference
 // set, on the reference executor, which runs the scalar row loop
 // everywhere.
-func replayEngine(t *testing.T, workers int, reference bool, stmts []string) ([]string, []obs.Decision, *engine.DB) {
+func replayEngine(t *testing.T, workers int, reference bool, stmts []string) ([]string, []core.Event, *engine.DB) {
 	t.Helper()
 	cfg := engine.Config{ExecWorkers: workers}
 	if reference {
@@ -208,7 +214,7 @@ func replayEngine(t *testing.T, workers int, reference bool, stmts []string) ([]
 		}
 		out[i] = canon(rs.Rows, rs.Affected)
 	}
-	return out, tn.Decisions(), db
+	return out, tn.Events(), db
 }
 
 // stringPredicateBatch exercises the paths the TPC-H templates do not:
@@ -232,7 +238,7 @@ func stringPredicateBatch() []string {
 // TestDifferentialVectorized replays the TPC-H workload (DML and string
 // predicates interleaved) on the default executor at ExecWorkers 1 and
 // 4 and on the reference executor at 4, against the reference at 1.
-// Results and tuner decision logs must be byte-identical everywhere;
+// Results and tuner change logs must be byte-identical everywhere;
 // EXPLAIN ANALYZE actuals (rows, scanned, pages) must agree too, with
 // only the per-operator engine tag and timings allowed to differ. The
 // tags pin the selection rule from both sides: on the default executor
@@ -293,7 +299,7 @@ func TestDifferentialVectorized(t *testing.T) {
 					name, i, stmts[i], res[i], refRes[i])
 			}
 		}
-		sameDecisions(t, name+" vs reference at 1 worker", dec, refDec)
+		sameEvents(t, name+" vs reference at 1 worker", dec, refDec)
 		analyses := analyzeProbes(t, db, probes)
 		for pi, a := range analyses {
 			sameActuals(t, name, probes[pi], a, refAnalyses[pi])
@@ -316,7 +322,7 @@ func TestDifferentialVectorized(t *testing.T) {
 
 // replayRules is replayAt with an explicit optimizer rule set and the
 // count of statements on which at least one rewrite rule fired.
-func replayRules(t *testing.T, workers int, rules optimizer.Rules, stmts []string) ([]string, []obs.Decision, int) {
+func replayRules(t *testing.T, workers int, rules optimizer.Rules, stmts []string) ([]string, []core.Event, int) {
 	t.Helper()
 	db := engine.OpenConfig(engine.Config{ExecWorkers: workers})
 	db.Opt.SetRules(rules)
@@ -337,7 +343,7 @@ func replayRules(t *testing.T, workers int, rules optimizer.Rules, stmts []strin
 		}
 		out[i] = canon(rs.Rows, rs.Affected)
 	}
-	return out, tn.Decisions(), applied
+	return out, tn.Events(), applied
 }
 
 // TestDifferentialRules replays the TPC-H workload — whose Q4, Q18 and

@@ -185,25 +185,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestDecisionLogAppendAndWrap(t *testing.T) {
-	l := NewDecisionLog(3)
-	for i := 0; i < 5; i++ {
-		l.Append(Decision{Kind: "create", Index: fmt.Sprintf("ix%d", i)})
-	}
-	recs := l.Records()
-	if len(recs) != 3 {
-		t.Fatalf("kept %d, want 3", len(recs))
-	}
-	for i, d := range recs {
-		if d.Seq != int64(i+3) {
-			t.Errorf("rec %d seq = %d, want %d", i, d.Seq, i+3)
-		}
-	}
-	if _, err := l.JSON(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestObsSamplingAndContext(t *testing.T) {
 	o := New()
 	if tr := o.StartStatementTrace("q"); tr != nil {

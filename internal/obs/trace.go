@@ -1,9 +1,9 @@
 // Package obs is the engine's zero-dependency observability layer:
-// per-statement span traces (with a bounded ring of recent traces), a
-// typed metrics registry exported as a JSON snapshot, and the tuner's
-// structured decision log. Everything here is allocation-conscious —
-// the span tree for one statement lives in a single arena allocation —
-// because the trace path rides the statement hot path.
+// per-statement span traces (with a bounded ring of recent traces) and a
+// typed metrics registry exported as a JSON snapshot. Everything here is
+// allocation-conscious — the span tree for one statement lives in a
+// single arena allocation — because the trace path rides the statement
+// hot path.
 package obs
 
 import (

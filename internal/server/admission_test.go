@@ -103,7 +103,7 @@ func TestServeBackpressureTyped(t *testing.T) {
 	srv, addr := startServer(t, db, Config{
 		AdmitSlots:   1,
 		MaxQueue:     1,
-		QueueTimeout: 150 * time.Millisecond,
+		queueTimeout: 150 * time.Millisecond,
 	})
 
 	// Hold the only execution slot (white box: same gate the sessions
@@ -216,7 +216,7 @@ func TestServeConnLimit(t *testing.T) {
 // idle_timeout frame) before the server hangs up.
 func TestServeIdleTimeout(t *testing.T) {
 	db := engine.Open()
-	_, addr := startServer(t, db, Config{IdleTimeout: 100 * time.Millisecond})
+	_, addr := startServer(t, db, Config{idleTimeout: 100 * time.Millisecond})
 
 	c := dial(t, addr)
 	if err := c.Ping(); err != nil {
@@ -244,7 +244,7 @@ func TestServeIdleTimeout(t *testing.T) {
 // gets the typed frame_too_large response, not a silent hangup.
 func TestServeFrameTooLargeTyped(t *testing.T) {
 	db := engine.Open()
-	_, addr := startServer(t, db, Config{MaxFrame: 512})
+	_, addr := startServer(t, db, Config{maxFrame: 512})
 
 	c := dial(t, addr)
 	_, err := c.Query("SELECT '" + strings.Repeat("x", 2048) + "'")

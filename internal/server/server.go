@@ -35,15 +35,19 @@ type Config struct {
 	// it requests are rejected immediately with the typed backpressure
 	// error. Default 4x AdmitSlots.
 	MaxQueue int
-	// QueueTimeout bounds how long one statement may wait for admission.
-	// Default 1s.
-	QueueTimeout time.Duration
-	// IdleTimeout closes sessions that send nothing for this long.
-	// Default 5m; negative disables.
-	IdleTimeout time.Duration
-	// MaxFrame bounds one request frame. Default DefaultMaxFrame.
-	MaxFrame int
+
+	// Tests shorten these; zero selects queueTimeout, idleTimeout and
+	// DefaultMaxFrame.
+	queueTimeout time.Duration
+	idleTimeout  time.Duration
+	maxFrame     int
 }
+
+// queueTimeout bounds how long one statement may wait for admission.
+const queueTimeout = time.Second
+
+// idleTimeout closes sessions that send nothing for this long.
+const idleTimeout = 5 * time.Minute
 
 func (c Config) withDefaults(db *engine.DB) Config {
 	if c.MaxConns <= 0 {
@@ -55,14 +59,14 @@ func (c Config) withDefaults(db *engine.DB) Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.AdmitSlots
 	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = time.Second
+	if c.queueTimeout <= 0 {
+		c.queueTimeout = queueTimeout
 	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 5 * time.Minute
+	if c.idleTimeout <= 0 {
+		c.idleTimeout = idleTimeout
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
+	if c.maxFrame <= 0 {
+		c.maxFrame = DefaultMaxFrame
 	}
 	return c
 }
@@ -117,7 +121,7 @@ func New(db *engine.DB, cfg Config) *Server {
 	return &Server{
 		db:            db,
 		cfg:           cfg,
-		adm:           newAdmission(cfg.AdmitSlots, cfg.MaxQueue, cfg.QueueTimeout, reg),
+		adm:           newAdmission(cfg.AdmitSlots, cfg.MaxQueue, cfg.queueTimeout, reg),
 		drainCtx:      ctx,
 		drainCancel:   cancel,
 		sessions:      make(map[uint64]net.Conn),
@@ -219,10 +223,8 @@ func (s *Server) serveConn(sid uint64, conn net.Conn) {
 	var dec requestDecoder
 	var out []byte
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		body, err := ReadFrame(br, s.cfg.MaxFrame)
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
+		body, err := ReadFrame(br, s.cfg.maxFrame)
 		if err != nil {
 			var ne net.Error
 			switch {

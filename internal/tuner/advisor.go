@@ -15,7 +15,6 @@ import (
 
 	"onlinetuner/internal/core"
 	"onlinetuner/internal/engine"
-	"onlinetuner/internal/obs"
 	"onlinetuner/internal/workload"
 )
 
@@ -196,15 +195,6 @@ func (o *OnlinePT) Events() []core.Event {
 		return nil
 	}
 	return o.tn.Events()
-}
-
-// Decisions exposes the wrapped tuner's structured decision log for the
-// differential test.
-func (o *OnlinePT) Decisions() []obs.Decision {
-	if o.tn == nil {
-		return nil
-	}
-	return o.tn.Decisions()
 }
 
 // Metrics exposes the wrapped tuner's metrics.

@@ -239,8 +239,8 @@ func TestConstructorDefaultsAndAccessors(t *testing.T) {
 	// rather than dereferencing a nil tuner.
 	o := NewOnlinePT(core.DefaultOptions())
 	o.Close()
-	if d := o.Decisions(); d != nil {
-		t.Fatalf("unstarted OnlinePT has decisions: %v", d)
+	if evs := o.Events(); evs != nil {
+		t.Fatalf("unstarted OnlinePT has events: %v", evs)
 	}
 	if m := o.Metrics(); m.TransitionCost != 0 {
 		t.Fatalf("unstarted OnlinePT has metrics: %+v", m)
@@ -264,14 +264,14 @@ func TestConstructorDefaultsAndAccessors(t *testing.T) {
 }
 
 // TestOnlinePTAccessorsAfterRun: the started wrapper exposes the core
-// tuner's decision log and metrics for the differential test.
+// tuner's change log and metrics for the differential test.
 func TestOnlinePTAccessorsAfterRun(t *testing.T) {
 	o := NewOnlinePT(core.DefaultOptions())
 	w := stableWorkload(60)
 	_, db := runAdvisor(t, o, w)
 	defer db.Close()
-	if len(o.Decisions()) == 0 {
-		t.Fatal("started OnlinePT produced no decisions on the stable workload")
+	if len(o.Events()) == 0 {
+		t.Fatal("started OnlinePT produced no events on the stable workload")
 	}
 	if o.Metrics().Queries == 0 {
 		t.Fatal("started OnlinePT metrics saw no queries")

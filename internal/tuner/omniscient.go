@@ -80,7 +80,7 @@ func (o *Omniscient) Start(db *engine.DB, w *workload.Workload) error {
 // BeforeStatement transitions into the planned configuration for
 // statement i, charging build costs; drops are free, as in the paper's
 // cost model. Iteration is over sorted ids so the transition order — and
-// with it the decision log and index names — is deterministic.
+// with it the index names — is deterministic.
 func (o *Omniscient) BeforeStatement(i int) (float64, error) {
 	want := map[string]*catalog.Index{}
 	if i < len(o.active) {

@@ -172,7 +172,7 @@ func TestWriterAppendScan(t *testing.T) {
 
 func TestWriterSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{Policy: SyncNone, SegmentBytes: 256})
+	w := openTestWriter(t, dir, Options{Policy: SyncNone, segmentBytes: 256})
 	const n = 40
 	for i := 0; i < n; i++ {
 		mustAppend(t, w, insRec("t", int64(i)))

@@ -54,8 +54,8 @@ var ErrCrashed = errors.New("wal: writer crashed")
 // ErrClosed is returned by appends after a clean Close.
 var ErrClosed = errors.New("wal: writer closed")
 
-// DefaultSegmentBytes is the segment-roll threshold when Options leaves
-// it zero.
+// DefaultSegmentBytes is the segment-roll threshold: a writer rolls to a
+// fresh segment once the current one exceeds this size.
 const DefaultSegmentBytes = 64 << 20
 
 // SegmentName returns the file name of segment i.
@@ -88,15 +88,15 @@ type Options struct {
 	Dir string
 	// Policy is the initial sync policy (changeable with SetPolicy).
 	Policy SyncPolicy
-	// SegmentBytes rolls to a fresh segment once the current one exceeds
-	// this size; 0 means DefaultSegmentBytes.
-	SegmentBytes int64
 	// StartSeq seeds the commit sequence — recovery passes the last
 	// durable sequence so new commits continue the numbering.
 	StartSeq uint64
 	// StartSegment is the index of the first segment this writer
 	// creates; recovery passes one past the highest existing segment.
 	StartSegment int
+
+	// segmentBytes overrides DefaultSegmentBytes; tests lower it.
+	segmentBytes int64
 }
 
 // Writer is the group-commit WAL appender. It is safe for concurrent
@@ -144,12 +144,12 @@ type Writer struct {
 // OpenWriter creates the writer's first segment file and returns the
 // writer. The directory must exist.
 func OpenWriter(o Options) (*Writer, error) {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = DefaultSegmentBytes
 	}
 	w := &Writer{
 		dir:      o.Dir,
-		segBytes: o.SegmentBytes,
+		segBytes: o.segmentBytes,
 		policy:   o.Policy,
 		seq:      o.StartSeq,
 		seg:      o.StartSegment,
