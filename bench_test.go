@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"onlinetuner/internal/bench"
 	"onlinetuner/internal/catalog"
@@ -427,6 +429,59 @@ func BenchmarkHotPathCachedTraced(b *testing.B) {
 	db, gen := hotPathDB(b, true)
 	db.Observability().EnableTracing(0, 0)
 	runHotPath(b, db, gen.Batch())
+}
+
+// seekAggStmts alternates the drift workload's two grouped OLAP
+// templates (internal/workload's olapLineitemAgg and olapOrdersAgg) with
+// a fresh date range per statement: a 120-day l_shipdate range grouped
+// by l_returnflag and a 90-day o_orderdate range grouped by
+// o_orderpriority.
+func seekAggStmts(distinct int) []string {
+	const epoch = 8035 // 1992-01-01, days since 1970-01-01
+	date := func(days int) string {
+		return time.Unix(int64(days)*86400, 0).UTC().Format("'2006-01-02'")
+	}
+	out := make([]string, distinct)
+	for i := range out {
+		d := epoch + (i*173)%2200
+		if i%2 == 0 {
+			out[i] = fmt.Sprintf(`SELECT l_returnflag, COUNT(*) AS cnt, SUM(l_extendedprice) AS rev
+				FROM lineitem WHERE l_shipdate >= DATE %s AND l_shipdate < DATE %s
+				GROUP BY l_returnflag ORDER BY l_returnflag`, date(d), date(d+120))
+		} else {
+			out[i] = fmt.Sprintf(`SELECT o_orderpriority, COUNT(*) AS cnt
+				FROM orders WHERE o_orderdate >= DATE %s AND o_orderdate < DATE %s
+				GROUP BY o_orderpriority ORDER BY o_orderpriority`, date(d), date(d+90))
+		}
+	}
+	return out
+}
+
+// BenchmarkHotPathSeekAgg is the tuned drift workload's OLAP statement in
+// process: each template's HashAgg over a seek of its covering index, at
+// the drift workload's scale 8, where every seek returns more than the
+// executor's 256-row vectorization threshold (about 2 400 lineitem and
+// 450 orders rows). B/op is what one such statement allocates: the seek's
+// rows and the aggregate's morsel state come from pools, so it does not
+// grow with the rows a seek returns.
+func BenchmarkHotPathSeekAgg(b *testing.B) {
+	db := engine.Open()
+	if err := tpch.NewGenerator(8, 7).Load(db); err != nil {
+		b.Fatal(err)
+	}
+	db.MustExec("CREATE INDEX li_ship_cover ON lineitem (l_shipdate, l_returnflag, l_extendedprice)")
+	db.MustExec("CREATE INDEX ord_date_cover ON orders (o_orderdate, o_orderpriority)")
+	stmts := seekAggStmts(32)
+	for _, q := range stmts {
+		a, err := db.ExplainAnalyze(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if leaf := a.Nodes[len(a.Nodes)-1]; !strings.HasPrefix(leaf.Label, "IndexSeek") || leaf.ActualRows < 256 {
+			b.Fatalf("%q does not seek 256 rows or more of a covering index: %+v", q, a.Nodes)
+		}
+	}
+	runHotPath(b, db, stmts)
 }
 
 // parallelDB loads the TPC-H database the BenchmarkHotPathParallel*

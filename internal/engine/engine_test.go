@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"onlinetuner/internal/datum"
 	"onlinetuner/internal/plan"
 	"onlinetuner/internal/sql"
 	"onlinetuner/internal/whatif"
@@ -111,6 +112,58 @@ func TestAggregation(t *testing.T) {
 	if len(rs3.Rows) != 1 || rs3.Rows[0][0].Int() != 0 || !rs3.Rows[0][1].IsNull() {
 		t.Fatalf("empty agg = %v", rs3.Rows)
 	}
+}
+
+// TestSumKindIgnoresLeadingNulls pins SUM's result kind to its values,
+// not to where an access path puts its NULLs: an INT column sums to an
+// INT whether the first row a plan reads is NULL (the heap order here)
+// or not (the order of an index on (b, a)). 2^53 + 1 is not a float64,
+// so a FLOAT result would also change the answer. Each range runs on the
+// scalar path (10 rows) and on the vectorized one (1000 rows).
+func TestSumKindIgnoresLeadingNulls(t *testing.T) {
+	db := Open()
+	db.MustExec("CREATE TABLE T (k INT, a INT, b INT, PRIMARY KEY (k))")
+	const big = int64(1)<<53 + 1
+	var want [2]int64 // SUM(a) over b < 10 and over b < 1000
+	for k := int64(0); k < 2000; k++ {
+		a, av := "2", int64(2)
+		switch k {
+		case 0:
+			a, av = "NULL", 0
+		case 1:
+			a, av = fmt.Sprint(big), big
+		}
+		b := k
+		if k < 10 {
+			b = 9 - k // the index reads k = 0, the NULL, last of the first ten
+		}
+		if b < 10 {
+			want[0] += av
+		}
+		if b < 1000 {
+			want[1] += av
+		}
+		db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%d, %s, %d)", k, a, b))
+	}
+	if err := db.Analyze("T"); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"SELECT SUM(a) FROM T WHERE b < 10", "SELECT SUM(a) FROM T WHERE b < 1000"}
+	check := func(when, access string) {
+		t.Helper()
+		for i, q := range queries {
+			if s, err := db.ExplainString(q); err != nil || !strings.Contains(s, access) {
+				t.Fatalf("%s the index: %s does not run through %q: %v\n%s", when, q, access, err, s)
+			}
+			rs := db.MustExec(q)
+			if got := rs.Rows[0][0]; got.Kind() != datum.KInt || got.Int() != want[i] {
+				t.Errorf("%s the index: %s = %s %v, want INT %d", when, q, got.Kind(), got, want[i])
+			}
+		}
+	}
+	check("before", "SeqScan T")
+	db.MustExec("CREATE INDEX ix_ba ON T (b, a)")
+	check("after", "IndexSeek ix_ba on T")
 }
 
 func TestJoinHashAndResult(t *testing.T) {

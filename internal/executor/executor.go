@@ -204,25 +204,31 @@ func (e *run) timedDML(p plan.Node, c *Collector, run func() (*ResultSet, error)
 // exec evaluates a read-only operator subtree, recording actuals into
 // the collector when one is attached.
 func (e *run) exec(p plan.Node, c *Collector) ([]datum.Row, error) {
+	return e.execInto(p, c, nil)
+}
+
+// execInto is exec with a row buffer an IndexSeek at p appends its rows
+// to (see morselSource); every other operator ignores it.
+func (e *run) execInto(p plan.Node, c *Collector, buf []datum.Row) ([]datum.Row, error) {
 	if c == nil {
-		return e.execNode(p, nil)
+		return e.execNode(p, nil, buf)
 	}
 	start := time.Now()
-	rows, err := e.execNode(p, c)
+	rows, err := e.execNode(p, c, buf)
 	st := c.at(p)
 	st.addDuration(time.Since(start))
 	st.addRows(int64(len(rows)))
 	return rows, err
 }
 
-func (e *run) execNode(p plan.Node, c *Collector) ([]datum.Row, error) {
+func (e *run) execNode(p plan.Node, c *Collector, buf []datum.Row) ([]datum.Row, error) {
 	switch n := p.(type) {
 	case *plan.SeqScan:
 		return e.seqScan(n, c, nil)
 	case *plan.IndexScan:
 		return e.indexScan(n, c, nil)
 	case *plan.IndexSeek:
-		return e.indexSeek(n, c, nil)
+		return e.indexSeek(n, c, nil, buf)
 	case *plan.IndexEndpoint:
 		return e.indexEndpoint(n, c)
 	case *plan.Filter:
@@ -365,7 +371,8 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector, rids ridSink) ([]datum.
 	return out, nil
 }
 
-func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.Row, error) {
+// indexSeek appends the seek's rows to out, which may be nil.
+func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink, out []datum.Row) ([]datum.Row, error) {
 	pi := e.mgr.Index(n.Index.ID())
 	if pi == nil || pi.State() != storage.StateActive {
 		return nil, fmt.Errorf("executor: index %s: %w", n.Index.Name, ErrStaleIndex)
@@ -401,10 +408,10 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.
 		hiInc = n.HiInc
 	}
 	if slices.ContainsFunc(hi, datum.Datum.IsNull) || (n.Lo != nil && n.Lo.IsNull()) {
-		return nil, nil
+		return out, nil
 	}
 	it := pi.Tree().Seek(lo, loInc, hi, hiInc)
-	var out []datum.Row
+	base := len(out)
 	var scanned, keyBytes, fetches int64
 	for ; it.Valid(); it.Next() {
 		ent := it.Entry()
@@ -416,7 +423,9 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.
 				return nil, err
 			}
 		}
-		keyBytes += int64(ent.Key.Width())
+		if c != nil {
+			keyBytes += int64(ent.Key.Width())
+		}
 		if nullPos >= 0 && ent.Key[nullPos].IsNull() {
 			continue
 		}
@@ -437,7 +446,7 @@ func (e *run) indexSeek(n *plan.IndexSeek, c *Collector, rids ridSink) ([]datum.
 		if ok {
 			out = append(out, row)
 			take(rids, ent.RID)
-			if n.Stop > 0 && int64(len(out)) >= n.Stop {
+			if n.Stop > 0 && int64(len(out)-base) >= n.Stop {
 				break
 			}
 		}
@@ -1059,79 +1068,172 @@ func (e *run) inlJoin(n *plan.INLJoin, c *Collector) ([]datum.Row, error) {
 	return out, nil
 }
 
-// aggState accumulates one aggregate within one group.
+// aggFn is an aggregate's function, resolved once per statement.
+type aggFn uint8
+
+const (
+	fnCountStar aggFn = iota // COUNT(*): rows
+	fnCount                  // COUNT(arg): non-NULL values
+	fnSum
+	fnAvg
+	fnMin
+	fnMax
+	fnFirst // the group's first value, NULL or not
+)
+
+// aggFns maps an aggregate's name to its function.
+var aggFns = map[string]aggFn{
+	"COUNT": fnCount, "SUM": fnSum, "AVG": fnAvg, "MIN": fnMin, "MAX": fnMax, "FIRST": fnFirst,
+}
+
+// aggFnOf resolves an aggregate's function.
+func aggFnOf(a plan.AggSpec) (aggFn, error) {
+	fn, ok := aggFns[a.Func]
+	switch {
+	case a.Star:
+		return fnCountStar, nil
+	case !ok:
+		return 0, fmt.Errorf("executor: unknown aggregate %s", a.Func)
+	}
+	return fn, nil
+}
+
+// SUM's result kind is decided by a group's first non-NULL value and can
+// only turn FLOAT after that: INT while every value is an INT, FLOAT from
+// the first FLOAT, DATE or BOOL on, and FLOAT when the first is a VARCHAR.
+// A leading NULL decides nothing, so the kind does not depend on where
+// an access path puts the NULLs.
+const (
+	sumNone uint8 = iota
+	sumInt
+	sumFloat
+)
+
+// aggState accumulates one aggregate within one group; each function
+// uses its own fields.
 type aggState struct {
-	count int64
-	sum   float64
-	sumI  int64
-	isInt bool
-	min   datum.Datum
-	max   datum.Datum
-	first datum.Datum
-	has   bool
+	count int64       // COUNT, SUM, AVG: values counted
+	sum   float64     // SUM, AVG: every numeric value as float64, in input order
+	sumI  int64       // SUM: the INT values
+	val   datum.Datum // MIN, MAX, FIRST
+	kind  uint8       // SUM: sumNone, sumInt or sumFloat
+	has   bool        // FIRST: val is the group's first value
 }
 
-func (a *aggState) add(v datum.Datum) {
-	if !a.has {
-		a.first = v
-		a.min, a.max = v, v
-		a.isInt = v.Kind() == datum.KInt
-		a.has = true
-	}
-	if v.IsNull() {
-		return
-	}
-	a.count++
-	switch v.Kind() {
-	case datum.KInt:
-		a.sumI += v.Int()
-		a.sum += float64(v.Int())
-	case datum.KFloat, datum.KDate, datum.KBool:
-		a.isInt = false
-		a.sum += v.Float()
-	}
-	if v.Compare(a.min) < 0 || a.min.IsNull() {
-		a.min = v
-	}
-	if v.Compare(a.max) > 0 {
-		a.max = v
-	}
-}
-
-func (a *aggState) result(fn string) datum.Datum {
+// add folds one value of any kind: the scalar path's fold, and the
+// vectorized path's for a column that mixes kinds. Only MIN and MAX
+// compare.
+func (a *aggState) add(fn aggFn, v datum.Datum) {
 	switch fn {
-	case "COUNT":
-		return datum.NewInt(a.count)
-	case "SUM":
-		if a.count == 0 {
-			return datum.Null
+	case fnCountStar:
+		a.count++
+	case fnCount:
+		if !v.IsNull() {
+			a.count++
 		}
-		if a.isInt {
+	case fnFirst:
+		if !a.has {
+			a.val, a.has = v, true
+		}
+	case fnMin:
+		if !v.IsNull() && (a.val.IsNull() || v.Compare(a.val) < 0) {
+			a.val = v
+		}
+	case fnMax:
+		if !v.IsNull() && (a.val.IsNull() || v.Compare(a.val) > 0) {
+			a.val = v
+		}
+	default: // SUM, AVG
+		switch v.Kind() {
+		case datum.KNull:
+		case datum.KInt:
+			a.addInt(v.Int())
+		case datum.KString: // counted, not summed
+			a.count++
+			if a.kind == sumNone {
+				a.kind = sumFloat
+			}
+		default:
+			a.addFloat(v.Float())
+		}
+	}
+}
+
+// addInt folds a non-NULL INT into SUM or AVG.
+func (a *aggState) addInt(v int64) {
+	a.count++
+	a.sumI += v
+	a.sum += float64(v)
+	if a.kind == sumNone {
+		a.kind = sumInt
+	}
+}
+
+// addFloat folds a non-NULL FLOAT, DATE or BOOL, as float64, into SUM or AVG.
+func (a *aggState) addFloat(v float64) {
+	a.count++
+	a.sum += v
+	a.kind = sumFloat
+}
+
+func (a *aggState) result(fn aggFn) datum.Datum {
+	switch fn {
+	case fnCountStar, fnCount:
+		return datum.NewInt(a.count)
+	case fnSum:
+		switch {
+		case a.count == 0:
+			return datum.Null
+		case a.kind == sumInt:
 			return datum.NewInt(a.sumI)
 		}
 		return datum.NewFloat(a.sum)
-	case "AVG":
+	case fnAvg:
 		if a.count == 0 {
 			return datum.Null
 		}
 		return datum.NewFloat(a.sum / float64(a.count))
-	case "MIN":
-		if !a.has {
-			return datum.Null
-		}
-		return a.min
-	case "MAX":
-		if !a.has {
-			return datum.Null
-		}
-		return a.max
-	case "FIRST":
-		if !a.has {
-			return datum.Null
-		}
-		return a.first
 	}
-	return datum.Null
+	return a.val // MIN, MAX, FIRST: NULL when no row gave a value
+}
+
+// fold folds one morsel's argument column c of an aggregate, row j into
+// group rowG[j] (its state at st[rowG[j]*na]), in row order — the order
+// the scalar path adds in, so float sums are bit-identical. COUNT over a
+// uniform column reads its null mask, SUM and AVG over a uniform INT or
+// FLOAT column its typed slice; MIN, MAX, FIRST and every other column go
+// value by value through add. COUNT(*) reads no column.
+func fold(fn aggFn, st []aggState, na int, rowG []int32, c *vec.Column) {
+	typed := fn != fnCountStar && c.Uniform && (fn == fnCount || fn == fnSum || fn == fnAvg)
+	nulls := typed && c.HasNulls
+	switch {
+	case fn == fnCountStar:
+		for _, g := range rowG {
+			st[int(g)*na].count++
+		}
+	case typed && fn == fnCount:
+		for j, g := range rowG {
+			if !nulls || !c.Nulls.Get(j) {
+				st[int(g)*na].count++
+			}
+		}
+	case typed && c.Kind == datum.KFloat:
+		for j, g := range rowG {
+			if !nulls || !c.Nulls.Get(j) {
+				st[int(g)*na].addFloat(c.F[j])
+			}
+		}
+	case typed && c.Kind == datum.KInt:
+		for j, g := range rowG {
+			if !nulls || !c.Nulls.Get(j) {
+				st[int(g)*na].addInt(c.I[j])
+			}
+		}
+	default: // also a VARCHAR, DATE or BOOL column, or one with no non-NULL value
+		for j, g := range rowG {
+			st[int(g)*na].add(fn, c.DatumAt(j))
+		}
+	}
 }
 
 func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
@@ -1143,8 +1245,13 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 			return nil, err
 		}
 	}
-	argFns := make([]evalFunc, len(n.Aggs))
+	na := len(n.Aggs)
+	fns := make([]aggFn, na)
+	argFns := make([]evalFunc, na)
 	for i, a := range n.Aggs {
+		if fns[i], err = aggFnOf(a); err != nil {
+			return nil, err
+		}
 		if a.Star {
 			continue
 		}
@@ -1155,12 +1262,10 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	groupVes, vok := compileVecExprs(n.GroupBy, schema)
 	var argVes []vecExpr
 	if vok {
-		argVes = make([]vecExpr, len(n.Aggs))
+		// COUNT(*) keeps a nil expression: it counts rows and reads no column.
+		argVes = make([]vecExpr, na)
 		for i, a := range n.Aggs {
 			if a.Star {
-				// COUNT(*) counts rows: a constant 1 per row feeds the
-				// same accumulator the scalar path feeds.
-				argVes[i] = veLit{d: datum.NewInt(1)}
 				continue
 			}
 			ve, ok := compileVecExpr(a.Arg, schema)
@@ -1177,64 +1282,74 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	}
 	useVec := vok && e.vecOn(src.units)
 	markEngine(c, n, useVec)
+	// eval is a morsel's pure per-row work: group ids and argument values,
+	// columnar when the expressions compile to kernels, into w.agg.
+	eval := func(i int, w *vecWork) error {
+		if err := src.load(i, w); err != nil {
+			return err
+		}
+		m, am := &w.m, &w.agg
+		if useVec {
+			am.reset(m.n())
+			if hashAggEvalVec(groupVes, argVes, am, m) {
+				return nil
+			}
+			src.needRows(i, w)
+		}
+		am.reset(m.n())
+		am.vals = slices.Grow(am.vals[:0], m.n()*na)[:m.n()*na]
+		for j := range m.n() {
+			r := m.row(j)
+			buf := am.buf[:0]
+			for _, f := range groupFns {
+				v, ferr := f(r)
+				if ferr != nil {
+					return ferr
+				}
+				buf = v.AppendKey(buf)
+				buf = append(buf, '\x00')
+			}
+			am.buf = buf
+			vals := am.vals[j*na : (j+1)*na]
+			for k, f := range argFns {
+				if f == nil { // COUNT(*)
+					continue
+				}
+				v, ferr := f(r)
+				if ferr != nil {
+					return ferr
+				}
+				vals[k] = v
+			}
+			am.gid[j] = am.groupID(buf)
+		}
+		return nil
+	}
 	// Parallel partial aggregation, split at the only safe seam: workers
-	// do the pure per-row work (group-key rendering and argument
-	// evaluation) over disjoint morsels — columnar when the expressions
-	// compile to kernels — and hand back morsel-local group ids; the
-	// coordinator maps each morsel's keys to global groups and folds
-	// rows into them sequentially in the original input order. Folding
-	// in input order keeps float accumulation (SUM/AVG) and group
-	// first-appearance order bit-identical to the sequential executor.
-	na := len(n.Aggs)
+	// evaluate disjoint morsels and hand back morsel-local group ids with
+	// the arguments; the coordinator maps each morsel's keys to global
+	// groups and folds its rows into them sequentially in the original
+	// input order, one aggregate at a time. Folding in input order keeps
+	// float accumulation (SUM/AVG) and group first-appearance order
+	// bit-identical to the sequential executor. A morsel's vecWork — its
+	// columns and buffers — is held until its fold and then pooled again.
 	gids := map[string]int32{} // group key -> id, ids in first-appearance order
 	var states []aggState      // na per group, group-major
-	var local []int32          // one morsel's local group id -> global id
 	err = runMorsels(e, "hashagg-eval", src.n,
-		func(i int) (aggMorsel, error) {
+		func(i int) (*vecWork, error) {
 			w := getVecWork()
-			defer putVecWork(w)
-			if err := src.load(i, w); err != nil {
-				return aggMorsel{}, err
+			if err := eval(i, w); err != nil {
+				putVecWork(w)
+				return nil, err
 			}
-			m := &w.m
-			if useVec {
-				am := newAggMorsel(m.n(), na)
-				if hashAggEvalVec(groupVes, argVes, &am, m) {
-					return am, nil
-				}
-				src.needRows(i, w)
-			}
-			am := newAggMorsel(m.n(), na)
-			var buf []byte
-			for j := range m.n() {
-				r := m.row(j)
-				buf = buf[:0]
-				for _, f := range groupFns {
-					v, ferr := f(r)
-					if ferr != nil {
-						return aggMorsel{}, ferr
-					}
-					buf = v.AppendKey(buf)
-					buf = append(buf, '\x00')
-				}
-				vals := am.row(j)
-				for k, a := range n.Aggs {
-					if a.Star {
-						vals[k] = datum.NewInt(1)
-						continue
-					}
-					v, ferr := argFns[k](r)
-					if ferr != nil {
-						return aggMorsel{}, ferr
-					}
-					vals[k] = v
-				}
-				am.gid[j] = am.groupID(buf)
-			}
-			return am, nil
+			return w, nil
 		},
-		func(_ int, am aggMorsel) error {
-			local = local[:0]
+		func(_ int, w *vecWork) error {
+			defer putVecWork(w)
+			am := &w.agg
+			// Map the morsel's key ids to global ids, then each row's id
+			// in place: rowG[j] is row j's group.
+			local := am.local[:0]
 			for _, k := range am.keys {
 				g, ok := gids[k]
 				if !ok {
@@ -1244,10 +1359,22 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 				}
 				local = append(local, g)
 			}
-			for j, id := range am.gid {
-				st := states[int(local[id])*na:]
-				for k, v := range am.row(j) {
-					st[k].add(v)
+			am.local = local
+			rowG := am.gid
+			if len(rowG) == 0 {
+				return nil
+			}
+			for j, id := range rowG {
+				rowG[j] = local[id]
+			}
+			for k, fn := range fns {
+				st := states[k:]
+				if am.vec {
+					fold(fn, st, na, rowG, am.cols[k])
+					continue
+				}
+				for j, g := range rowG {
+					st[int(g)*na].add(fn, am.vals[j*na+k])
 				}
 			}
 			return nil
@@ -1259,74 +1386,94 @@ func (e *run) hashAgg(n *plan.HashAgg, c *Collector) ([]datum.Row, error) {
 	// A global aggregate over zero rows still yields one row.
 	if len(gids) == 0 && len(n.GroupBy) == 0 {
 		row := make(datum.Row, na)
-		empty := &aggState{}
-		for i, a := range n.Aggs {
-			row[i] = empty.result(a.Func)
+		var empty aggState
+		for i, fn := range fns {
+			row[i] = empty.result(fn)
 		}
 		return []datum.Row{row}, nil
 	}
-	out := make([]datum.Row, 0, len(gids))
+	b := datum.NewBatch(len(gids))
 	for g := range len(gids) {
-		row := make(datum.Row, na)
-		for i, a := range n.Aggs {
-			fn := a.Func
-			if a.Star {
-				fn = "COUNT"
-			}
+		row := b.Alloc(na)
+		for i, fn := range fns {
 			row[i] = states[g*na+i].result(fn)
 		}
-		out = append(out, row)
 	}
-	return out, nil
+	return b.Rows(), nil
 }
 
 // aggMorsel is one morsel after the aggregate eval stage: each row's
 // morsel-local group id, the morsel's distinct rendered group keys in
-// first-appearance order (gid indexes keys), and every row's evaluated
-// aggregate arguments in one rows × aggs slab. A key string is made
-// once per group per morsel, not once per row.
+// first-appearance order (gid indexes keys; a key string is made once per
+// group per morsel, not once per row), and the rows' aggregate arguments:
+// one column per aggregate on the vectorized path, a rows × aggs slab of
+// datums on the scalar path. It lives in its morsel's vecWork, so its
+// buffers are reused from morsel to morsel and statement to statement.
 type aggMorsel struct {
-	gid  []int32
-	keys []string
-	vals []datum.Datum
-	na   int
-	ids  map[string]int32 // key -> id, from the morsel's second key on
+	gid   []int32
+	keys  []string
+	ids   map[string]int32 // key -> id, holding every key once there are two
+	local []int32          // the coordinator's key id -> global group id
+	gcols []*vec.Column    // vectorized: the group key columns
+	cols  []*vec.Column    // vectorized: each aggregate's argument (nil for COUNT(*))
+	vals  []datum.Datum    // scalar: row j's arguments from j*aggs
+	buf   []byte           // a key being rendered
+	vec   bool             // cols holds the arguments
 }
 
-func newAggMorsel(rows, aggs int) aggMorsel {
-	return aggMorsel{
-		gid:  make([]int32, rows),
-		vals: make([]datum.Datum, rows*aggs),
-		na:   aggs,
-	}
+// reset readies am for a morsel of n rows.
+func (am *aggMorsel) reset(n int) {
+	am.gid = slices.Grow(am.gid[:0], n)[:n]
+	am.keys = am.keys[:0]
+	clear(am.ids)
+	am.vec = false
 }
 
-// row returns row j's argument slots.
-func (am *aggMorsel) row(j int) []datum.Datum {
-	return am.vals[j*am.na : (j+1)*am.na : (j+1)*am.na]
+// release drops the morsel's references to keys, values and columns, so a
+// pooled vecWork keeps no table alive.
+func (am *aggMorsel) release() {
+	clear(am.keys)
+	clear(am.ids)
+	clear(am.gcols)
+	clear(am.cols)
+	clear(am.vals)
+	am.keys, am.gcols, am.cols, am.vals = am.keys[:0], am.gcols[:0], am.cols[:0], am.vals[:0]
 }
 
 // groupID returns the morsel-local id of the rendered key in buf. The
 // lookup converts buf without allocating; the key string is allocated
-// only the first time this morsel sees it. The map is made only when a
-// second key shows up, so a global aggregate's morsel never makes one.
+// only the first time this morsel sees it. The map is filled only when a
+// second key shows up, so a global aggregate's morsel never uses one.
 func (am *aggMorsel) groupID(buf []byte) int32 {
-	if id, ok := am.ids[string(buf)]; ok {
-		return id
-	}
-	if am.ids == nil && len(am.keys) == 1 {
+	switch len(am.keys) {
+	case 0:
+	case 1:
 		if am.keys[0] == string(buf) {
 			return 0
 		}
-		am.ids = map[string]int32{am.keys[0]: 0}
+		am.index()
+	default:
+		if id, ok := am.ids[string(buf)]; ok {
+			return id
+		}
 	}
 	id := int32(len(am.keys))
 	k := string(buf)
-	if am.ids != nil {
+	if id > 0 {
 		am.ids[k] = id
 	}
 	am.keys = append(am.keys, k)
 	return id
+}
+
+// index enters every key so far into the key map.
+func (am *aggMorsel) index() {
+	if am.ids == nil {
+		am.ids = map[string]int32{}
+	}
+	for i, k := range am.keys {
+		am.ids[k] = int32(i)
+	}
 }
 
 func (e *run) runInsert(n *plan.InsertNode, c *Collector) (*ResultSet, error) {
@@ -1405,7 +1552,7 @@ func (e *run) locate(table string, src plan.Node, c *Collector) ([]located, erro
 		rows, err = e.seqScan(n, c, &rids)
 	case *plan.IndexSeek:
 		fullRows = n.Fetch || n.Index.Primary
-		rows, err = e.indexSeek(n, c, &rids)
+		rows, err = e.indexSeek(n, c, &rids, nil)
 	case *plan.IndexScan:
 		fullRows = false
 		rows, err = e.indexScan(n, c, &rids)

@@ -276,8 +276,8 @@ func TestFusedScanMatchesRowEngine(t *testing.T) {
 		case w.m.n() == 0:
 			sel = "empty"
 		}
-		am := newAggMorsel(w.m.n(), 1)
-		if fellBack := !hashAggEvalVec(groupVes, argVes, &am, &w.m); sel != want.sel || fellBack != want.fallback {
+		w.agg.reset(w.m.n())
+		if fellBack := !hashAggEvalVec(groupVes, argVes, &w.agg, &w.m); sel != want.sel || fellBack != want.fallback {
 			t.Fatalf("chunk %d: %s selection, fallback %v; want %s, %v", i, sel, fellBack, want.sel, want.fallback)
 		}
 	}

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -208,13 +209,23 @@ func (e *run) seqScan(n *plan.SeqScan, c *Collector, rids ridSink) ([]datum.Row,
 // heap chunk i read through the scan's filter: the scan builds no row
 // slice, and the parent reads the chunk's columns through the selection.
 // For any other child it is chunkOf of the child's materialized rows, all
-// selected.
+// selected; an IndexSeek child appends its rows to a pooled buffer the
+// source returns at finish, so a seek under an aggregate or projection
+// grows no row slice of its own per statement.
 type morselSource struct {
-	n     int         // morsels
-	units int         // input units, for vecOn: rows, or a fused scan's heap slots
-	rows  []datum.Row // a materialized child's output
-	scan  *heapScan   // the fused scan, or nil
+	n     int          // morsels
+	units int          // input units, for vecOn: rows, or a fused scan's heap slots
+	rows  []datum.Row  // a materialized child's output
+	scan  *heapScan    // the fused scan, or nil
+	buf   *[]datum.Row // the pooled seek buffer rows lives in, or nil
 }
+
+// seekBufRows caps a pooled seek buffer at two morsels, 192 KiB of row
+// headers: one that grew past it is dropped at finish rather than kept
+// for the next statement.
+const seekBufRows = 2 * vec.MorselRows
+
+var seekBufs = sync.Pool{New: func() any { return new([]datum.Row) }}
 
 // source opens child as the morsel source of a parent whose expressions
 // compiled to ves (vok), or evaluate rows only (!vok).
@@ -238,11 +249,17 @@ func (e *run) source(child plan.Node, c *Collector, vok bool, ves ...[]vecExpr) 
 			}
 		}
 	}
-	in, err := e.exec(child, c)
-	if err != nil {
-		return nil, err
+	var buf *[]datum.Row
+	var into []datum.Row
+	if _, ok := child.(*plan.IndexSeek); ok {
+		buf = seekBufs.Get().(*[]datum.Row)
+		into = (*buf)[:0]
 	}
-	return &morselSource{n: chunkBounds(len(in)), units: len(in), rows: in}, nil
+	in, err := e.execInto(child, c, into)
+	if err != nil {
+		return nil, err // a failed seek's buffer is dropped
+	}
+	return &morselSource{n: chunkBounds(len(in)), units: len(in), rows: in, buf: buf}, nil
 }
 
 // load points w.m at morsel i.
@@ -262,10 +279,17 @@ func (src *morselSource) needRows(i int, w *vecWork) {
 	}
 }
 
-// finish records a fused scan's actuals.
+// finish records a fused scan's actuals and returns a seek buffer to the
+// pool, emptied so the pool keeps no table alive. The parent's output
+// must not alias src.rows.
 func (src *morselSource) finish(c *Collector) {
 	if src.scan != nil {
 		src.scan.finish(c, src.n, true)
+	}
+	if src.buf != nil && cap(src.rows) <= seekBufRows {
+		clear(src.rows)
+		*src.buf = src.rows[:0]
+		seekBufs.Put(src.buf)
 	}
 }
 

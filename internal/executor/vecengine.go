@@ -314,7 +314,8 @@ type vecScratch struct {
 
 // vecWork bundles the scratch state a vectorized morsel needs: the
 // filter scratch, the expression-evaluation morsel (with its column
-// pool), and a reusable row buffer for heap chunk reads. Works are pooled:
+// pool), a reusable row buffer for heap chunk reads, and a hash
+// aggregate's morsel state. Works are pooled:
 // a fresh scratch per morsel makes the whole engine allocation-bound —
 // column gathers churn enough garbage that GC costs more than the
 // kernels save, which is exactly backwards for a performance feature.
@@ -322,6 +323,7 @@ type vecWork struct {
 	s    vecScratch
 	m    vecMorsel
 	rows []datum.Row
+	agg  aggMorsel
 }
 
 var vecWorkPool = sync.Pool{New: func() any { return new(vecWork) }}
@@ -332,13 +334,16 @@ var vecWorkPool = sync.Pool{New: func() any { return new(vecWork) }}
 // are safe to retain (they share no column-owned buffers).
 func getVecWork() *vecWork { return vecWorkPool.Get().(*vecWork) }
 
-// putVecWork returns w to the pool, dropping its morsel's references to
-// rows, a heap chunk and its columns: a pooled bundle keeps no table alive.
+// putVecWork returns w to the pool, dropping its references to rows, a
+// heap chunk, its columns and an aggregate's keys and values: a pooled
+// bundle keeps no table alive.
 func putVecWork(w *vecWork) {
 	m := &w.m
 	m.rows, m.ch, m.chv = nil, nil, storage.Chunk{}
 	clear(m.chunk)
 	clear(m.cols)
+	clear(w.rows)
+	w.agg.release()
 	vecWorkPool.Put(w)
 }
 
@@ -559,23 +564,28 @@ func compileVecExprs(exprs []sql.Expr, schema []plan.ColRef) ([]vecExpr, bool) {
 }
 
 // evalVecCols evaluates a set of expressions column-at-a-time over one
-// morsel. ok=false means a kernel requested scalar fallback for this
-// morsel (mixed kinds, non-numeric arithmetic); the caller re-evaluates
-// the morsel with its scalar functions, which reproduces the scalar
-// engine's values — or its errors, in its row order.
-func evalVecCols(ves []vecExpr, m *vecMorsel) ([]*vec.Column, bool) {
+// morsel, appending the result columns to dst[:0]; a nil expression
+// yields a nil column. ok=false means a kernel requested scalar fallback
+// for this morsel (mixed kinds, non-numeric arithmetic); the caller
+// re-evaluates the morsel with its scalar functions, which reproduces the
+// scalar engine's values — or its errors, in its row order.
+func evalVecCols(dst []*vec.Column, ves []vecExpr, m *vecMorsel) ([]*vec.Column, bool) {
+	dst = dst[:0]
 	if m.n() == 0 {
-		return nil, true // nothing to evaluate, and no column to read
+		return dst, true // nothing to evaluate, and no column to read
 	}
-	cols := make([]*vec.Column, len(ves))
-	for i, ve := range ves {
+	for _, ve := range ves {
+		if ve == nil {
+			dst = append(dst, nil)
+			continue
+		}
 		c, err := ve.eval(m)
 		if err != nil {
-			return nil, false
+			return dst, false
 		}
-		cols[i] = c
+		dst = append(dst, c)
 	}
-	return cols, true
+	return dst, true
 }
 
 // projectVec evaluates projection expressions columnar over the morsel's
@@ -583,7 +593,7 @@ func evalVecCols(ves []vecExpr, m *vecMorsel) ([]*vec.Column, bool) {
 // writes nothing on fallback, so the caller's scalar retry starts from an
 // empty batch.
 func projectVec(ves []vecExpr, b *datum.Batch, m *vecMorsel) bool {
-	cols, ok := evalVecCols(ves, m)
+	cols, ok := evalVecCols(nil, ves, m)
 	if !ok {
 		return false
 	}
@@ -597,34 +607,93 @@ func projectVec(ves []vecExpr, b *datum.Batch, m *vecMorsel) bool {
 }
 
 // hashAggEvalVec runs the aggregate eval stage columnar over the morsel's
-// selected rows: group keys render through datum.AppendKey (the exact
-// bytes the scalar path renders, so vectorized and scalar runs group
-// identically) and aggregate arguments come from the morsel's columns.
-// It writes nothing into am on fallback, so the caller's scalar retry
-// starts from an empty morsel.
+// selected rows into am, reset for them: group ids from the group key
+// columns (see groupIDs) and one argument column per aggregate, which the
+// coordinator folds from am.cols. It assigns no group id on fallback, so
+// the caller's scalar retry starts from an empty morsel.
 func hashAggEvalVec(groupVes, argVes []vecExpr, am *aggMorsel, m *vecMorsel) bool {
-	gcols, ok := evalVecCols(groupVes, m)
+	gcols, ok := evalVecCols(am.gcols, groupVes, m)
+	am.gcols = gcols
 	if !ok {
 		return false
 	}
-	acols, ok := evalVecCols(argVes, m)
+	cols, ok := evalVecCols(am.cols, argVes, m)
+	am.cols = cols
 	if !ok {
 		return false
 	}
-	var buf []byte
-	for j := range m.n() {
-		buf = buf[:0]
+	am.vec = true
+	am.groupIDs(gcols, m.n())
+	return true
+}
+
+// typedKeys bounds the distinct keys groupIDs looks up in a morsel's
+// string key column, by a linear scan; the rows after the one that brings
+// a further key render their keys instead.
+const typedKeys = 16
+
+// groupIDs assigns the morsel's n rows their group ids from the group
+// key columns. Without GROUP BY every row is in the one group, whose key
+// renders empty. A single uniform, NULL-free VARCHAR column is read from
+// its strings, each distinct value rendered once, when it first appears —
+// a uniform column's values map one to one onto their rendered keys, so
+// ids and keys are exactly those of rendering every row. Any other shape
+// renders each row's key through datum.AppendKey, the bytes the scalar
+// path renders.
+func (am *aggMorsel) groupIDs(gcols []*vec.Column, n int) {
+	if n == 0 {
+		return
+	}
+	j := 0
+	switch {
+	case len(gcols) == 0:
+		clear(am.gid)
+		am.keys = append(am.keys, "")
+		return
+	case len(gcols) == 1 && gcols[0].Uniform && !gcols[0].HasNulls && gcols[0].Kind == datum.KString:
+		j = stringIDs(am, gcols[0].S[:n])
+		if j == n {
+			return
+		}
+		if j > 0 {
+			am.index() // the rendered path looks the typed keys up too
+		}
+	}
+	for ; j < n; j++ {
+		buf := am.buf[:0]
 		for _, c := range gcols {
 			buf = c.DatumAt(j).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
+		am.buf = buf
 		am.gid[j] = am.groupID(buf)
-		vals := am.row(j)
-		for k, c := range acols {
-			vals[k] = c.DatumAt(j)
-		}
 	}
-	return true
+}
+
+// stringIDs assigns rows their group ids by their VARCHAR key values,
+// kept in first-appearance order for a linear scan, and renders each new
+// value once. It returns the rows it assigned: all of them, or those
+// before the row bringing key typedKeys+1.
+func stringIDs(am *aggMorsel, vals []string) int {
+	var seen [typedKeys]string
+	d := 0
+	for j, v := range vals {
+		id := 0
+		for id < d && seen[id] != v {
+			id++
+		}
+		if id == d {
+			if d == typedKeys {
+				return j
+			}
+			seen[d] = v
+			d++
+			am.buf = append(datum.NewString(v).AppendKey(am.buf[:0]), '\x00')
+			am.keys = append(am.keys, string(am.buf))
+		}
+		am.gid[j] = int32(id)
+	}
+	return len(vals)
 }
 
 // joinKey is one row's rendered hash-join key; null marks a NULL key
@@ -639,7 +708,7 @@ type joinKey struct {
 // bytes; NULL components short-circuit to a non-matching key).
 func joinKeysVec(ves []vecExpr, rows []datum.Row, out []joinKey, m *vecMorsel) bool {
 	m.reset(rows)
-	cols, ok := evalVecCols(ves, m)
+	cols, ok := evalVecCols(nil, ves, m)
 	if !ok {
 		return false
 	}

@@ -242,8 +242,9 @@ func stringPredicateBatch() []string {
 // EXPLAIN ANALYZE actuals (rows, scanned, pages) must agree too, with
 // only the per-operator engine tag and timings allowed to differ. The
 // tags pin the selection rule from both sides: on the default executor
-// the scan probes vectorize and the point seek stays on the row loop,
-// and the reference never vectorizes.
+// the scan probes vectorize, the point seek stays on the row loop and a
+// drift-shaped range aggregate over a covering index vectorizes its
+// HashAgg, and the reference never vectorizes.
 func TestDifferentialVectorized(t *testing.T) {
 	g := tpch.NewGenerator(scale, 23)
 	var stmts []string
@@ -262,7 +263,12 @@ func TestDifferentialVectorized(t *testing.T) {
 		"SELECT l_returnflag, SUM(l_extendedprice), AVG(l_discount) FROM lineitem WHERE l_quantity >= 5 GROUP BY l_returnflag",
 	}
 	pointProbe := "SELECT l_quantity + 1, l_extendedprice FROM lineitem WHERE l_orderkey = 7 AND l_linenumber = 1"
-	probes := append(scanProbes, pointProbe)
+	// The shape of the drift workload's OLAP template once the tuner has
+	// built its index: a HashAgg over a covering IndexSeek, here over
+	// more than vecMinRows (256) of lineitem's 600 rows.
+	seekAggProbe := `SELECT l_returnflag, COUNT(*) AS cnt, SUM(l_extendedprice) AS rev FROM lineitem
+		WHERE l_shipdate >= DATE '1992-01-01' AND l_shipdate < DATE '1995-07-01' GROUP BY l_returnflag`
+	probes := append(scanProbes, pointProbe, seekAggProbe)
 	vectorized := func(a *engine.Analysis) int {
 		n := 0
 		for _, node := range a.Nodes {
@@ -280,7 +286,11 @@ func TestDifferentialVectorized(t *testing.T) {
 		}
 	}
 
+	coveringIndex := func(db *engine.DB) {
+		db.MustExec("CREATE INDEX li_ship_cover ON lineitem (l_shipdate, l_returnflag, l_extendedprice)")
+	}
 	refRes, refDec, refDB := replayEngine(t, 1, true, stmts)
+	coveringIndex(refDB)
 	refAnalyses := analyzeProbes(t, refDB, probes)
 	rowOnly("reference workers=1", refAnalyses)
 
@@ -300,6 +310,7 @@ func TestDifferentialVectorized(t *testing.T) {
 			}
 		}
 		sameEvents(t, name+" vs reference at 1 worker", dec, refDec)
+		coveringIndex(db)
 		analyses := analyzeProbes(t, db, probes)
 		for pi, a := range analyses {
 			sameActuals(t, name, probes[pi], a, refAnalyses[pi])
@@ -316,6 +327,17 @@ func TestDifferentialVectorized(t *testing.T) {
 		point := analyses[len(scanProbes)]
 		if leaf := point.Nodes[len(point.Nodes)-1]; !strings.HasPrefix(leaf.Label, "IndexSeek") || vectorized(point) > 0 {
 			t.Errorf("%s: point probe %q is not an IndexSeek on the row loop: %+v", name, pointProbe, point.Nodes)
+		}
+		seekAgg := analyses[len(scanProbes)+1]
+		leaf := seekAgg.Nodes[len(seekAgg.Nodes)-1]
+		var agg *engine.AnalyzedNode
+		for i := range seekAgg.Nodes {
+			if strings.HasPrefix(seekAgg.Nodes[i].Label, "HashAgg") {
+				agg = &seekAgg.Nodes[i]
+			}
+		}
+		if !strings.HasPrefix(leaf.Label, "IndexSeek li_ship_cover") || leaf.ActualRows < 256 || agg == nil || agg.Engine != "vectorized" {
+			t.Errorf("%s: probe %q is not a vectorized HashAgg over a covering IndexSeek of at least 256 rows: %+v", name, seekAggProbe, seekAgg.Nodes)
 		}
 	}
 }
