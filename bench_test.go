@@ -204,6 +204,26 @@ func BenchmarkQueryNoTuner(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeTPCH rebuilds the statistics of every table of a
+// TPC-H scale-8 database (48 k lineitems), the statistics build every
+// TPC-H load ends with.
+func BenchmarkAnalyzeTPCH(b *testing.B) {
+	db := engine.Open()
+	if err := tpch.NewGenerator(8, 1).Load(db); err != nil {
+		b.Fatal(err)
+	}
+	tables := db.Cat.Tables()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tables {
+			if err := db.Analyze(t.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkGetCost measures the what-if primitive at the heart of the Δ
 // bookkeeping.
 func BenchmarkGetCost(b *testing.B) {

@@ -217,8 +217,10 @@ func TestFigure8Rows(t *testing.T) {
 	}
 }
 
+// TestFigure9Overhead checks the overhead table's shape on one replay of
+// each workload; `experiments fig9` takes the median of figure9Reps.
 func TestFigure9Overhead(t *testing.T) {
-	data, err := Figure9()
+	data, err := figure9(1)
 	if err != nil {
 		t.Fatal(err)
 	}

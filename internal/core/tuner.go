@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"onlinetuner/internal/catalog"
-	"onlinetuner/internal/datum"
 	"onlinetuner/internal/engine"
 	"onlinetuner/internal/obs"
-	"onlinetuner/internal/stats"
 	"onlinetuner/internal/storage"
 	"onlinetuner/internal/whatif"
 )
@@ -1073,33 +1071,14 @@ func (t *Tuner) maybeBuildStats() {
 			}
 			// Stale: fall through and rebuild regardless of evidence —
 			// the optimizer is already consuming these statistics.
-			t.buildColumnStats(st.Ix.Table, lead)
+			t.db.AnalyzeColumn(st.Ix.Table, lead)
 			continue
 		}
 		b := t.buildCostFor(st.Ix)
 		if st.Delta()-st.DeltaMin > statsTriggerFraction*b {
-			t.buildColumnStats(st.Ix.Table, lead)
+			t.db.AnalyzeColumn(st.Ix.Table, lead)
 		}
 	}
-}
-
-// buildColumnStats samples a table column and installs its statistics.
-func (t *Tuner) buildColumnStats(table, column string) {
-	tbl := t.env.Cat.Table(table)
-	h := t.env.Mgr.Heap(table)
-	if tbl == nil || h == nil {
-		return
-	}
-	ord := tbl.ColumnIndex(column)
-	if ord < 0 {
-		return
-	}
-	values := make([]datum.Datum, 0, h.Len())
-	h.Scan(func(_ storage.RID, r datum.Row) bool {
-		values = append(values, r[ord])
-		return true
-	})
-	t.env.Stats.BuildColumn(table, column, values, stats.DefaultBuckets)
 }
 
 // evictCandidates bounds |H| by evicting the weakest candidates.

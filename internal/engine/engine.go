@@ -589,7 +589,9 @@ func (db *DB) DropIndex(ix *catalog.Index) error {
 
 // Analyze builds statistics for every column of a table from its current
 // contents. It takes the table's shared lock so the sampled columns are
-// mutually consistent even under concurrent DML.
+// mutually consistent even under concurrent DML. The columns are gathered
+// and built concurrently on the engine's worker pool, so ExecWorkers
+// bounds them, and installed in column order.
 func (db *DB) Analyze(table string) error {
 	ls := db.locks.acquire(nil, []string{table}, nil)
 	defer ls.release()
@@ -601,20 +603,37 @@ func (db *DB) Analyze(table string) error {
 	if h == nil {
 		return fmt.Errorf("engine: table %s not materialized", table)
 	}
-	cols := make([][]datum.Datum, len(t.Columns))
-	for i := range cols {
-		cols[i] = make([]datum.Datum, 0, h.Len())
-	}
-	h.Scan(func(_ storage.RID, r datum.Row) bool {
-		for i := range t.Columns {
-			cols[i] = append(cols[i], r[i])
-		}
-		return true
-	})
+	hists := make([]*stats.Histogram, len(t.Columns))
+	par.ForEach(db.Mgr.Pool(), len(hists), func(i int) { hists[i] = columnHistogram(h, i) })
 	for i, c := range t.Columns {
-		db.Stats.BuildColumn(table, c.Name, cols[i], stats.DefaultBuckets)
+		db.Stats.Install(table, c.Name, hists[i])
 	}
 	return nil
+}
+
+// AnalyzeColumn builds and installs the statistics of one column: the
+// tuner's supporting statistics. Unlike Analyze it takes no statement
+// lock, since the tuner calls it from its observer; the heap's read lock
+// keeps the one scan consistent.
+func (db *DB) AnalyzeColumn(table, column string) {
+	t, h := db.Cat.Table(table), db.Mgr.Heap(table)
+	if t == nil || h == nil {
+		return
+	}
+	if ord := t.ColumnIndex(column); ord >= 0 {
+		db.Stats.Install(table, column, columnHistogram(h, ord))
+	}
+}
+
+// columnHistogram gathers heap column ord into a typed sample and builds
+// its histogram.
+func columnHistogram(h *storage.Heap, ord int) *stats.Histogram {
+	s := stats.NewSample(h.Len())
+	h.Scan(func(_ storage.RID, r datum.Row) bool {
+		s.Add(r[ord])
+		return true
+	})
+	return s.Histogram(stats.DefaultBuckets)
 }
 
 // Configuration returns the currently active secondary indexes — the

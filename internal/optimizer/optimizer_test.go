@@ -60,10 +60,10 @@ func testEnv(t testing.TB, rows int) (*whatif.Env, *Optimizer) {
 		}
 		xVals = append(xVals, sr[1])
 	}
-	st.BuildColumn("R", "id", idVals, 32)
-	st.BuildColumn("R", "a", aVals, 32)
-	st.BuildColumn("S", "id", idVals, 32)
-	st.BuildColumn("S", "x", xVals, 32)
+	st.Install("R", "id", stats.Build(idVals, 32))
+	st.Install("R", "a", stats.Build(aVals, 32))
+	st.Install("S", "id", stats.Build(idVals, 32))
+	st.Install("S", "x", stats.Build(xVals, 32))
 	env := whatif.NewEnv(cat, st, mgr)
 	return env, New(env)
 }

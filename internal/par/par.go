@@ -1,15 +1,16 @@
-// Package par provides the two process-wide parallelism primitives the
-// engine shares: a bounded worker-slot pool and a stable parallel merge
-// sort. Both are deliberately small — the morsel scheduler in the
-// executor and the index-build sort in storage layer their own policy on
-// top, and byte-identical output across worker counts is part of the
-// contract here, not an afterthought.
+// Package par provides the process-wide parallelism primitives the
+// engine shares: a bounded worker-slot pool, a loop that runs on it and a
+// stable parallel merge sort. All three are deliberately small — the
+// morsel scheduler in the executor and the index-build sort in storage
+// layer their own policy on top, and byte-identical output across worker
+// counts is part of the contract here, not an afterthought.
 package par
 
 import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool bounds the number of extra goroutines intra-query parallelism may
@@ -72,6 +73,33 @@ func (p *Pool) Release(n int) {
 	for i := 0; i < n; i++ {
 		p.extra <- struct{}{}
 	}
+}
+
+// ForEach calls fn(i) once for every i in [0, n) and returns when all
+// calls have. The caller is worker zero; up to n-1 extra goroutines run
+// on slots taken from p without blocking, so with no free slot (or a nil
+// pool) the calls run in order on the caller. Workers claim indices from
+// a shared counter, so fn must be safe to run concurrently on distinct
+// indices.
+func ForEach(p *Pool, n int, fn func(i int)) {
+	got := p.TryAcquire(min(n, p.Workers()) - 1)
+	defer p.Release(got)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // SortStablePooled sorts like SortStableFunc but draws its extra workers

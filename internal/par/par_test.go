@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -44,6 +45,34 @@ func TestPoolSequential(t *testing.T) {
 	}
 	if nilPool.TryAcquire(4) != 0 {
 		t.Fatal("nil pool TryAcquire should return 0")
+	}
+}
+
+func TestForEach(t *testing.T) {
+	for _, p := range []*Pool{nil, NewPool(1), NewPool(4)} {
+		for _, n := range []int{0, 1, 3, 100} {
+			hits := make([]atomic.Int32, n)
+			ForEach(p, n, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("workers %d, n %d: index %d ran %d times", p.Workers(), n, i, got)
+				}
+			}
+			if want := p.Workers() - 1; p.TryAcquire(want) != max(want, 0) {
+				t.Fatalf("workers %d, n %d: slots not returned", p.Workers(), n)
+			} else {
+				p.Release(want)
+			}
+		}
+	}
+	// A drained pool runs every call on the caller, in order.
+	p := NewPool(4)
+	got := p.TryAcquire(3)
+	var order []int
+	ForEach(p, 8, func(i int) { order = append(order, i) })
+	p.Release(got)
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("drained pool ran %v, want 0..7 in order", order)
 	}
 }
 

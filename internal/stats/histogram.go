@@ -9,10 +9,13 @@ package stats
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"onlinetuner/internal/datum"
 )
@@ -41,53 +44,174 @@ type Histogram struct {
 // Build constructs an equi-depth histogram with up to maxBuckets buckets
 // from a sample of column values. NULLs are counted separately.
 func Build(values []datum.Datum, maxBuckets int) *Histogram {
+	s := NewSample(len(values))
+	for _, v := range values {
+		s.Add(v)
+	}
+	return s.Histogram(maxBuckets)
+}
+
+// Sample gathers one column's values for a histogram build. While every
+// non-NULL value shares one kind it holds them in a typed slice, which
+// sorts and compares at machine speed: INT, DATE and BOOL as their int64
+// payloads, FLOAT as float64, VARCHAR as string. The first value of a
+// second kind turns it into datums, in arrival order, for the
+// datum.Compare fallback.
+//
+// Both paths build the same histogram. Two values of one kind tie under
+// Compare exactly when they are ==, and tied values are then identical,
+// so which copy a sort puts where cannot show. FLOAT breaks that rule
+// twice, so a FLOAT sample holding NaN or −0 also takes the fallback:
+// NaN ≠ NaN would split its distinct count, and −0 ties +0 but builds a
+// different datum.
+type Sample struct {
+	kind  datum.Kind // the non-NULL values' kind; KNull while none
+	mixed bool       // kinds differ: the values are in dat
+	nulls int64
+	hint  int // expected value count, to size the first slice
+	ints  []int64
+	flts  []float64
+	strs  []string
+	dat   []datum.Datum
+}
+
+// NewSample returns an empty sample expecting about n values.
+func NewSample(n int) *Sample { return &Sample{hint: n} }
+
+// Add appends one value.
+func (s *Sample) Add(d datum.Datum) {
+	k := d.Kind()
+	switch {
+	case k == datum.KNull:
+		s.nulls++
+		return
+	case s.mixed:
+		s.dat = append(s.dat, d)
+		return
+	case s.kind == datum.KNull:
+		s.kind = k
+	case k != s.kind:
+		s.dat = s.datums(s.hint)
+		s.dat = append(s.dat, d)
+		s.mixed, s.ints, s.flts, s.strs = true, nil, nil, nil
+		return
+	}
+	switch k {
+	case datum.KFloat:
+		s.flts = grow(s.flts, s.hint)
+		s.flts = append(s.flts, d.Float())
+	case datum.KString:
+		s.strs = grow(s.strs, s.hint)
+		s.strs = append(s.strs, d.Str())
+	default:
+		s.ints = grow(s.ints, s.hint)
+		s.ints = append(s.ints, d.Int())
+	}
+}
+
+// grow sizes a sample's first slice to the expected value count.
+func grow[T any](vals []T, hint int) []T {
+	if vals == nil && hint > 0 {
+		return make([]T, 0, hint)
+	}
+	return vals
+}
+
+// datums returns the typed values as datums of the sample's kind, in
+// arrival order, with room for n.
+func (s *Sample) datums(n int) []datum.Datum {
+	out := make([]datum.Datum, 0, max(n, len(s.ints)+len(s.flts)+len(s.strs)))
+	for _, v := range s.ints {
+		out = append(out, s.intDatum(v))
+	}
+	for _, v := range s.flts {
+		out = append(out, datum.NewFloat(v))
+	}
+	for _, v := range s.strs {
+		out = append(out, datum.NewString(v))
+	}
+	return out
+}
+
+// intDatum rebuilds an int64 payload as a datum of the sample's kind.
+func (s *Sample) intDatum(v int64) datum.Datum {
+	switch s.kind {
+	case datum.KDate:
+		return datum.NewDate(v)
+	case datum.KBool:
+		return datum.NewBool(v != 0)
+	}
+	return datum.NewInt(v)
+}
+
+// Histogram builds the sample's equi-depth histogram with up to
+// maxBuckets buckets. It sorts the sample in place: add nothing after.
+func (s *Sample) Histogram(maxBuckets int) *Histogram {
 	if maxBuckets <= 0 {
 		maxBuckets = DefaultBuckets
 	}
-	h := &Histogram{}
-	nonNull := make([]datum.Datum, 0, len(values))
-	for _, v := range values {
-		if v.IsNull() {
-			h.Nulls++
-			continue
+	h := &Histogram{Nulls: s.nulls}
+	switch {
+	case s.mixed || s.kind == datum.KFloat && !plainFloats(s.flts):
+		vals := s.dat
+		if !s.mixed {
+			vals = s.datums(0)
 		}
-		nonNull = append(nonNull, v)
-	}
-	h.Rows = int64(len(nonNull))
-	if h.Rows == 0 {
-		return h
-	}
-	sort.Slice(nonNull, func(i, j int) bool { return nonNull[i].Compare(nonNull[j]) < 0 })
-	h.Lower = nonNull[0]
-
-	perBucket := (len(nonNull) + maxBuckets - 1) / maxBuckets
-	if perBucket == 0 {
-		perBucket = 1
-	}
-	i := 0
-	for i < len(nonNull) {
-		end := i + perBucket
-		if end > len(nonNull) {
-			end = len(nonNull)
-		}
-		// Extend the bucket so it ends on a value boundary: all copies of a
-		// value land in one bucket, which keeps equality estimates sane.
-		for end < len(nonNull) && nonNull[end].Equal(nonNull[end-1]) {
-			end++
-		}
-		b := Bucket{Upper: nonNull[end-1], Count: int64(end - i)}
-		d := int64(1)
-		for k := i + 1; k < end; k++ {
-			if !nonNull[k].Equal(nonNull[k-1]) {
-				d++
-			}
-		}
-		b.Distinct = d
-		h.DistinctN += d
-		h.Buckets = append(h.Buckets, b)
-		i = end
+		sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+		cut(h, vals, maxBuckets, datum.Datum.Equal, func(d datum.Datum) datum.Datum { return d })
+	case s.kind == datum.KFloat:
+		slices.Sort(s.flts)
+		cut(h, s.flts, maxBuckets, same, datum.NewFloat)
+	case s.kind == datum.KString:
+		slices.Sort(s.strs)
+		cut(h, s.strs, maxBuckets, same, datum.NewString)
+	case s.kind != datum.KNull:
+		slices.Sort(s.ints)
+		cut(h, s.ints, maxBuckets, same, s.intDatum)
 	}
 	return h
+}
+
+// plainFloats reports whether vals holds neither NaN nor −0.
+func plainFloats(vals []float64) bool {
+	for _, v := range vals {
+		if v != v || v == 0 && math.Signbit(v) {
+			return false
+		}
+	}
+	return true
+}
+
+func same[T comparable](a, b T) bool { return a == b }
+
+// cut fills h's buckets from the sorted non-NULL values vals: each bucket
+// takes about len(vals)/maxBuckets values and is extended so it ends on
+// a value boundary, so all copies of a value land in one bucket, which
+// keeps equality estimates sane. eq compares neighbours and mk rebuilds a
+// value as the datum that bounds a bucket.
+func cut[T any](h *Histogram, vals []T, maxBuckets int, eq func(a, b T) bool, mk func(T) datum.Datum) {
+	n := len(vals)
+	h.Rows = int64(n)
+	if n == 0 {
+		return
+	}
+	h.Lower = mk(vals[0])
+	perBucket := (n + maxBuckets - 1) / maxBuckets
+	start, distinct := 0, int64(0)
+	for i := 0; i < n; {
+		// vals[i:j] is one run of equal values.
+		j := i + 1
+		for j < n && eq(vals[j], vals[j-1]) {
+			j++
+		}
+		distinct++
+		if j >= start+perBucket || j == n {
+			h.Buckets = append(h.Buckets, Bucket{Upper: mk(vals[j-1]), Count: int64(j - start), Distinct: distinct})
+			h.DistinctN += distinct
+			start, distinct = j, 0
+		}
+		i = j
+	}
 }
 
 // SelectivityEq estimates the fraction of rows equal to v.
@@ -254,15 +378,41 @@ func NewStore() *Store {
 	return &Store{cols: make(map[string]*ColumnStats)}
 }
 
-func key(table, column string) string {
-	return strings.ToLower(table) + "." + strings.ToLower(column)
+// appendKey appends the map key of table.column to b: both names lowered
+// as strings.ToLower does, joined by a dot. Get builds it in a stack
+// buffer, so a lookup allocates nothing.
+func appendKey(b []byte, table, column string) []byte {
+	b = appendLower(b, table)
+	b = append(b, '.')
+	return appendLower(b, column)
 }
+
+// appendLower appends strings.ToLower(s) to b, byte by byte up to the
+// first non-ASCII byte. ToLower maps rune by rune, so the rest can be
+// lowered on its own.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(b, strings.ToLower(s[i:])...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
+// keyBuf is a stack buffer for appendKey; longer names spill to the heap.
+type keyBuf [64]byte
 
 // Set installs statistics for table.column.
 func (s *Store) Set(table, column string, cs *ColumnStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cols[key(table, column)] = cs
+	var buf keyBuf
+	s.cols[string(appendKey(buf[:0], table, column))] = cs
 	s.built++
 	s.epoch.Add(1)
 }
@@ -271,9 +421,11 @@ func (s *Store) Set(table, column string, cs *ColumnStats) {
 // object is shared and must be treated as read-only; install updated
 // statistics with Set instead of mutating it.
 func (s *Store) Get(table, column string) *ColumnStats {
+	var buf keyBuf
+	k := appendKey(buf[:0], table, column)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cols[key(table, column)]
+	return s.cols[string(k)]
 }
 
 // Has reports whether statistics exist for table.column.
@@ -285,7 +437,8 @@ func (s *Store) Has(table, column string) bool {
 func (s *Store) Drop(table, column string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.cols, key(table, column))
+	var buf keyBuf
+	delete(s.cols, string(appendKey(buf[:0], table, column)))
 	s.epoch.Add(1)
 }
 
@@ -297,10 +450,8 @@ func (s *Store) BuildCount() int64 {
 	return s.built
 }
 
-// BuildColumn computes statistics from a column's values and installs
-// them.
-func (s *Store) BuildColumn(table, column string, values []datum.Datum, buckets int) *ColumnStats {
-	h := Build(values, buckets)
+// Install wraps a histogram as table.column's statistics and sets them.
+func (s *Store) Install(table, column string, h *Histogram) *ColumnStats {
 	cs := &ColumnStats{Hist: h, Distinct: h.DistinctN, Rows: h.Rows + h.Nulls}
 	s.Set(table, column, cs)
 	return cs

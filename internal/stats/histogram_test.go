@@ -3,6 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,7 +205,7 @@ func TestStore(t *testing.T) {
 	if s.Has("r", "a") {
 		t.Error("empty store claims stats")
 	}
-	cs := s.BuildColumn("R", "A", seq(100), 8)
+	cs := s.Install("R", "A", Build(seq(100), 8))
 	if cs.Rows != 100 || cs.Distinct != 100 {
 		t.Errorf("cs = %+v", cs)
 	}
@@ -227,5 +230,140 @@ func TestStringHist(t *testing.T) {
 	lt := h.SelectivityLt(datum.NewString("z"))
 	if lt <= 0 || lt > 1 {
 		t.Errorf("sel(<'z') = %g", lt)
+	}
+}
+
+// refBuild is the Compare-based builder every histogram must equal: the
+// non-NULL values sorted by datum.Compare, buckets cut by datum.Equal.
+func refBuild(values []datum.Datum, maxBuckets int) *Histogram {
+	if maxBuckets <= 0 {
+		maxBuckets = DefaultBuckets
+	}
+	h := &Histogram{}
+	nonNull := make([]datum.Datum, 0, len(values))
+	for _, v := range values {
+		if v.IsNull() {
+			h.Nulls++
+			continue
+		}
+		nonNull = append(nonNull, v)
+	}
+	h.Rows = int64(len(nonNull))
+	if h.Rows == 0 {
+		return h
+	}
+	sort.Slice(nonNull, func(i, j int) bool { return nonNull[i].Compare(nonNull[j]) < 0 })
+	h.Lower = nonNull[0]
+	perBucket := (len(nonNull) + maxBuckets - 1) / maxBuckets
+	i := 0
+	for i < len(nonNull) {
+		end := min(i+perBucket, len(nonNull))
+		for end < len(nonNull) && nonNull[end].Equal(nonNull[end-1]) {
+			end++
+		}
+		b := Bucket{Upper: nonNull[end-1], Count: int64(end - i)}
+		d := int64(1)
+		for k := i + 1; k < end; k++ {
+			if !nonNull[k].Equal(nonNull[k-1]) {
+				d++
+			}
+		}
+		b.Distinct = d
+		h.DistinctN += d
+		h.Buckets = append(h.Buckets, b)
+		i = end
+	}
+	return h
+}
+
+// randomColumn draws a column of one of the shapes Build must handle: one
+// kind (INT, DATE, BOOL, FLOAT, VARCHAR), INT mixed with FLOAT, or FLOAT
+// with NaN and −0 next to +0. A small value domain gives duplicate runs
+// longer than a bucket; NULLs are sprinkled at a random rate.
+func randomColumn(r *rand.Rand) (string, []datum.Datum) {
+	shapes := []string{"int", "date", "bool", "float", "string", "int+float", "nan-zero"}
+	shape := shapes[r.Intn(len(shapes))]
+	n := r.Intn(700)
+	domain := 1 + r.Intn(1+r.Intn(400))
+	nullRate := []float64{0, 0, 0.1, 0.5, 1}[r.Intn(5)]
+	vals := make([]datum.Datum, n)
+	for i := range vals {
+		if r.Float64() < nullRate {
+			vals[i] = datum.Null
+			continue
+		}
+		v := int64(r.Intn(domain)) - int64(domain/3)
+		switch shape {
+		case "int":
+			vals[i] = datum.NewInt(v)
+		case "date":
+			vals[i] = datum.NewDate(v)
+		case "bool":
+			vals[i] = datum.NewBool(v%2 == 0)
+		case "float":
+			vals[i] = datum.NewFloat(float64(v) / 4)
+		case "string":
+			vals[i] = datum.NewString(strings.Repeat("k", int(v%5+5)) + string(rune('a'+v%26)))
+		case "int+float":
+			if r.Intn(2) == 0 {
+				vals[i] = datum.NewInt(v)
+			} else {
+				vals[i] = datum.NewFloat(float64(v) / 2)
+			}
+		case "nan-zero":
+			switch r.Intn(4) {
+			case 0:
+				vals[i] = datum.NewFloat(math.NaN())
+			case 1:
+				vals[i] = datum.NewFloat(math.Copysign(0, -1))
+			case 2:
+				vals[i] = datum.NewFloat(0)
+			default:
+				vals[i] = datum.NewFloat(float64(v))
+			}
+		}
+	}
+	return shape, vals
+}
+
+// Property: the typed builder and its fallback build exactly the
+// histogram of the Compare-based reference, for every column shape and
+// bucket count.
+func TestBuildMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for iter := 0; iter < 3000; iter++ {
+		shape, vals := randomColumn(r)
+		buckets := 1 + r.Intn(64)
+		want := refBuild(vals, buckets)
+		if got := Build(vals, buckets); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: %s column of %d values, %d buckets:\ngot  %+v\nwant %+v", iter, shape, len(vals), buckets, got, want)
+		}
+	}
+}
+
+func TestBuildNaNDistinct(t *testing.T) {
+	nan := datum.NewFloat(math.NaN())
+	vals := []datum.Datum{nan, datum.NewFloat(1), nan, datum.NewFloat(2)}
+	h := Build(vals, 4)
+	if h.DistinctN != 3 || !reflect.DeepEqual(h, refBuild(vals, 4)) {
+		t.Errorf("DistinctN = %d, want 3; %+v", h.DistinctN, h)
+	}
+}
+
+func TestStoreKeyFolding(t *testing.T) {
+	s := NewStore()
+	cs := &ColumnStats{}
+	s.Set("LineItem", "L_ShipDate", cs)
+	s.Set("Ärger", "ÖL", cs)
+	for _, k := range [][2]string{{"lineitem", "l_shipdate"}, {"LINEITEM", "L_SHIPDATE"}, {"ärger", "öl"}, {"ÄRGER", "Öl"}} {
+		if s.Get(k[0], k[1]) != cs {
+			t.Errorf("Get(%q, %q) missed", k[0], k[1])
+		}
+	}
+	if s.Get("lineitem", "l_shipdat") != nil || s.Get("lineitem.l", "shipdate") != nil {
+		t.Error("Get matched a different column")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get("LineItem", "L_ShipDate") }); n != 0 {
+		t.Errorf("Get allocates %v times per call, want 0", n)
 	}
 }

@@ -47,7 +47,7 @@ func paperEnv(t *testing.T, rows int) *Env {
 		}
 		aVals = append(aVals, r[1])
 	}
-	st.BuildColumn("R", "a", aVals, 32)
+	st.Install("R", "a", stats.Build(aVals, 32))
 	return NewEnv(cat, st, mgr)
 }
 
