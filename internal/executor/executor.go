@@ -322,8 +322,9 @@ func (e *run) indexScan(n *plan.IndexScan, c *Collector, rids ridSink) ([]datum.
 				it.Next()
 			}
 			w.m.reset(rows)
-			for _, k := range vf.vecApply(&w.s, &w.m) {
-				b.Append(rows[k])
+			vf.vecApply(&w.s, &w.m)
+			for j := range w.m.n() {
+				b.Append(w.m.row(j))
 			}
 			scanned.Add(int64(shards[i].N))
 			w.rows = rows
@@ -483,8 +484,9 @@ func (e *run) filter(n *plan.Filter, c *Collector) ([]datum.Row, error) {
 			if useVec {
 				w := getVecWork()
 				w.m.reset(rows)
-				for _, k := range vf.vecApply(&w.s, &w.m) {
-					b.Append(rows[k])
+				vf.vecApply(&w.s, &w.m)
+				for j := range w.m.n() {
+					b.Append(w.m.row(j))
 				}
 				putVecWork(w)
 				return b, nil

@@ -87,7 +87,7 @@ func (s *heapScan) read(i int, w *vecWork, withRows bool) {
 	if m.rows != nil {
 		w.rows = m.rows // keep the grown buffer; only it is recycled
 	}
-	m.selectRows(s.vf.vecApply(&w.s, m))
+	s.vf.vecApply(&w.s, m)
 	s.scanned.Add(int64(m.total))
 	s.out.Add(int64(m.n()))
 	if s.timed {

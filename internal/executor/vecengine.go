@@ -36,24 +36,24 @@ func (e *run) vecOn(n int) bool { return !e.reference && n >= vecMinRows }
 type vecPredKind uint8
 
 const (
-	vpCmp     vecPredKind = iota // col op literal
-	vpBetween                    // lo <= col <= hi (fused conjunct pair)
-	vpIn                         // col IN (literals) (fused OR of equalities)
-	vpLike                       // col [NOT] LIKE pattern
-	vpIsNull                     // col IS [NOT] NULL
+	vpCmp    vecPredKind = iota // col op literal
+	vpRange                     // lo <(=) col <(=) hi (fused conjunct pair)
+	vpIn                        // col IN (literals) (fused OR of equalities)
+	vpLike                      // col [NOT] LIKE pattern
+	vpIsNull                    // col IS [NOT] NULL
 )
 
 // vecPred is one compiled predicate kernel application.
 type vecPred struct {
-	kind vecPredKind
-	slot int
-	op   vec.CmpOp
-	lit  datum.Datum
-	lo   datum.Datum
-	hi   datum.Datum
-	set  []datum.Datum
-	like *vec.LikeMatcher
-	not  bool
+	kind         vecPredKind
+	slot         int
+	op           vec.CmpOp
+	lit          datum.Datum
+	lo, hi       datum.Datum
+	loInc, hiInc bool
+	set          *vec.InSet
+	like         *vec.LikeMatcher
+	not          bool
 }
 
 // vecFilter is a conjunction of predicate kernels. It exists only when
@@ -75,7 +75,7 @@ func compileVecFilter(preds []sql.Expr, schema []plan.ColRef) (*vecFilter, bool)
 			return nil, false
 		}
 	}
-	f.fuseBetween()
+	f.fuseRanges()
 	return f, true
 }
 
@@ -91,7 +91,7 @@ func (f *vecFilter) add(e sql.Expr, schema []plan.ColRef) bool {
 			if !ok {
 				return false
 			}
-			f.preds = append(f.preds, vecPred{kind: vpIn, slot: slot, set: set})
+			f.preds = append(f.preds, vecPred{kind: vpIn, slot: slot, set: vec.NewInSet(set)})
 			return true
 		case "=", "<>", "<", "<=", ">", ">=":
 			op, _ := vec.CmpOpFromString(x.Op)
@@ -199,25 +199,49 @@ func inSetOf(e sql.Expr, schema []plan.ColRef) (int, []datum.Datum, bool) {
 	return slot, set, true
 }
 
-// fuseBetween merges adjacent (col >= lo, col <= hi) kernel pairs — the
-// two conjuncts BETWEEN desugars into — into one fused range kernel.
-// The fusion never changes the surviving set (conjunction is order-
-// independent), only the number of passes over the column.
-func (f *vecFilter) fuseBetween() {
+// fuseRanges merges each lower-bound comparison (col > lo, col >= lo)
+// with the next upper-bound one (col < hi, col <= hi) on the same column,
+// in either order, into one range kernel where the first of the two
+// stood: BETWEEN's two conjuncts and a half-open lo <= col < hi alike.
+// Conjunction is order-independent and kernels cannot error, so fusing
+// changes only the number of passes over the column, never the result.
+func (f *vecFilter) fuseRanges() {
+	fused := make([]bool, len(f.preds))
 	out := f.preds[:0]
-	for i := 0; i < len(f.preds); i++ {
-		p := f.preds[i]
-		if i+1 < len(f.preds) {
-			q := f.preds[i+1]
-			if p.kind == vpCmp && q.kind == vpCmp && p.slot == q.slot && p.op == vec.GE && q.op == vec.LE {
-				out = append(out, vecPred{kind: vpBetween, slot: p.slot, lo: p.lit, hi: q.lit})
-				i++
-				continue
+	for i, p := range f.preds {
+		if fused[i] {
+			continue
+		}
+		if side := p.boundSide(); side != 0 {
+			for j := i + 1; j < len(f.preds); j++ {
+				if q := f.preds[j]; !fused[j] && q.slot == p.slot && q.boundSide() == -side {
+					fused[j] = true
+					if side < 0 {
+						p, q = q, p
+					}
+					p = vecPred{kind: vpRange, slot: p.slot, lo: p.lit, loInc: p.op == vec.GE, hi: q.lit, hiInc: q.op == vec.LE}
+					break
+				}
 			}
 		}
 		out = append(out, p)
 	}
 	f.preds = out
+}
+
+// boundSide is +1 for a lower-bound comparison (col > lit, col >= lit),
+// -1 for an upper-bound one (col < lit, col <= lit) and 0 otherwise.
+func (p *vecPred) boundSide() int {
+	if p.kind != vpCmp {
+		return 0
+	}
+	switch p.op {
+	case vec.GT, vec.GE:
+		return 1
+	case vec.LT, vec.LE:
+		return -1
+	}
+	return 0
 }
 
 // kernelSlots returns the table columns the kernels read (LIKE and IS
@@ -233,30 +257,41 @@ func (f *vecFilter) kernelSlots() (slots []int, rowDirect bool) {
 	return slots, rowDirect
 }
 
-// vecApply runs the filter over all rows of one morsel and returns the
-// selection of surviving row indices. Each conjunct reads only its own
-// column over the rows still selected: over a heap chunk the chunk's
-// column (the cached one, or one gathered from the rows and published),
-// through Column.Select on a partial selection; over a materialized
-// child's rows a column gathered through the selection.
+// vecApply runs the filter over all rows of one morsel and narrows the
+// morsel to the survivors. The first kernel conjunct reads whole columns
+// (a heap chunk's column — the cached one, or one gathered from the rows
+// and published — or one gathered from a materialized child's rows) and
+// writes row indices directly. Each later conjunct reads its column over
+// the rows still selected (Column.Select of a chunk's column, or a gather
+// through the selection) and maps the positions it keeps back to row
+// indices. A filter without conjuncts keeps every row.
 //
-// The returned selection aliases scratch storage owned by s; callers
+// The morsel's selection aliases scratch storage owned by s; callers
 // consume it before the next vecApply on the same scratch.
-func (f *vecFilter) vecApply(s *vecScratch, m *vecMorsel) vec.Sel {
-	sel := s.selAll(m.total)
+func (f *vecFilter) vecApply(s *vecScratch, m *vecMorsel) {
+	all := true // every row still selected; sel is not built yet
+	sel := s.sel[:0]
 	for i := range f.preds {
-		if len(sel) == 0 {
-			return sel
+		if m.total == 0 || !all && len(sel) == 0 {
+			break
 		}
 		p := &f.preds[i]
+		out := s.next[:0]
 		if p.kind == vpLike || p.kind == vpIsNull {
 			// Row-direct: these predicates read one field per selected row
 			// and gain nothing from a columnar gather (LIKE runs the same
 			// matcher either way), so skipping the gather is pure savings.
 			// Semantics match the MatchLike/IsNullSel kernels: NULL or a
 			// non-string scrutinee is UNKNOWN under both LIKE polarities.
-			next := s.selB[:0]
-			for _, k := range sel {
+			n := m.total
+			if !all {
+				n = len(sel)
+			}
+			for j := range n {
+				k := int32(j)
+				if !all {
+					k = sel[j]
+				}
 				d := m.rows[k][p.slot]
 				var keep bool
 				if p.kind == vpLike {
@@ -265,51 +300,52 @@ func (f *vecFilter) vecApply(s *vecScratch, m *vecMorsel) vec.Sel {
 					keep = d.IsNull() != p.not
 				}
 				if keep {
-					next = append(next, k)
+					out = append(out, k)
 				}
 			}
-			s.selB = sel
-			sel = next
-			continue
+		} else {
+			col := &s.col
+			switch {
+			case all && m.ch != nil:
+				col = m.chunkCol(p.slot)
+			case all:
+				s.col.Gather(m.rows, p.slot, nil)
+			case m.ch != nil:
+				s.col.Select(m.chunkCol(p.slot), sel)
+			default:
+				s.col.Gather(m.rows, p.slot, sel)
+			}
+			switch p.kind {
+			case vpCmp:
+				out = vec.CmpConst(col, p.op, p.lit, out)
+			case vpRange:
+				out = vec.RangeConst(col, p.lo, p.loInc, p.hi, p.hiInc, out)
+			case vpIn:
+				out = vec.InConst(col, p.set, out)
+			}
+			if !all {
+				// Kernel positions index the selected rows' column: map
+				// them back to row indices, in place.
+				for j, k := range out {
+					out[j] = sel[k]
+				}
+			}
 		}
-		col := &s.col
-		switch {
-		case m.ch == nil:
-			s.col.Gather(m.rows, p.slot, sel)
-		case len(sel) == m.total:
-			col = m.chunkCol(p.slot)
-		default:
-			s.col.Select(m.chunkCol(p.slot), sel)
-		}
-		pos := s.pos[:0]
-		switch p.kind {
-		case vpCmp:
-			pos = vec.CmpConst(col, p.op, p.lit, pos)
-		case vpBetween:
-			pos = vec.BetweenConst(col, p.lo, p.hi, pos)
-		case vpIn:
-			pos = vec.InConst(col, p.set, pos)
-		}
-		s.pos = pos[:0]
-		// Remap kernel positions (relative to the gathered column) back
-		// to row indices through the current selection.
-		next := s.selB[:0]
-		for _, k := range pos {
-			next = append(next, sel[k])
-		}
-		s.selB = sel // recycle the old selection's storage
-		sel = next
+		s.next, sel, all = sel, out, false
 	}
-	return sel
+	s.sel = sel
+	if all {
+		m.sel, m.full = nil, true
+		return
+	}
+	m.selectRows(sel)
 }
 
 // vecScratch is the working state of the vectorized filter: one gathered
 // column and the selection ping-pong buffers.
 type vecScratch struct {
-	col  vec.Column
-	pos  vec.Sel
-	selA vec.Sel
-	selB vec.Sel
+	col       vec.Column
+	sel, next vec.Sel
 }
 
 // vecWork bundles the scratch state a vectorized morsel needs: the
@@ -345,16 +381,6 @@ func putVecWork(w *vecWork) {
 	clear(w.rows)
 	w.agg.release()
 	vecWorkPool.Put(w)
-}
-
-// selAll returns the identity selection 0..n-1.
-func (s *vecScratch) selAll(n int) vec.Sel {
-	sel := s.selA[:0]
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
-	}
-	s.selA = sel
-	return sel
 }
 
 // ---------------------------------------------------------------------

@@ -232,6 +232,13 @@ func stringPredicateBatch() []string {
 		"SELECT l_returnflag, COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_shipmode LIKE '%AI%' GROUP BY l_returnflag",
 		"SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20",
 		"SELECT COUNT(*) FROM lineitem WHERE l_shipmode = 'AIR' OR l_shipmode = 'RAIL' OR l_shipmode = 'SHIP'",
+		// scan_olap's stable lineitem shapes, whose half-open ship-date
+		// range fuses into one range kernel.
+		`SELECT l_returnflag, COUNT(*) AS cnt, SUM(l_extendedprice) AS rev FROM lineitem
+			WHERE l_shipdate >= DATE '1994-03-01' AND l_shipdate < DATE '1994-05-15'
+			GROUP BY l_returnflag ORDER BY l_returnflag`,
+		`SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem
+			WHERE l_shipdate >= DATE '1994-03-01' AND l_shipdate < DATE '1994-05-15' AND l_quantity < 30`,
 	}
 }
 

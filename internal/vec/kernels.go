@@ -2,6 +2,8 @@ package vec
 
 import (
 	"math"
+	"slices"
+	"strings"
 
 	"onlinetuner/internal/datum"
 )
@@ -71,6 +73,7 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 		}
 		return out
 	}
+	from := len(out)
 	lk := lit.Kind()
 	switch {
 	case c.Kind == datum.KNull:
@@ -78,7 +81,7 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 	case intClass(c.Kind) && lk == c.Kind:
 		// Same kind within the integer class: datum compares by the
 		// int64 payload directly.
-		return cmpConstNum(c.I, lit.Int(), op, c.Nulls, c.HasNulls, out)
+		out = cmpConstNum(c.I, lit.Int(), op, out)
 	case numeric(c.Kind) && numeric(lk):
 		// Cross-kind numerics (and float=float): datum promotes both
 		// sides to float64 and uses cmpFloat's NaN-aware total order.
@@ -88,26 +91,60 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 			return cmpConstNaNLit(c, op, out)
 		}
 		if c.Kind == datum.KFloat {
-			return cmpConstNum(c.F, x, op, c.Nulls, c.HasNulls, out)
+			out = cmpConstNum(c.F, x, op, out)
+		} else {
+			out = cmpConstNum(c.I, x, op, out)
 		}
-		return cmpConstNum(c.I, x, op, c.Nulls, c.HasNulls, out)
 	case c.Kind == datum.KString && lk == datum.KString:
-		return cmpConstStr(c.S, lit.Str(), op, c.Nulls, c.HasNulls, out)
+		out = cmpConstStr(c.S, lit.Str(), op, out)
+	default:
+		// Cross-class (numeric vs string): datum's total-order fallback
+		// compares class ranks, so the result is one constant for every
+		// non-null position — a numeric column sorts before a string
+		// literal, a string column after a numeric one.
+		cc := -1
+		if c.Kind == datum.KString {
+			cc = 1
+		}
+		if !op.keep(cc) {
+			return out
+		}
+		return appendNonNull(c, out)
 	}
-	// Cross-class (numeric vs string): datum's total-order fallback
-	// compares class ranks, so the result is one constant for every
-	// non-null position.
-	cc := 0
-	switch {
-	case c.Kind == datum.KString: // string column vs numeric literal
-		cc = 1
-	default: // numeric column vs string literal
-		cc = -1
+	return c.dropNulls(out, from)
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// move, so the kernel loops below carry no data-dependent branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	if !op.keep(cc) {
+	return 0
+}
+
+// window grows out by room for n positions and returns it (length
+// unchanged) with the n-slot window past its end. A kernel writes every
+// candidate position into the window and advances over the ones that
+// survive — buf[k] = i; k += b2i(keep) — then returns out[:len(out)+k].
+func window(out Sel, n int) (Sel, Sel) {
+	out = slices.Grow(out, n)
+	return out, out[len(out) : len(out)+n]
+}
+
+// dropNulls removes the NULL positions from out[from:], in place. A
+// typed kernel compares a NULL position's zero value like any other and
+// leaves the NULLs to this one pass, which runs only when c has some.
+func (c *Column) dropNulls(out Sel, from int) Sel {
+	if !c.HasNulls {
 		return out
 	}
-	return appendNonNull(c, out)
+	k := from
+	for _, i := range out[from:] {
+		out[k] = i
+		k += b2i(!c.Nulls.Get(int(i)))
+	}
+	return out[:k]
 }
 
 // cmpConstNum is the shared integer/float compare loop; X(v) promotes in a
@@ -115,46 +152,44 @@ func CmpConst(c *Column, op CmpOp, lit datum.Datum, out Sel) Sel {
 // BOTH element types given a non-NaN x: for int64 the `w != w` terms are
 // vacuously false, and for float64 they reproduce cmpFloat's "NaN sorts
 // first" placement (NaN < x ⇒ LT/LE/NE hold, EQ/GT/GE fail).
-func cmpConstNum[T, X int64 | float64](vals []T, x X, op CmpOp, nulls Bitmap, hasNulls bool, out Sel) Sel {
+func cmpConstNum[T, X int64 | float64](vals []T, x X, op CmpOp, out Sel) Sel {
+	out, buf := window(out, len(vals))
+	k := 0
 	switch op {
 	case EQ:
 		for i, v := range vals {
-			if X(v) == x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(X(v) == x)
 		}
 	case NE:
 		for i, v := range vals {
-			if X(v) != x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(X(v) != x)
 		}
 	case LT:
 		for i, v := range vals {
-			if w := X(v); (w < x || w != w) && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			w := X(v)
+			buf[k] = int32(i)
+			k += b2i(w < x) | b2i(w != w)
 		}
 	case LE:
 		for i, v := range vals {
-			if w := X(v); (w <= x || w != w) && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			w := X(v)
+			buf[k] = int32(i)
+			k += b2i(w <= x) | b2i(w != w)
 		}
 	case GT:
 		for i, v := range vals {
-			if X(v) > x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(X(v) > x)
 		}
 	case GE:
 		for i, v := range vals {
-			if X(v) >= x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(X(v) >= x)
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
 // cmpConstNaNLit handles a NaN literal: cmpFloat places every non-NaN
@@ -175,7 +210,9 @@ func cmpConstNaNLit(c *Column, op CmpOp, out Sel) Sel {
 	return out
 }
 
-func cmpConstStr(vals []string, x string, op CmpOp, nulls Bitmap, hasNulls bool, out Sel) Sel {
+func cmpConstStr(vals []string, x string, op CmpOp, out Sel) Sel {
+	out, buf := window(out, len(vals))
+	k := 0
 	switch op {
 	case EQ:
 		// Equality prefilter: reject on length, then on first byte,
@@ -186,42 +223,36 @@ func cmpConstStr(vals []string, x string, op CmpOp, nulls Bitmap, hasNulls bool,
 			c0 = x[0]
 		}
 		for i, v := range vals {
-			if len(v) == n && (n == 0 || v[0] == c0) && v == x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(len(v) == n && (n == 0 || v[0] == c0) && v == x)
 		}
 	case NE:
 		for i, v := range vals {
-			if v != x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(v != x)
 		}
 	case LT:
 		for i, v := range vals {
-			if v < x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(v < x)
 		}
 	case LE:
 		for i, v := range vals {
-			if v <= x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(v <= x)
 		}
 	case GT:
 		for i, v := range vals {
-			if v > x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(v > x)
 		}
 	case GE:
 		for i, v := range vals {
-			if v >= x && !(hasNulls && nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(v >= x)
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
 func appendNonNull(c *Column, out Sel) Sel {
@@ -239,129 +270,185 @@ func appendNonNull(c *Column, out Sel) Sel {
 	return out
 }
 
-// BetweenConst appends the positions with lo <= v <= hi — the fused
-// form of the two conjuncts BETWEEN desugars into. NULL bounds or a
-// NULL value never survive (each side is UNKNOWN in the scalar engine).
-func BetweenConst(c *Column, lo, hi datum.Datum, out Sel) Sel {
+// RangeConst appends the positions whose value lies above lo (or equals
+// it, with loInc) and below hi (or equals it, with hiInc) — the fused
+// form of a lower- and an upper-bound comparison on one column, such as
+// the two conjuncts BETWEEN desugars into or a half-open lo <= v < hi.
+// A NULL bound or a NULL value never survives (each side is UNKNOWN in
+// the scalar engine).
+func RangeConst(c *Column, lo datum.Datum, loInc bool, hi datum.Datum, hiInc bool, out Sel) Sel {
 	if lo.IsNull() || hi.IsNull() || c.n == 0 {
 		return out
 	}
-	if c.Uniform && intClass(c.Kind) && lo.Kind() == c.Kind && hi.Kind() == c.Kind {
-		return betweenNum(c.I, lo.Int(), hi.Int(), c.Nulls, c.HasNulls, out)
-	}
-	if c.Uniform && numeric(c.Kind) && numeric(lo.Kind()) && numeric(hi.Kind()) {
+	from := len(out)
+	lk, hk := lo.Kind(), hi.Kind()
+	switch {
+	case !c.Uniform:
+		// Mixed kinds: the per-element loop below.
+	case c.Kind == datum.KNull:
+		return out // all NULL: nothing survives
+	case intClass(c.Kind) && lk == c.Kind && hk == c.Kind:
+		// Both bounds compare by the int64 payload, as in CmpConst.
+		l, h, ok := intRange(lo.Int(), loInc, hi.Int(), hiInc)
+		if !ok {
+			return out
+		}
+		return c.dropNulls(rangeNum(c.I, l, h, out), from)
+	case numeric(c.Kind) && numeric(lk) && numeric(hk) && !(intClass(c.Kind) && (lk == c.Kind || hk == c.Kind)):
+		// Both bounds promote to float64, as in CmpConst. NaN bounds
+		// and a payload bound paired with a promoted one take the
+		// per-element loop below.
 		l, h := lo.Float(), hi.Float()
-		if !math.IsNaN(l) && !math.IsNaN(h) {
-			if c.Kind == datum.KFloat {
-				return betweenNum(c.F, l, h, c.Nulls, c.HasNulls, out)
-			}
-			return betweenNum(c.I, l, h, c.Nulls, c.HasNulls, out)
+		if math.IsNaN(l) || math.IsNaN(h) {
+			break
 		}
+		l, h, ok := floatRange(l, loInc, h, hiInc)
+		if !ok {
+			return out
+		}
+		if c.Kind == datum.KFloat {
+			return c.dropNulls(rangeNum(c.F, l, h, out), from)
+		}
+		return c.dropNulls(rangeNum(c.I, l, h, out), from)
 	}
-	if c.Uniform && c.Kind == datum.KString && lo.Kind() == datum.KString && hi.Kind() == datum.KString {
+	// A three-way result r passes the lower bound when r >= lmin and the
+	// upper one when r <= hmax.
+	lmin, hmax := 1, -1
+	if loInc {
+		lmin = 0
+	}
+	if hiInc {
+		hmax = 0
+	}
+	if c.Uniform && c.Kind == datum.KString && lk == datum.KString && hk == datum.KString {
 		l, h := lo.Str(), hi.Str()
+		out, buf := window(out, c.n)
+		k := 0
 		for i, v := range c.S {
-			if v >= l && v <= h && !(c.HasNulls && c.Nulls.Get(i)) {
-				out = append(out, int32(i))
-			}
+			buf[k] = int32(i)
+			k += b2i(strings.Compare(v, l) >= lmin && strings.Compare(v, h) <= hmax)
 		}
-		return out
+		return c.dropNulls(out[:len(out)+k], from)
 	}
 	// Mixed kinds, NaN bounds, cross-class: per-element total order.
 	for i := 0; i < c.n; i++ {
 		d := c.DatumAt(i)
-		if !d.IsNull() && d.Compare(lo) >= 0 && d.Compare(hi) <= 0 {
+		if !d.IsNull() && d.Compare(lo) >= lmin && d.Compare(hi) <= hmax {
 			out = append(out, int32(i))
 		}
 	}
 	return out
 }
 
-// betweenNum is BetweenConst's numeric loop, converting each value to
-// the bounds' type X like cmpConstNum. w >= l is false for a NaN w,
-// matching cmpFloat(NaN, l) = -1.
-func betweenNum[T, X int64 | float64](vals []T, l, h X, nulls Bitmap, hasNulls bool, out Sel) Sel {
+// intRange makes an int64 range's bounds inclusive; ok is false when no
+// int64 lies in it.
+func intRange(l int64, loInc bool, h int64, hiInc bool) (int64, int64, bool) {
+	if !loInc {
+		if l == math.MaxInt64 {
+			return 0, 0, false
+		}
+		l++
+	}
+	if !hiInc {
+		if h == math.MinInt64 {
+			return 0, 0, false
+		}
+		h--
+	}
+	return l, h, l <= h
+}
+
+// floatRange makes a float64 range's non-NaN bounds inclusive through
+// their neighbouring floats (v > l ⇔ v >= Nextafter(l, +Inf) for every
+// non-NaN v, with -0 and +0 tied as cmpFloat ties them); ok is false when
+// no float64 lies in it.
+func floatRange(l float64, loInc bool, h float64, hiInc bool) (float64, float64, bool) {
+	if !loInc {
+		if math.IsInf(l, 1) {
+			return 0, 0, false
+		}
+		l = math.Nextafter(l, math.Inf(1))
+	}
+	if !hiInc {
+		if math.IsInf(h, -1) {
+			return 0, 0, false
+		}
+		h = math.Nextafter(h, math.Inf(-1))
+	}
+	return l, h, l <= h
+}
+
+// rangeNum is RangeConst's numeric loop over inclusive bounds, converting
+// each value to the bounds' type X like cmpConstNum. w >= l is false for
+// a NaN w, matching cmpFloat(NaN, l) = -1.
+func rangeNum[T, X int64 | float64](vals []T, l, h X, out Sel) Sel {
+	out, buf := window(out, len(vals))
+	k := 0
 	for i, v := range vals {
-		if w := X(v); w >= l && w <= h && !(hasNulls && nulls.Get(i)) {
-			out = append(out, int32(i))
+		w := X(v)
+		buf[k] = int32(i)
+		k += b2i(w >= l) & b2i(w <= h)
+	}
+	return out[:len(out)+k]
+}
+
+// InSet is an IN list compiled once for InConst: its non-NULL members
+// and, when they all share one kind, their typed payloads.
+type InSet struct {
+	members []datum.Datum
+	kind    datum.Kind // the members' common kind; KNull when they mix
+	ints    []int64    // the payloads of integer-class members
+	strs    []string   // the values of VARCHAR members
+}
+
+// NewInSet compiles an IN list's members. NULL members match nothing and
+// are dropped.
+func NewInSet(set []datum.Datum) *InSet {
+	s := &InSet{kind: datum.KNull}
+	for _, m := range set {
+		switch {
+		case m.IsNull():
+			continue
+		case len(s.members) == 0:
+			s.kind = m.Kind()
+		case m.Kind() != s.kind:
+			s.kind = datum.KNull
+		}
+		s.members = append(s.members, m)
+	}
+	for _, m := range s.members {
+		switch {
+		case intClass(s.kind):
+			s.ints = append(s.ints, m.Int())
+		case s.kind == datum.KString:
+			s.strs = append(s.strs, m.Str())
 		}
 	}
-	return out
+	return s
 }
 
 // InConst appends the positions whose value equals any member of set —
 // the fused form of the OR-of-equalities an IN list desugars into. A
-// NULL value matches nothing; NULL members match nothing. Membership is
-// datum equality (cross-kind numerics collide, as in the scalar OR).
-func InConst(c *Column, set []datum.Datum, out Sel) Sel {
-	members := make([]datum.Datum, 0, len(set))
-	for _, m := range set {
-		if !m.IsNull() {
-			members = append(members, m)
-		}
-	}
-	if len(members) == 0 || c.n == 0 {
+// NULL value matches nothing. Membership is datum equality (cross-kind
+// numerics collide, as in the scalar OR).
+func InConst(c *Column, set *InSet, out Sel) Sel {
+	if len(set.members) == 0 || c.n == 0 {
 		return out
 	}
-	if c.Uniform && intClass(c.Kind) {
-		// Fast path only when every member shares the column's kind
-		// (same-kind equality is payload equality).
-		vals := make([]int64, 0, len(members))
-		ok := true
-		for _, m := range members {
-			if m.Kind() != c.Kind {
-				ok = false
-				break
-			}
-			vals = append(vals, m.Int())
-		}
-		if ok {
-			for i, v := range c.I {
-				if c.HasNulls && c.Nulls.Get(i) {
-					continue
-				}
-				for _, x := range vals {
-					if v == x {
-						out = append(out, int32(i))
-						break
-					}
-				}
-			}
-			return out
-		}
-	}
-	if c.Uniform && c.Kind == datum.KString {
-		vals := make([]string, 0, len(members))
-		ok := true
-		for _, m := range members {
-			if m.Kind() != datum.KString {
-				ok = false
-				break
-			}
-			vals = append(vals, m.Str())
-		}
-		if ok {
-			for i, v := range c.S {
-				if c.HasNulls && c.Nulls.Get(i) {
-					continue
-				}
-				for _, x := range vals {
-					// First-byte/length prefilter before the full compare.
-					if len(v) == len(x) && (len(x) == 0 || v[0] == x[0]) && v == x {
-						out = append(out, int32(i))
-						break
-					}
-				}
-			}
-			return out
-		}
+	// When every member shares the column's kind, equality is payload
+	// (or string) equality.
+	switch from := len(out); {
+	case c.Uniform && intClass(c.Kind) && set.kind == c.Kind:
+		return c.dropNulls(inTyped(c.I, set.ints, out), from)
+	case c.Uniform && c.Kind == datum.KString && set.kind == datum.KString:
+		return c.dropNulls(inTyped(c.S, set.strs, out), from)
 	}
 	for i := 0; i < c.n; i++ {
 		d := c.DatumAt(i)
 		if d.IsNull() {
 			continue
 		}
-		for _, m := range members {
+		for _, m := range set.members {
 			if d.Compare(m) == 0 {
 				out = append(out, int32(i))
 				break
@@ -369,6 +456,22 @@ func InConst(c *Column, set []datum.Datum, out Sel) Sel {
 		}
 	}
 	return out
+}
+
+// inTyped is InConst's loop over a typed column and typed members.
+func inTyped[T int64 | string](vals, members []T, out Sel) Sel {
+	out, buf := window(out, len(vals))
+	k := 0
+	for i, v := range vals {
+		buf[k] = int32(i)
+		for _, x := range members {
+			if v == x {
+				k++
+				break
+			}
+		}
+	}
+	return out[:len(out)+k]
 }
 
 // IsNullSel appends the positions that are NULL (or, with not set, the

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,15 +118,26 @@ func TestMatchLikeKernelOracle(t *testing.T) {
 
 // FuzzVecKernels drives the comparison, range, set and LIKE kernels
 // from fuzzer-derived columns and literals, checking each against its
-// scalar oracle.
+// scalar oracle. The first byte picks the mode: with its low bit clear
+// each value byte picks its own kind, so most columns mix kinds and take
+// the per-element paths; with it set the column has one kind (INT, DATE,
+// FLOAT or VARCHAR, from the byte's next bits) with NULLs, NaN, -0 and
+// integers past 2^53 sprinkled in, which drives the typed loops. Bits 4
+// and 5 decode the literal and the range's upper bound with the mixed
+// decoder instead of the column's kind.
 func FuzzVecKernels(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251})
-	f.Add([]byte("a%bc_d"))
-	f.Add([]byte{9, 9, 9, 0, 0, 0, 128, 255, 7})
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 250, 251})
+	f.Add([]byte("\x00a%bc_d"))
+	f.Add([]byte{0, 9, 9, 9, 0, 0, 0, 128, 255, 7})
+	for mode := byte(1); mode < 64; mode += 2 {
+		f.Add([]byte{mode, 40, 0, 13, 1, 22, 81, 120, 160, 200, 240, 255, 14, 66})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 3 {
 			return
 		}
+		mode := data[0]
+		data = data[1:]
 		// Derive a deterministic column, literal and pattern from the input.
 		decode := func(b byte) datum.Datum {
 			switch b % 7 {
@@ -143,17 +155,51 @@ func FuzzVecKernels(f *testing.F) {
 				return datum.NewBool(b&8 != 0)
 			}
 		}
+		kinds := []datum.Kind{datum.KInt, datum.KDate, datum.KFloat, datum.KString}
+		kind := kinds[mode>>1&3]
+		uniform := func(b byte) datum.Datum {
+			switch {
+			case b%11 == 0:
+				return datum.Null
+			case kind == datum.KInt && b%19 == 3:
+				return datum.NewInt(int64(1)<<53 + int64(b&3))
+			case kind == datum.KInt:
+				return datum.NewInt(int64(b>>2) - 32)
+			case kind == datum.KDate:
+				return datum.NewDate(int64(b >> 3))
+			case kind == datum.KFloat && b%13 == 1:
+				return datum.NewFloat(math.NaN())
+			case kind == datum.KFloat && b%17 == 2:
+				return datum.NewFloat(math.Copysign(0, -1))
+			case kind == datum.KFloat:
+				return datum.NewFloat(float64(int(b>>2)-32) / 2)
+			}
+			return datum.NewString(strings.Repeat("ab", int(b>>6)) + string(rune('a'+b%3)))
+		}
+		val := decode
+		if mode&1 != 0 {
+			val = uniform
+		}
 		n := len(data) - 1
 		if n > 64 {
 			n = 64
 		}
 		rows := make([]datum.Row, n)
 		for i := 0; i < n; i++ {
-			rows[i] = datum.Row{decode(data[i+1])}
+			rows[i] = datum.Row{val(data[i+1])}
 		}
-		lit := decode(data[0])
+		lit, hi := val(data[0]), val(data[len(data)-1])
+		if mode&16 != 0 {
+			lit = decode(data[0])
+		}
+		if mode&32 != 0 {
+			hi = decode(data[len(data)-1])
+		}
 		var c Column
 		c.Gather(rows, 0, nil)
+		if mode&1 != 0 && c.Kind != datum.KNull && (!c.Uniform || c.Kind != kind) {
+			t.Fatalf("uniform mode gathered kind %v (uniform %v), want %v", c.Kind, c.Uniform, kind)
+		}
 
 		for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
 			got := selToMap(CmpConst(&c, op, lit, nil))
@@ -165,17 +211,18 @@ func FuzzVecKernels(f *testing.F) {
 				}
 			}
 		}
-		lo, hi := lit, decode(data[len(data)-1])
-		gotB := selToMap(BetweenConst(&c, lo, hi, nil))
-		for i, row := range rows {
-			d := row[0]
-			want := !d.IsNull() && !lo.IsNull() && !hi.IsNull() && d.Compare(lo) >= 0 && d.Compare(hi) <= 0
-			if gotB[int32(i)] != want {
-				t.Fatalf("BetweenConst row %d (%s in [%s,%s]): kernel=%v oracle=%v", i, d, lo, hi, gotB[int32(i)], want)
+		lo := lit
+		for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+			got := selToMap(RangeConst(&c, lo, inc[0], hi, inc[1], nil))
+			for i, row := range rows {
+				d := row[0]
+				if want := rangeOracle(d, lo, inc[0], hi, inc[1]); got[int32(i)] != want {
+					t.Fatalf("RangeConst inc %v row %d (%s in %s..%s): kernel=%v oracle=%v", inc, i, d, lo, hi, got[int32(i)], want)
+				}
 			}
 		}
 		set := []datum.Datum{lit, hi}
-		gotIn := selToMap(InConst(&c, set, nil))
+		gotIn := selToMap(InConst(&c, NewInSet(set), nil))
 		for i, row := range rows {
 			d := row[0]
 			want := false

@@ -1,11 +1,13 @@
-// Package vec implements the typed column vectors and branch-light
-// predicate kernels behind the executor's vectorized engine. A Column is
-// one attribute of a morsel (at most one morsel, 4096 rows) gathered out
-// of the row-major executor representation into a per-type slice
-// (int64/float64/string) plus a null bitmap. Kernels evaluate a whole
-// column against a constant and emit a selection vector of surviving
-// positions. Kernels never write the columns they read, so goroutines
-// may share a column (storage shares its cached chunk columns).
+// Package vec implements the typed column vectors and predicate kernels
+// behind the executor's vectorized engine. A Column is one attribute of
+// a morsel (at most one morsel, 4096 rows) gathered out of the row-major
+// executor representation into a per-type slice (int64/float64/string)
+// plus a null bitmap. Kernels evaluate a whole column against a constant
+// and append a selection vector of surviving positions; the typed loops
+// do it without a data-dependent branch, writing every position and
+// advancing past the ones that pass. Kernels never write the columns
+// they read, so goroutines may share a column (storage shares its cached
+// chunk columns).
 //
 // Every kernel replicates the scalar executor's semantics exactly —
 // datum.Compare's total order (including its NaN placement and its

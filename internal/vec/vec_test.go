@@ -121,9 +121,23 @@ func TestCmpConstOracle(t *testing.T) {
 	}
 }
 
-// TestBetweenConstOracle checks the fused range kernel against the two
-// comparisons it replaces.
-func TestBetweenConstOracle(t *testing.T) {
+// rangeOracle is the pair of comparisons RangeConst fuses, evaluated
+// through datum.Compare: keep iff nothing is NULL, d is above lo (or
+// equal, with loInc) and below hi (or equal, with hiInc).
+func rangeOracle(d, lo datum.Datum, loInc bool, hi datum.Datum, hiInc bool) bool {
+	loOp, hiOp := GT, LT
+	if loInc {
+		loOp = GE
+	}
+	if hiInc {
+		hiOp = LE
+	}
+	return !d.IsNull() && !lo.IsNull() && !hi.IsNull() && loOp.keep(d.Compare(lo)) && hiOp.keep(d.Compare(hi))
+}
+
+// TestRangeConstOracle checks the fused range kernel against the two
+// comparisons it replaces, under all four bound inclusivities.
+func TestRangeConstOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
 		uk := kindCases[trial%len(kindCases)]
@@ -131,14 +145,47 @@ func TestBetweenConstOracle(t *testing.T) {
 		lo, hi := randDatum(r), randDatum(r)
 		var c Column
 		c.Gather(rows, 0, nil)
-		got := selToMap(BetweenConst(&c, lo, hi, nil))
-		for i, row := range rows {
-			d := row[0]
-			want := !d.IsNull() && !lo.IsNull() && !hi.IsNull() &&
-				d.Compare(lo) >= 0 && d.Compare(hi) <= 0
-			if got[int32(i)] != want {
-				t.Fatalf("trial %d: row %d (%s BETWEEN %s AND %s): kernel=%v oracle=%v",
-					trial, i, d, lo, hi, got[int32(i)], want)
+		for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+			got := selToMap(RangeConst(&c, lo, inc[0], hi, inc[1], nil))
+			for i, row := range rows {
+				d := row[0]
+				if want := rangeOracle(d, lo, inc[0], hi, inc[1]); got[int32(i)] != want {
+					t.Fatalf("trial %d inc %v: row %d (%s in %s..%s): kernel=%v oracle=%v",
+						trial, inc, i, d, lo, hi, got[int32(i)], want)
+				}
+			}
+		}
+	}
+}
+
+// TestRangeConstEdges pins the bounds whose inclusive form needs care: an
+// exclusive bound at the end of the int64 or float64 line, a signed zero,
+// infinities and a value beyond 2^53 against a promoted bound.
+func TestRangeConstEdges(t *testing.T) {
+	big := int64(1) << 53
+	ints := []datum.Row{{datum.NewInt(math.MinInt64)}, {datum.NewInt(-1)}, {datum.NewInt(0)}, {datum.Null},
+		{datum.NewInt(big)}, {datum.NewInt(big + 1)}, {datum.NewInt(math.MaxInt64)}}
+	floats := []datum.Row{{datum.NewFloat(math.Inf(-1))}, {datum.NewFloat(math.Copysign(0, -1))}, {datum.NewFloat(0)},
+		{datum.NewFloat(math.NaN())}, {datum.NewFloat(math.SmallestNonzeroFloat64)}, {datum.Null},
+		{datum.NewFloat(-math.SmallestNonzeroFloat64)}, {datum.NewFloat(math.Inf(1))}}
+	bounds := []datum.Datum{
+		datum.NewInt(math.MinInt64), datum.NewInt(math.MaxInt64), datum.NewInt(0), datum.NewInt(big + 1),
+		datum.NewFloat(math.Inf(-1)), datum.NewFloat(math.Inf(1)), datum.NewFloat(math.Copysign(0, -1)),
+		datum.NewFloat(0), datum.NewFloat(float64(big)), datum.NewFloat(math.NaN()),
+	}
+	for _, rows := range [][]datum.Row{ints, floats} {
+		var c Column
+		c.Gather(rows, 0, nil)
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+					got := selToMap(RangeConst(&c, lo, inc[0], hi, inc[1], nil))
+					for i, row := range rows {
+						if want := rangeOracle(row[0], lo, inc[0], hi, inc[1]); got[int32(i)] != want {
+							t.Fatalf("%s in %s..%s inc %v: kernel=%v oracle=%v", row[0], lo, hi, inc, got[int32(i)], want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -157,7 +204,7 @@ func TestInConstOracle(t *testing.T) {
 		}
 		var c Column
 		c.Gather(rows, 0, nil)
-		got := selToMap(InConst(&c, set, nil))
+		got := selToMap(InConst(&c, NewInSet(set), nil))
 		for i, row := range rows {
 			d := row[0]
 			want := false
@@ -391,11 +438,57 @@ func TestSelectMatchesGather(t *testing.T) {
 		for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
 			same("CmpConst", CmpConst(&got, op, lit, nil), CmpConst(&want, op, lit, nil))
 		}
-		same("BetweenConst", BetweenConst(&got, lo, hi, nil), BetweenConst(&want, lo, hi, nil))
-		same("InConst", InConst(&got, []datum.Datum{lit, lo}, nil), InConst(&want, []datum.Datum{lit, lo}, nil))
+		same("RangeConst", RangeConst(&got, lo, true, hi, false, nil), RangeConst(&want, lo, true, hi, false, nil))
+		set := NewInSet([]datum.Datum{lit, lo})
+		same("InConst", InConst(&got, set, nil), InConst(&want, set, nil))
 		for _, not := range []bool{false, true} {
 			same("IsNullSel", IsNullSel(&got, not, nil), IsNullSel(&want, not, nil))
 			same("MatchLike", MatchLike(&got, like, not, nil), MatchLike(&want, like, not, nil))
 		}
+	}
+}
+
+// TestKernelsAllocationFree pins that the predicate kernels write into
+// the caller's selection without allocating once it has room, InConst
+// included: its member list is compiled once by NewInSet, not per call.
+func TestKernelsAllocationFree(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, uk := range kindCases {
+		var c Column
+		c.Gather(randRows(r, MorselRows, uk), 0, nil)
+		lit, hi := randDatum(r), randDatum(r)
+		set := NewInSet([]datum.Datum{lit, hi, datum.Null})
+		out := make(Sel, 0, MorselRows)
+		for name, run := range map[string]func(){
+			"CmpConst":   func() { out = CmpConst(&c, LT, lit, out[:0]) },
+			"RangeConst": func() { out = RangeConst(&c, lit, true, hi, false, out[:0]) },
+			"InConst":    func() { out = InConst(&c, set, out[:0]) },
+		} {
+			if n := testing.AllocsPerRun(10, run); n != 0 {
+				t.Fatalf("%s on kind %d: %.0f allocations per call, want 0", name, uk, n)
+			}
+		}
+	}
+}
+
+// BenchmarkRangeConst times the fused half-open range over one morsel of
+// DATE values, half of which pass, in random order, the shape of a
+// shipdate range over a heap chunk.
+func BenchmarkRangeConst(b *testing.B) {
+	r := rand.New(rand.NewSource(10))
+	rows := make([]datum.Row, MorselRows)
+	for i := range rows {
+		rows[i] = datum.Row{datum.NewDate(int64(r.Intn(2000)))}
+	}
+	var c Column
+	c.Gather(rows, 0, nil)
+	lo, hi := datum.NewDate(500), datum.NewDate(1500)
+	out := make(Sel, 0, MorselRows)
+	b.ResetTimer()
+	for range b.N {
+		out = RangeConst(&c, lo, true, hi, false, out[:0])
+	}
+	if len(out) < MorselRows/3 || len(out) > 2*MorselRows/3 {
+		b.Fatalf("%d of %d rows pass, want about half", len(out), MorselRows)
 	}
 }
